@@ -41,6 +41,7 @@ from .exact import (
     exact_tv_curve,
     lumped_step,
     partial_mixing_time,
+    resolve_starts,
     single_card_matrix,
     tv_distance,
     uniform_k_marginal,

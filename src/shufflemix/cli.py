@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=_int_list, default=None)
     p.add_argument(
         "--strategy",
-        choices=["auto", "exact-canonical", "exhaustive", "sampled-lower-bound"],
+        choices=["auto", "canonical", "exhaustive", "sampled"],
         default="auto",
     )
 

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from . import __version__ as _pkg_version
 from .deck import ShuffleKind, ShuffleRule
 from .errors import HorizonError, MassDriftError, ParameterError
-from .indexing import DEFAULT_STATE_CAP, KTupleIndexer
+from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
 from .rng import DEFAULT_SEED, RandomStream
 
 MASS_TOL = 1e-10
@@ -317,21 +317,7 @@ def exact_tv_curve(
     """
     times = _check_times(times)
     evolver = LumpedEvolver(rule, k, cap=cap)
-    uniform = 1.0 / evolver.indexer.count
-    probs = KTupleDistribution.point_mass(evolver.indexer, start).probs
-    values = np.empty(times.size)
-    cursor = 0
-    if times[cursor] == 0:
-        values[0] = 0.5 * np.abs(probs - uniform).sum()
-        cursor += 1
-    for t in range(1, int(times[-1]) + 1):
-        probs = evolver.step(probs, t)
-        if cursor < times.size and times[cursor] == t:
-            drift = abs(float(probs.sum()) - 1.0)
-            if drift > MASS_TOL:
-                raise MassDriftError(f"probability mass drifted by {drift:.3e}")
-            values[cursor] = 0.5 * np.abs(probs - uniform).sum()
-            cursor += 1
+    values = _values_at(_worst_tv_steps(evolver, [start]), times)
     meta = _curve_metadata(rule, k, evolver, "single-start")
     meta["start"] = list(map(int, start))
     return TVCurve(times, values, meta)
@@ -348,20 +334,66 @@ def _curve_metadata(rule, k, evolver, strategy) -> dict:
     }
 
 
+def _worst_tv_steps(evolver: LumpedEvolver, starts):
+    """Evolve point masses at ``starts`` together; ``None`` means every tuple.
+
+    Yields (t, largest TV to uniform over the starts) for t = 0, 1, 2, ...
+    and raises MassDriftError as soon as any start's mass drifts. Listed
+    starts are rows of a (starts x states) block, stepped one at a time; the
+    exhaustive scan evolves the identity's columns through the cached kernel
+    and reads its transpose as the block.
+    """
+    count = evolver.indexer.count
+    uniform = 1.0 / count
+    if starts is None:
+        columns = np.eye(count)
+        block = columns.T
+    else:
+        block = np.zeros((len(starts), count))
+        for row, s in zip(block, starts):
+            row[evolver.indexer.encode(s)] = 1.0
+    yield 0, 1.0 - uniform  # every start is a point mass
+    t = 0
+    while True:
+        t += 1
+        if starts is None:
+            columns = evolver.evolve_columns(columns, t)
+            block = columns.T
+        else:
+            for row in block:
+                row[:] = evolver.step(row, t)
+        drift = float(np.abs(block.sum(axis=1) - 1.0).max())
+        if drift > MASS_TOL:
+            raise MassDriftError(f"probability mass drifted by {drift:.3e} at t={t}")
+        yield t, float(0.5 * np.abs(block - uniform).sum(axis=1).max())
+
+
+def _values_at(steps, times: np.ndarray) -> np.ndarray:
+    """The TV values ``steps`` yields at the grid ``times``, stepping no further."""
+    values = np.empty(times.size)
+    cursor = 0
+    for t, tv in steps:
+        if t == times[cursor]:
+            values[cursor] = tv
+            cursor += 1
+            if cursor == times.size:
+                return values
+
+
 def canonical_starts(rule: ShuffleRule, k: int) -> list[tuple]:
     """Start tuples covering every worst-case class, when symmetry allows.
 
     With a uniform left hand all positions are exchangeable, so one start
     suffices. With the left hand pinned to the top, positions 2..n are
     exchangeable and classes are distinguished only by which coordinate (if
-    any) sits at position 1.
+    any) sits at position 1; at k = n some coordinate always does.
     """
     n = rule.n
     if rule.kind is ShuffleKind.RANDOM_TO_RANDOM:
         return [tuple(range(1, k + 1))]
     if rule.kind is ShuffleKind.TOP_TO_RANDOM:
         pool = list(range(2, k + 1))
-        reps = [tuple(range(2, k + 2))]
+        reps = [tuple(range(2, k + 2))] if k < n else []
         for j in range(k):
             reps.append(tuple(pool[:j] + [1] + pool[j:]))
         return reps
@@ -370,7 +402,9 @@ def canonical_starts(rule: ShuffleRule, k: int) -> list[tuple]:
 
 def _sampled_starts(n: int, k: int, sample: int) -> list[tuple]:
     """Structured starts (contiguous, shifted, spread) plus a seeded sample."""
-    cands = [tuple(range(1, k + 1)), tuple(range(2, k + 2))]
+    cands = [tuple(range(1, k + 1))]
+    if k < n:
+        cands.append(tuple(range(2, k + 2)))
     shift = max(1, n // k)
     spread = tuple(1 + (j * shift) % n for j in range(k))
     if len(set(spread)) == k:
@@ -380,6 +414,7 @@ def _sampled_starts(n: int, k: int, sample: int) -> list[tuple]:
         if c not in seen:
             seen.add(c)
             starts.append(c)
+    sample = min(sample, tuple_count(n, k))
     rng = RandomStream(DEFAULT_SEED, 977).generator
     while len(starts) < sample:
         cand = tuple(int(x) + 1 for x in rng.choice(n, size=k, replace=False))
@@ -387,6 +422,42 @@ def _sampled_starts(n: int, k: int, sample: int) -> list[tuple]:
             seen.add(cand)
             starts.append(cand)
     return starts
+
+
+def resolve_starts(
+    rule: ShuffleRule, k: int, count: int, strategy: str = "auto", sample: int = 64
+) -> tuple[list[tuple] | None, str]:
+    """Start tuples for a worst-case scan over ``count`` states, and their label.
+
+    ``strategy`` is one of:
+
+    - ``canonical``: one representative per symmetry class (top and random
+      rules only), labelled ``exact-canonical``;
+    - ``exhaustive``: every tuple, returned as ``None``, when ``count``^2
+      fits the exhaustive budget;
+    - ``sampled``: structured plus ``sample`` seeded random starts, labelled
+      ``sampled-lower-bound`` because the max over them only bounds the
+      worst case from below;
+    - ``auto``: canonical when the rule allows it, else exhaustive within
+      the budget, else sampled.
+    """
+    fits = count * count <= _EXHAUSTIVE_BUDGET
+    if strategy == "auto":
+        if rule.kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.RANDOM_TO_RANDOM):
+            strategy = "canonical"
+        else:
+            strategy = "exhaustive" if fits else "sampled"
+    if strategy == "canonical":
+        return canonical_starts(rule, k), "exact-canonical"
+    if strategy == "exhaustive":
+        if not fits:
+            raise ParameterError(
+                f"exhaustive start scan needs {count}^2 cells, over the budget"
+            )
+        return None, "exhaustive"
+    if strategy == "sampled":
+        return _sampled_starts(rule.n, k, sample), "sampled-lower-bound"
+    raise ParameterError(f"unknown start strategy '{strategy}'")
 
 
 def worst_case_curve(
@@ -403,79 +474,19 @@ def worst_case_curve(
     class representatives and is the true worst case. Otherwise every start
     tuple is scanned when the state space is small enough, else a structured
     plus seeded random start set is used and the curve is only a lower bound
-    on the true worst case (flagged in metadata).
+    on the true worst case (flagged in metadata). See ``resolve_starts``.
     """
     times = _check_times(times)
     evolver = LumpedEvolver(rule, k, cap=cap)
-    count = evolver.indexer.count
-
-    if start_strategy == "auto":
-        try:
-            starts = canonical_starts(rule, k)
-            strategy = "exact-canonical"
-        except ParameterError:
-            if count * count <= _EXHAUSTIVE_BUDGET:
-                starts = None  # all of them, via the dense identity
-                strategy = "exhaustive"
-            else:
-                starts = _sampled_starts(rule.n, k, sample)
-                strategy = "sampled-lower-bound"
-    elif start_strategy == "exhaustive":
-        if count * count > _EXHAUSTIVE_BUDGET:
-            raise ParameterError(
-                f"exhaustive start scan needs {count}^2 cells, over the budget"
-            )
-        starts, strategy = None, "exhaustive"
-    elif start_strategy == "canonical":
-        starts, strategy = canonical_starts(rule, k), "exact-canonical"
-    elif start_strategy == "sampled":
-        starts = _sampled_starts(rule.n, k, sample)
-        strategy = "sampled-lower-bound"
-    else:
-        raise ParameterError(f"unknown start strategy '{start_strategy}'")
-
-    values = _max_tv_over_starts(evolver, starts, times)
+    starts, strategy = resolve_starts(
+        rule, k, evolver.indexer.count, start_strategy, sample
+    )
+    values = _values_at(_worst_tv_steps(evolver, starts), times)
     meta = _curve_metadata(rule, k, evolver, strategy)
     meta["lower_bound_only"] = strategy == "sampled-lower-bound"
     if starts is not None:
         meta["starts"] = len(starts)
     return TVCurve(times, values, meta)
-
-
-def _max_tv_over_starts(evolver: LumpedEvolver, starts, times: np.ndarray) -> np.ndarray:
-    count = evolver.indexer.count
-    uniform = 1.0 / count
-    if starts is None:
-        dense = np.eye(count)
-        values = np.empty(times.size)
-        cursor = 0
-        if times[cursor] == 0:
-            values[0] = 1.0 - uniform
-            cursor += 1
-        for t in range(1, int(times[-1]) + 1):
-            dense = evolver.evolve_columns(dense, t)
-            if cursor < times.size and times[cursor] == t:
-                values[cursor] = float(
-                    0.5 * np.abs(dense - uniform).sum(axis=0).max()
-                )
-                cursor += 1
-        return values
-    dists = [
-        KTupleDistribution.point_mass(evolver.indexer, s).probs for s in starts
-    ]
-    values = np.empty(times.size)
-    cursor = 0
-    if times[cursor] == 0:
-        values[0] = 1.0 - uniform
-        cursor += 1
-    for t in range(1, int(times[-1]) + 1):
-        dists = [evolver.step(d, t) for d in dists]
-        if cursor < times.size and times[cursor] == t:
-            values[cursor] = max(
-                0.5 * float(np.abs(d - uniform).sum()) for d in dists
-            )
-            cursor += 1
-    return values
 
 
 @dataclass
@@ -506,46 +517,12 @@ def partial_mixing_time(
     if horizon is None:
         horizon = int(math.ceil(n * (math.log(max(k, 2)) + 4.0 * max(1.0, -math.log(epsilon)))))
     evolver = LumpedEvolver(rule, k, cap=cap)
-    count = evolver.indexer.count
-    uniform = 1.0 / count
-
-    if start_strategy == "auto":
-        try:
-            starts = canonical_starts(rule, k)
-            strategy = "exact-canonical"
-        except ParameterError:
-            if count * count <= _EXHAUSTIVE_BUDGET:
-                starts, strategy = None, "exhaustive"
-            else:
-                starts = _sampled_starts(n, k, 64)
-                strategy = "sampled-lower-bound"
-    else:
-        curve_strategy = start_strategy
-        if curve_strategy == "canonical":
-            starts, strategy = canonical_starts(rule, k), "exact-canonical"
-        elif curve_strategy == "exhaustive":
-            starts, strategy = None, "exhaustive"
-        else:
-            starts = _sampled_starts(n, k, 64)
-            strategy = "sampled-lower-bound"
-
-    tv = 1.0 - uniform
-    if tv < epsilon:
-        return MixingTime(0, tv, epsilon, horizon, strategy)
-    if starts is None:
-        state = np.eye(count)
-        for t in range(1, horizon + 1):
-            state = evolver.evolve_columns(state, t)
-            tv = float(0.5 * np.abs(state - uniform).sum(axis=0).max())
-            if tv < epsilon:
-                return MixingTime(t, tv, epsilon, horizon, strategy)
-    else:
-        dists = [KTupleDistribution.point_mass(evolver.indexer, s).probs for s in starts]
-        for t in range(1, horizon + 1):
-            dists = [evolver.step(d, t) for d in dists]
-            tv = max(0.5 * float(np.abs(d - uniform).sum()) for d in dists)
-            if tv < epsilon:
-                return MixingTime(t, tv, epsilon, horizon, strategy)
+    starts, strategy = resolve_starts(rule, k, evolver.indexer.count, start_strategy)
+    for t, tv in _worst_tv_steps(evolver, starts):
+        if tv < epsilon:
+            return MixingTime(t, tv, epsilon, horizon, strategy)
+        if t >= horizon:
+            break
     raise HorizonError(
         f"worst-case TV still {tv:.6g} >= {epsilon} at the horizon {horizon}",
         last_value=tv,

@@ -1,5 +1,6 @@
 """Command line contract: files, formats, seeds, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from shufflemix.cli import COMMANDS, build_parser, config_from_args, main
+from shufflemix.exact import LumpedEvolver
 from shufflemix.rng import DEFAULT_SEED
 
 
@@ -197,6 +199,50 @@ def test_worst_tv_strategy_flag(tmp_path):
     assert header == "t,tv" and len(rows) == 20
     meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
     assert meta["start_strategy"] == "exhaustive"
+
+
+def _choices(command, flag):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+    return action.choices
+
+
+# every --strategy name, and the sidecar label it resolves to for the random rule
+STRATEGY_LABELS = {
+    "auto": "exact-canonical",
+    "canonical": "exact-canonical",
+    "exhaustive": "exhaustive",
+    "sampled": "sampled-lower-bound",
+}
+
+
+def test_worst_tv_every_strategy_choice(tmp_path):
+    assert sorted(_choices("worst-tv", "--strategy")) == sorted(STRATEGY_LABELS)
+    for strategy, label in STRATEGY_LABELS.items():
+        out = f"w-{strategy}.csv"
+        assert run(tmp_path, "worst-tv", "--rule", "random", "--n", "5", "--k", "2",
+                   "--t-max", "8", "--strategy", strategy, "--out", out) == 0, strategy
+        meta = json.loads((tmp_path / f"{out}.meta.json").read_text())
+        assert meta["start_strategy"] == label, strategy
+        assert meta["lower_bound_only"] == (label == "sampled-lower-bound")
+
+
+def test_top_rule_every_card_tracked_cli(tmp_path):
+    assert run(tmp_path, "worst-tv", "--rule", "top", "--n", "3", "--k", "3",
+               "--t-max", "10", "--out", "w.csv") == 0
+    assert run(tmp_path, "mix-time", "--rule", "top", "--n", "4", "--k", "4",
+               "--out", "m.json") == 0
+
+
+def test_mass_drift_is_exit_3(tmp_path, monkeypatch, capsys):
+    step = LumpedEvolver.step
+    monkeypatch.setattr(
+        LumpedEvolver, "step", lambda self, p, t: step(self, p, t) * (1.0 - 1e-6)
+    )
+    assert run(tmp_path, "worst-tv", "--rule", "top", "--n", "6", "--k", "2",
+               "--t-max", "5", "--out", "w.csv") == 3
+    assert "drift" in capsys.readouterr().err
 
 
 def test_hits_record(tmp_path):

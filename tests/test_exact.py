@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shufflemix.errors import HorizonError, ParameterError
+from shufflemix.errors import HorizonError, MassDriftError, ParameterError
 from shufflemix.exact import (
     KTupleDistribution,
     LumpedEvolver,
@@ -217,3 +221,83 @@ def test_curve_to_csv_roundtrip(tmp_path):
     assert len(lines) == 4
     meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
     assert meta["rule"] == "random" and meta["n"] == 6
+
+
+def test_top_rule_with_every_card_tracked():
+    """At k = n some card always sits at position 1; that leaves k classes."""
+    rule = make_rule("top", 3)
+    times = list(range(1, 11))
+    canon = worst_case_curve(rule, 3, times, start_strategy="canonical")
+    full = worst_case_curve(rule, 3, times, start_strategy="exhaustive")
+    assert np.abs(canon.values - full.values).max() < 1e-12
+    assert canon.metadata["starts"] == 3
+    sampled = worst_case_curve(rule, 3, times, start_strategy="sampled", sample=4)
+    assert sampled.metadata["starts"] == 4
+    res = partial_mixing_time(make_rule("top", 4), 4, 0.25)
+    assert res.strategy == "exact-canonical" and res.tv < 0.25
+
+
+def _run_bounded(code: str) -> str:
+    """Run ``code`` in a child interpreter that is killed after 60 s."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_sampled_starts_clamped_to_tuple_count():
+    out = _run_bounded(
+        "from conftest import make_rule\n"
+        "from shufflemix.exact import worst_case_curve\n"
+        "rule = make_rule('cyclic', 8)\n"
+        "s = worst_case_curve(rule, 2, [1, 5, 9], start_strategy='sampled')\n"
+        "e = worst_case_curve(rule, 2, [1, 5, 9], start_strategy='exhaustive')\n"
+        "print(s.metadata['starts'], abs(s.values - e.values).max() < 1e-12)\n"
+    )
+    assert out == "56 True"
+
+
+def test_unknown_start_strategy_rejected_by_mixing_time():
+    out = _run_bounded(
+        "from conftest import make_rule\n"
+        "from shufflemix.errors import ParameterError\n"
+        "from shufflemix.exact import partial_mixing_time\n"
+        "try:\n"
+        "    partial_mixing_time(make_rule('cyclic', 8), 2, 0.25, start_strategy='bogus')\n"
+        "except ParameterError as exc:\n"
+        "    print('ParameterError', exc)\n"
+    )
+    assert out.startswith("ParameterError") and "bogus" in out
+
+
+def test_exhaustive_budget_applies_to_mixing_time(monkeypatch):
+    monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 100)
+    with pytest.raises(ParameterError):
+        partial_mixing_time(make_rule("cyclic", 6), 2, 0.25, start_strategy="exhaustive")
+
+
+@pytest.fixture(params=["step", "evolve_columns"])
+def leaky_kernel(request, monkeypatch):
+    """Make one evolution kernel lose 1e-6 of the mass at every step."""
+    orig = getattr(LumpedEvolver, request.param)
+    monkeypatch.setattr(
+        LumpedEvolver, request.param, lambda self, p, t: orig(self, p, t) * (1.0 - 1e-6)
+    )
+    # listed starts go through step, the exhaustive scan through evolve_columns
+    return "canonical" if request.param == "step" else "exhaustive"
+
+
+def test_mass_drift_caught_on_every_exact_path(leaky_kernel):
+    rule = make_rule("top", 6)
+    strategy = leaky_kernel
+    with pytest.raises(MassDriftError):
+        worst_case_curve(rule, 2, [3], start_strategy=strategy)
+    with pytest.raises(MassDriftError):
+        partial_mixing_time(rule, 2, 0.25, start_strategy=strategy)
+    if strategy == "canonical":
+        with pytest.raises(MassDriftError):
+            exact_tv_curve(rule, 2, (1, 2), [3])
