@@ -7,8 +7,11 @@ byte-identical data files; only the sidecar varies. The seed defaults to
 ``DEFAULT_SEED``, can be overridden by the SHUFFLE_MIX_SEED environment
 variable, and an explicit --seed wins over both.
 
-Exit codes: 0 success, 1 unknown subcommand, 2 parameter error,
-3 horizon or state-count cap exceeded.
+Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
+``couple-<mode>``); the parser, the config and ``dispatch`` are loops over it.
+
+Exit codes: 0 success, 1 usage error, 2 invalid parameter, 3 resource
+limit (state cap, horizon, or mass drift).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,24 +59,6 @@ from .montecarlo import (
     tv_lower_bound_fixed_cards,
 )
 from .rng import DEFAULT_SEED, RandomStream
-
-COMMANDS = (
-    "exact-tv",
-    "worst-tv",
-    "mix-time",
-    "cutoff",
-    "mc-tv",
-    "lower-bound",
-    "couple",
-    "hits",
-    "tau-hat",
-    "p0",
-    "eig-scan",
-    "eig-opt",
-    "cyclic-bound",
-    "cyclic-mix",
-)
-COUPLE_MODES = ("one-card", "two-hand", "k-deck")
 
 
 @dataclass(frozen=True)
@@ -116,14 +102,314 @@ def _int_list(text: str) -> list:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
 def _float_list(text: str) -> list:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ParameterError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}")
+
+
+def _rule_from(params: dict) -> ShuffleRule:
+    return ShuffleRule(
+        kind=ShuffleKind(params["rule"]), n=params["n"], phase=params["phase"]
+    )
+
+
+def _times_from(params: dict) -> np.ndarray:
+    if params.get("times"):
+        return np.asarray(sorted(set(params["times"])), dtype=np.int64)
+    t_max = params.get("t_max") or 10 * params["n"]
+    return np.arange(1, t_max + 1, dtype=np.int64)
+
+
+def _pick(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+# -- runners: (params, config) -> (data, sidecar extras, summary line) ----------
+# data is a JSON record, to which dispatch adds "op" and "params", or a
+# (CSV header, rows) pair. Runners call the library by module-global name at
+# call time, so code that patches this module's attributes reaches them too.
+
+
+def _curve_output(command, times, curve):
+    rows = zip(curve.times.tolist(), curve.values.tolist())
+    summary = f"{command}: {times.size} rows, final tv {curve.values[-1]:.6g}"
+    return ("t,tv", rows), dict(curve.metadata), summary
+
+
+def _run_exact_tv(params, config):
+    k, times = params["k"], _times_from(params)
+    curve = exact_tv_curve(_rule_from(params), k, tuple(range(1, k + 1)), times)
+    return _curve_output("exact-tv", times, curve)
+
+
+def _run_worst_tv(params, config):
+    rule, k, times = _rule_from(params), params["k"], _times_from(params)
+    curve = worst_case_curve(rule, k, times, start_strategy=params["strategy"])
+    return _curve_output("worst-tv", times, curve)
+
+
+def _run_mix_time(params, config):
+    rule, horizon = _rule_from(params), params["horizon"]
+    result = partial_mixing_time(rule, params["k"], params["epsilon"], horizon=horizon)
+    fields = ("tv", "epsilon", "horizon", "strategy")
+    record = {"t_mix": result.t, **_pick(result, *fields)}
+    return record, {}, f"mix-time: t_mix({result.epsilon}) = {result.t}"
+
+
+def _run_cutoff(params, config):
+    alphas = params["alphas"] or [0.0, 0.5, 1.0, 1.5, 2.0]
+    profile = cutoff_profile(_rule_from(params), params["k"], alphas)
+    summary = f"cutoff: {len(alphas)} alphas"
+    return ("alpha,t,tv,bound", profile.rows()), dict(profile.metadata), summary
+
+
+def _estimate_record(est, fitted=None) -> dict:
+    kept = (int, float, str, bool, list, tuple)
+    tallies = {key: v for key, v in est.details.items() if isinstance(v, kept)}
+    record = {"estimate": est.value, **_pick(est, "std_error", "samples", "seed")}
+    return {**record, "fitted_constants": fitted, "tallies": tallies}
+
+
+def _run_mc_tv(params, config):
+    rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
+    rng = RandomStream(config.seed)
+    est = mc_tv_plugin(rule, n, k, None, None, t, params["samples"], rng=rng)
+    summary = f"mc-tv: {est.value:.6g} +- {est.std_error:.2g}"
+    return _estimate_record(est), {}, summary
+
+
+def _run_lower_bound(params, config):
+    rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
+    threshold, samples = params["threshold"], params["samples"]
+    rng = RandomStream(config.seed)
+    est = tv_lower_bound_fixed_cards(rule, n, k, t, threshold, samples, rng=rng)
+    return _estimate_record(est), {}, f"lower-bound: {est.value:.6g}"
+
+
+def _run_hits(params, config):
+    rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
+    rng = RandomStream(config.seed)
+    est = left_hand_hit_count(rule, n, k, None, t, params["trials"], rng=rng)
+    details = est.details
+    fitted = {"constant": details["fit_constant"], "shape": details["fit_shape"]}
+    summary = f"hits: mean {est.value:.4g}, constant {fitted['constant']:.4g}"
+    return _estimate_record(est, fitted), {}, summary
+
+
+def _survival_rows(times: np.ndarray, horizon: int, trials: int):
+    survivors = survival_counts(times, horizon)
+    for t in range(horizon + 1):
+        yield t, int(survivors[t]), trials
+
+
+def _couple_output(config, times, horizon, extras):
+    trials = config.params["trials"]
+    censored = int(np.count_nonzero(times < 0))
+    summary = f"{config.command}: {trials} trials, {censored} censored at t={horizon}"
+    rows = _survival_rows(times, horizon, trials)
+    return ("t,survivors,trials", rows), extras, summary
+
+
+def _couple_options(params, config) -> dict:
+    horizon, trials = params["horizon"], params["trials"]
+    return {"horizon": horizon, "trials": trials, "rng": RandomStream(config.seed)}
+
+
+def _one_card_output(config, result):
+    details = {k: v for k, v in result.details.items() if not isinstance(v, np.ndarray)}
+    extras = {"details": details}
+    return _couple_output(config, result.match_times, result.horizon, extras)
+
+
+def _run_couple_one_card(params, config):
+    rule, options = _rule_from(params), _couple_options(params, config)
+    result = couple_one_card(rule, params["n"], params["card"], **options)
+    return _one_card_output(config, result)
+
+
+def _run_couple_two_hand(params, config):
+    options = _couple_options(params, config)
+    result = couple_two_hands_random(params["n"], params["card"], **options)
+    return _one_card_output(config, result)
+
+
+def _run_couple_k_deck(params, config):
+    kd = KDeckCouplingParams(n=params["n"], k=params["k"], horizon=params["horizon"])
+    rule, cards = _rule_from(params), list(range(1, kd.k + 1))
+    rng = RandomStream(config.seed)
+    result = couple_k_decks(rule, kd, cards, params["trials"], rng=rng)
+    fit = fit_mismatch_bound(result)
+    extras = {
+        "details": dict(result.details),
+        "fitted_constants": {"constant": fit.constant, "shape": fit.shape},
+        "situation_totals": result.situation_counts.sum(axis=0).tolist(),
+    }
+    return _couple_output(config, result.mismatch_times, kd.horizon, extras)
+
+
+def _run_tau_hat(params, config):
+    m = tau_hat_moments(params["n"])
+    fields = ("mean", "second_moment", "variance", "closed_form_mean")
+    record = {**_pick(m, *fields, "closed_form_gap"), "mean_over_n": m.mean / m.n}
+    return record, {}, f"tau-hat: mean {m.mean:.4f} ({m.mean / m.n:.4f} n)"
+
+
+def _run_p0(params, config):
+    sweep = p_recursion(params["epsilon"], params["n"])
+    summary = f"p0: {sweep.p0:.6f} (closed form {sweep.p0_closed_form:.6f})"
+    if config.format == "csv":
+        return ("s,p", enumerate(sweep.values.tolist())), {}, summary
+    fields = ("p0", "p0_closed_form", "p0_gap", "midrange_max_gap", "m")
+    return _pick(sweep, *fields), {}, summary
+
+
+def _run_eig_scan(params, config):
+    eps, lams = scan_epsilon(params["xi"], params["lo"], params["hi"], params["num"])
+    rows = zip(eps.tolist(), lams.tolist())
+    return ("epsilon,lambda2", rows), {}, f"eig-scan: {eps.size} points"
+
+
+def _run_eig_opt(params, config):
+    opt = optimize_epsilon(params["xi"])
+    record = {**_pick(opt, "epsilon", "xi", "unimodal"), "lambda": opt.lam}
+    summary = f"eig-opt: epsilon {opt.epsilon:.4f}, lambda {opt.lam:.4f}"
+    return record, {}, summary
+
+
+def _run_cyclic_bound(params, config):
+    n = params["n"]
+    t_max = params["t_max"] or 10 * n
+    if params["fit"]:
+        bound = fit_cyclic_bound_constant(n=n, t_max=t_max)
+    else:
+        bound = CyclicBoundParams(c=params["c"])
+    rows = ((t, cyclic_one_card_bound(t, n, bound)) for t in range(1, t_max + 1))
+    extras = {"bound_params": _pick(bound, "c", "lam", "rate")}
+    return ("t,bound", rows), extras, f"cyclic-bound: c = {bound.c:.4g}"
+
+
+def _run_cyclic_mix(params, config):
+    result = cyclic_mixing_upper(params["n"], params["k"], params["c"])
+    fields = (
+        "t", "threshold", "coefficient_logk", "generic_bound", "constant_direct",
+        "coefficient_direct", "constant_inverted", "coefficient_inverted",
+    )
+    summary = f"cyclic-mix: t = {result.t} (generic {result.generic_bound:.1f})"
+    return _pick(result, *fields), {}, summary
+
+
+# -- the command table -----------------------------------------------------------
+
+
+def _opt(flag: str, type=None, default=None, **kwargs) -> tuple:
+    """A flag and its argparse keywords."""
+    return flag, {"type": type, "default": default, **kwargs}
+
+
+_RULE_FLAGS = (
+    _opt("--rule", None, "top", choices=("top", "random", "cyclic"),
+         help="left-hand rule (default top)"),
+    _opt("--phase", int, 0, help="cyclic sweep offset"),
+)
+_N = _opt("--n", int, required=True, help="deck size")
+_K = _opt("--k", int, 1, help="tracked cards")
+_PLUMBING_FLAGS = (
+    _opt("--seed", int),
+    _opt("--out", help="output data file path"),
+    _opt("--threads", int, 1,
+         help="worker count, at least 1; results are worker-count independent"),
+)
+_T_MAX, _TIMES = _opt("--t-max", int), _opt("--times", _int_list)
+_T, _HORIZON = _opt("--t", int, required=True), _opt("--horizon", int)
+_TRIALS, _SAMPLES = _opt("--trials", int, 100_000), _opt("--samples", int, 100_000)
+_CARD, _C = _opt("--card", int, 1), _opt("--c", float, 1.0)
+_XI = _opt("--xi", float, 0.0)
+_STRATEGY = _opt("--strategy", None, "auto",
+                 choices=("auto", "canonical", "exhaustive", "sampled"))
+_FIT = ("--fit", {"action": "store_true",
+                  "help": "fit c against the exact worst-case curve instead of --c"})
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its runner, extra flags, formats and shared flags.
+
+    ``run(params, config)`` returns (data, sidecar extras, summary line).
+    ``rule``, ``n`` and ``k`` say whether it takes --rule/--phase, --n, --k.
+    """
+
+    help: str
+    run: Callable
+    flags: tuple = ()
+    formats: tuple = ("csv",)  # default first
+    rule: bool = True
+    n: bool = True
+    k: bool = True
+
+    def arguments(self):
+        """(flag, argparse keywords) of every flag the subcommand offers."""
+        if self.rule:
+            yield from _RULE_FLAGS
+        if self.n:
+            yield _N
+        if self.k:
+            yield _K
+        yield from _PLUMBING_FLAGS
+        yield _opt("--format", None, self.formats[0], choices=self.formats)
+        yield from self.flags
+
+
+_JSON = ("json",)
+COMMAND_TABLE = {
+    "exact-tv": Command("exact TV curve from a fixed start", _run_exact_tv,
+                        (_T_MAX, _TIMES)),
+    "worst-tv": Command("exact worst-case TV curve", _run_worst_tv,
+                        (_T_MAX, _TIMES, _STRATEGY)),
+    "mix-time": Command("smallest t with worst-case TV < eps", _run_mix_time,
+                        (_opt("--epsilon", float, 0.25), _HORIZON), _JSON),
+    "cutoff": Command("worst-case TV at n log k + alpha n", _run_cutoff,
+                      (_opt("--alphas", _float_list),)),
+    "mc-tv": Command("plug-in Monte Carlo TV estimate", _run_mc_tv,
+                     (_T, _SAMPLES), _JSON),
+    "lower-bound": Command("TV lower bound from the never-touched statistic",
+                           _run_lower_bound,
+                           (_T, _opt("--threshold", int, 1), _SAMPLES), _JSON),
+    "couple-one-card": Command("one tracked card, right hand mirrored",
+                               _run_couple_one_card, (_CARD, _HORIZON, _TRIALS),
+                               k=False),
+    "couple-two-hand": Command("one tracked card, both hands mirrored (random rule)",
+                               _run_couple_two_hand, (_CARD, _HORIZON, _TRIALS),
+                               rule=False, k=False),
+    "couple-k-deck": Command("(k+1)-deck coupling of k tracked cards",
+                             _run_couple_k_deck, (_HORIZON, _TRIALS)),
+    "hits": Command("left-hand hit count on tracked cards", _run_hits,
+                    (_T, _TRIALS), _JSON),
+    "tau-hat": Command("moments of the touch waiting time", _run_tau_hat,
+                       (), _JSON, rule=False, k=False),
+    "p0": Command("gap-closing probability recursion", _run_p0,
+                  (_opt("--epsilon", float, 0.442),), ("json", "csv"),
+                  rule=False, k=False),
+    "eig-scan": Command("second eigenvalue over an eps grid", _run_eig_scan,
+                        (_XI, _opt("--lo", float, 0.01), _opt("--hi", float, 0.49),
+                         _opt("--num", int, 500)),
+                        rule=False, n=False, k=False),
+    "eig-opt": Command("eps minimizing the second eigenvalue", _run_eig_opt,
+                       (_XI,), _JSON, rule=False, n=False, k=False),
+    "cyclic-bound": Command("one-card cyclic bound curve", _run_cyclic_bound,
+                            (_T_MAX, _C, _FIT), rule=False, k=False),
+    "cyclic-mix": Command("k-card mixing bound, cyclic rule", _run_cyclic_mix,
+                          (_C,), _JSON, rule=False),
+}
+_COUPLE = "couple-"
+COMMANDS = tuple(
+    dict.fromkeys("couple" if c.startswith(_COUPLE) else c for c in COMMAND_TABLE)
+)
+COUPLE_MODES = tuple(c[len(_COUPLE):] for c in COMMAND_TABLE if c.startswith(_COUPLE))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,178 +419,45 @@ def build_parser() -> argparse.ArgumentParser:
         "transposition shuffles",
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-
-    def common(p, rule=True, k=True):
-        if rule:
-            p.add_argument(
-                "--rule",
-                choices=["top", "random", "cyclic"],
-                default="top",
-                help="left-hand rule (default top)",
-            )
-            p.add_argument(
-                "--phase", type=int, default=0, help="cyclic sweep offset"
-            )
-        p.add_argument("--n", type=int, required=True, help="deck size")
-        if k:
-            p.add_argument("--k", type=int, default=1, help="tracked cards")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output data file path")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker count; results are worker-count independent",
-        )
-
-    p = sub.add_parser("exact-tv", help="exact TV curve from a fixed start")
-    common(p)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--times", type=_int_list, default=None)
-
-    p = sub.add_parser("worst-tv", help="exact worst-case TV curve")
-    common(p)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--times", type=_int_list, default=None)
-    p.add_argument(
-        "--strategy",
-        choices=["auto", "canonical", "exhaustive", "sampled"],
-        default="auto",
-    )
-
-    p = sub.add_parser("mix-time", help="smallest t with worst-case TV < eps")
-    common(p)
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--horizon", type=int, default=None)
-
-    p = sub.add_parser("cutoff", help="worst-case TV at n log k + alpha n")
-    common(p)
-    p.add_argument("--alphas", type=_float_list, default=None)
-
-    p = sub.add_parser("mc-tv", help="plug-in Monte Carlo TV estimate")
-    common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-
-    p = sub.add_parser(
-        "lower-bound", help="TV lower bound from the never-touched statistic"
-    )
-    common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--threshold", type=int, default=1)
-    p.add_argument("--samples", type=int, default=100_000)
-
-    p = sub.add_parser("couple", help="run a coupling simulation")
-    p.add_argument("mode", choices=list(COUPLE_MODES))
-    common(p)
-    p.add_argument("--card", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100_000)
-
-    p = sub.add_parser("hits", help="left-hand hit count on tracked cards")
-    common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
-
-    p = sub.add_parser("tau-hat", help="moments of the touch waiting time")
-    common(p, rule=False, k=False)
-
-    p = sub.add_parser("p0", help="gap-closing probability recursion")
-    common(p, rule=False, k=False)
-    p.add_argument("--epsilon", type=float, default=0.442)
-
-    p = sub.add_parser("eig-scan", help="second eigenvalue over an eps grid")
-    p.add_argument("--xi", type=float, default=0.0)
-    p.add_argument("--lo", type=float, default=0.01)
-    p.add_argument("--hi", type=float, default=0.49)
-    p.add_argument("--num", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument("--threads", type=int, default=1)
-
-    p = sub.add_parser("eig-opt", help="eps minimizing the second eigenvalue")
-    p.add_argument("--xi", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument("--threads", type=int, default=1)
-
-    p = sub.add_parser("cyclic-bound", help="one-card cyclic bound curve")
-    common(p, rule=False, k=False)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument(
-        "--fit",
-        action="store_true",
-        help="fit c against the exact worst-case curve instead of --c",
-    )
-
-    p = sub.add_parser("cyclic-mix", help="k-card mixing bound, cyclic rule")
-    common(p, rule=False)
-    p.add_argument("--c", type=float, default=1.0)
-
+    modes = None
+    for name, spec in COMMAND_TABLE.items():
+        if not name.startswith(_COUPLE):
+            p = sub.add_parser(name, help=spec.help)
+        else:
+            if modes is None:
+                couple = sub.add_parser("couple", help="run a coupling simulation")
+                modes = couple.add_subparsers(dest="mode", metavar="mode")
+            p = modes.add_parser(name[len(_COUPLE):], help=spec.help)
+        for flag, kwargs in spec.arguments():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    seed = _resolve_seed(getattr(args, "seed", None))
+    seed = _resolve_seed(args.seed)
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
     skip = {"command", "seed", "out", "format", "threads"}
-    params = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in skip
-    }
+    params = {key: v for key, v in sorted(vars(args).items()) if key not in skip}
     command = args.command
     if command == "couple":
-        command = f"couple-{args.mode}"
-    default_format = "json" if command in _JSON_COMMANDS else "csv"
-    fmt = getattr(args, "format", None) or default_format
-    out = getattr(args, "out", None) or f"{command}.{fmt}"
+        command = f"{_COUPLE}{args.mode}"
     return ExperimentConfig(
         command=command,
         params=params,
         seed=seed,
-        out=out,
-        format=fmt,
-        threads=getattr(args, "threads", 1),
-    )
-
-
-_JSON_COMMANDS = {
-    "mix-time",
-    "mc-tv",
-    "lower-bound",
-    "hits",
-    "tau-hat",
-    "p0",
-    "eig-opt",
-    "cyclic-mix",
-}
-
-
-def _rule_from(params: dict) -> ShuffleRule:
-    return ShuffleRule(
-        kind=ShuffleKind(params.get("rule", "top")),
-        n=params["n"],
-        phase=params.get("phase", 0),
+        out=args.out or f"{command}.{args.format}",
+        format=args.format,
+        threads=args.threads,
     )
 
 
 def _check_k(params: dict):
-    n, k = params["n"], params.get("k", 1)
+    n, k = params["n"], params["k"]
     if k > n:
         raise ParameterError(f"k exceeds n (k={k}, n={n})")
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
-
-
-def _times_from(params: dict) -> np.ndarray:
-    if params.get("times"):
-        return np.asarray(sorted(set(params["times"])), dtype=np.int64)
-    t_max = params.get("t_max") or 10 * params["n"]
-    return np.arange(1, t_max + 1, dtype=np.int64)
 
 
 def _write_json(path, record: dict):
@@ -326,309 +479,40 @@ def _data_params(config: ExperimentConfig) -> dict:
     }
 
 
-def _estimate_record(op: str, config: ExperimentConfig, est, fitted=None) -> dict:
-    tallies = {
-        key: value
-        for key, value in est.details.items()
-        if isinstance(value, (int, float, str, bool, list, tuple))
-    }
-    return {
-        "op": op,
-        "params": _data_params(config),
-        "estimate": est.value,
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "seed": est.seed,
-        "fitted_constants": fitted,
-        "tallies": tallies,
-    }
-
-
-def _survival_rows(times: np.ndarray, horizon: int, trials: int):
-    survivors = survival_counts(times, horizon)
-    for t in range(horizon + 1):
-        yield t, int(survivors[t]), trials
-
-
 def dispatch(config: ExperimentConfig) -> int:
     """Run the configured experiment and write its artifacts."""
     started = time.perf_counter()
-    command = config.command
-    params = config.params
-    out = config.out
-    meta = {"config": config.echo(), "version": __version__}
-    summary = ""
-
-    if command in ("exact-tv", "worst-tv"):
-        _check_k(params)
-        rule = _rule_from(params)
-        times = _times_from(params)
-        k = params.get("k", 1)
-        if command == "exact-tv":
-            curve = exact_tv_curve(rule, k, tuple(range(1, k + 1)), times)
-        else:
-            curve = worst_case_curve(
-                rule, k, times, start_strategy=params.get("strategy", "auto")
-            )
-        write_csv(out, "t,tv", zip(curve.times.tolist(), curve.values.tolist()))
-        meta.update(curve.metadata)
-        summary = f"{command}: {times.size} rows, final tv {curve.values[-1]:.6g}"
-    elif command == "mix-time":
-        _check_k(params)
-        rule = _rule_from(params)
-        result = partial_mixing_time(
-            rule,
-            params.get("k", 1),
-            params.get("epsilon", 0.25),
-            horizon=params.get("horizon"),
-        )
-        _write_json(
-            out,
-            {
-                "op": command,
-                "params": _data_params(config),
-                "t_mix": result.t,
-                "tv": result.tv,
-                "epsilon": result.epsilon,
-                "horizon": result.horizon,
-                "strategy": result.strategy,
-            },
-        )
-        summary = f"mix-time: t_mix({result.epsilon}) = {result.t}"
-    elif command == "cutoff":
-        _check_k(params)
-        rule = _rule_from(params)
-        alphas = params.get("alphas") or [0.0, 0.5, 1.0, 1.5, 2.0]
-        profile = cutoff_profile(rule, params.get("k", 1), alphas)
-        write_csv(out, "alpha,t,tv,bound", profile.rows())
-        meta.update(profile.metadata)
-        summary = f"cutoff: {len(alphas)} alphas"
-    elif command == "mc-tv":
-        _check_k(params)
-        rule = _rule_from(params)
-        k = params.get("k", 1)
-        est = mc_tv_plugin(
-            rule,
-            params["n"],
-            k,
-            None,
-            None,
-            params["t"],
-            params["samples"],
-            rng=RandomStream(config.seed),
-        )
-        _write_json(out, _estimate_record(command, config, est))
-        summary = f"mc-tv: {est.value:.6g} +- {est.std_error:.2g}"
-    elif command == "lower-bound":
-        _check_k(params)
-        rule = _rule_from(params)
-        est = tv_lower_bound_fixed_cards(
-            rule,
-            params["n"],
-            params.get("k", 1),
-            params["t"],
-            params.get("threshold", 1),
-            params["samples"],
-            rng=RandomStream(config.seed),
-        )
-        _write_json(out, _estimate_record(command, config, est))
-        summary = f"lower-bound: {est.value:.6g}"
-    elif command.startswith("couple-"):
-        mode = command[len("couple-"):]
-        n = params["n"]
-        trials = params.get("trials", 100_000)
-        stream = RandomStream(config.seed)
-        if mode == "one-card":
-            result = couple_one_card(
-                _rule_from(params),
-                n,
-                params.get("card", 1),
-                horizon=params.get("horizon"),
-                trials=trials,
-                rng=stream,
-            )
-            times, horizon = result.match_times, result.horizon
-            meta["details"] = {
-                k: v
-                for k, v in result.details.items()
-                if not isinstance(v, np.ndarray)
-            }
-        elif mode == "two-hand":
-            result = couple_two_hands_random(
-                n,
-                params.get("card", 1),
-                horizon=params.get("horizon"),
-                trials=trials,
-                rng=stream,
-            )
-            times, horizon = result.match_times, result.horizon
-            meta["details"] = {
-                k: v
-                for k, v in result.details.items()
-                if not isinstance(v, np.ndarray)
-            }
-        else:
-            kd_params = KDeckCouplingParams(
-                n=n, k=params.get("k", 1), horizon=params.get("horizon")
-            )
-            result = couple_k_decks(
-                _rule_from(params),
-                kd_params,
-                list(range(1, kd_params.k + 1)),
-                trials,
-                rng=stream,
-            )
-            times, horizon = result.mismatch_times, kd_params.horizon
-            fit = fit_mismatch_bound(result)
-            meta["details"] = dict(result.details)
-            meta["fitted_constants"] = {
-                "constant": fit.constant,
-                "shape": fit.shape,
-            }
-            meta["situation_totals"] = result.situation_counts.sum(axis=0).tolist()
-        write_csv(out, "t,survivors,trials", _survival_rows(times, horizon, trials))
-        censored = int(np.count_nonzero(times < 0))
-        summary = f"{command}: {trials} trials, {censored} censored at t={horizon}"
-    elif command == "hits":
-        _check_k(params)
-        rule = _rule_from(params)
-        k = params.get("k", 1)
-        est = left_hand_hit_count(
-            rule,
-            params["n"],
-            k,
-            None,
-            params["t"],
-            params.get("trials", 100_000),
-            rng=RandomStream(config.seed),
-        )
-        fitted = {
-            "constant": est.details["fit_constant"],
-            "shape": est.details["fit_shape"],
-        }
-        _write_json(out, _estimate_record(command, config, est, fitted=fitted))
-        summary = f"hits: mean {est.value:.4g}, constant {fitted['constant']:.4g}"
-    elif command == "tau-hat":
-        moments = tau_hat_moments(params["n"])
-        _write_json(
-            out,
-            {
-                "op": command,
-                "params": _data_params(config),
-                "mean": moments.mean,
-                "second_moment": moments.second_moment,
-                "variance": moments.variance,
-                "mean_over_n": moments.mean / moments.n,
-                "closed_form_mean": moments.closed_form_mean,
-                "closed_form_gap": moments.closed_form_gap,
-            },
-        )
-        summary = f"tau-hat: mean {moments.mean:.4f} ({moments.mean / moments.n:.4f} n)"
-    elif command == "p0":
-        sweep = p_recursion(params.get("epsilon", 0.442), params["n"])
-        if config.format == "csv":
-            write_csv(out, "s,p", enumerate(sweep.values.tolist()))
-        else:
-            _write_json(
-                out,
-                {
-                    "op": command,
-                    "params": _data_params(config),
-                    "p0": sweep.p0,
-                    "p0_closed_form": sweep.p0_closed_form,
-                    "p0_gap": sweep.p0_gap,
-                    "midrange_max_gap": sweep.midrange_max_gap,
-                    "m": sweep.m,
-                },
-            )
-        summary = f"p0: {sweep.p0:.6f} (closed form {sweep.p0_closed_form:.6f})"
-    elif command == "eig-scan":
-        eps, lams = scan_epsilon(
-            params.get("xi", 0.0),
-            params.get("lo", 0.01),
-            params.get("hi", 0.49),
-            params.get("num", 500),
-        )
-        write_csv(out, "epsilon,lambda2", zip(eps.tolist(), lams.tolist()))
-        summary = f"eig-scan: {eps.size} points"
-    elif command == "eig-opt":
-        opt = optimize_epsilon(params.get("xi", 0.0))
-        _write_json(
-            out,
-            {
-                "op": command,
-                "params": _data_params(config),
-                "epsilon": opt.epsilon,
-                "lambda": opt.lam,
-                "xi": opt.xi,
-                "unimodal": opt.unimodal,
-            },
-        )
-        summary = f"eig-opt: epsilon {opt.epsilon:.4f}, lambda {opt.lam:.4f}"
-    elif command == "cyclic-bound":
-        n = params["n"]
-        t_max = params.get("t_max") or 10 * n
-        if params.get("fit"):
-            bound_params = fit_cyclic_bound_constant(n=n, t_max=t_max)
-        else:
-            bound_params = CyclicBoundParams(c=params.get("c", 1.0))
-        rows = (
-            (t, cyclic_one_card_bound(t, n, bound_params))
-            for t in range(1, t_max + 1)
-        )
-        write_csv(out, "t,bound", rows)
-        meta["bound_params"] = {
-            "c": bound_params.c,
-            "lam": bound_params.lam,
-            "rate": bound_params.rate,
-        }
-        summary = f"cyclic-bound: c = {bound_params.c:.4g}"
-    elif command == "cyclic-mix":
-        _check_k(params)
-        result = cyclic_mixing_upper(
-            params["n"], params.get("k", 1), params.get("c", 1.0)
-        )
-        _write_json(
-            out,
-            {
-                "op": command,
-                "params": _data_params(config),
-                "t": result.t,
-                "threshold": result.threshold,
-                "coefficient_logk": result.coefficient_logk,
-                "constant_direct": result.constant_direct,
-                "coefficient_direct": result.coefficient_direct,
-                "constant_inverted": result.constant_inverted,
-                "coefficient_inverted": result.coefficient_inverted,
-                "generic_bound": result.generic_bound,
-            },
-        )
-        summary = f"cyclic-mix: t = {result.t} (generic {result.generic_bound:.1f})"
+    spec = COMMAND_TABLE.get(config.command)
+    if spec is None:
+        raise ParameterError(f"unknown command {config.command!r}")
+    if spec.k:
+        _check_k(config.params)
+    data, extras, summary = spec.run(config.params, config)
+    if isinstance(data, dict):
+        record = {"op": config.command, "params": _data_params(config), **data}
+        _write_json(config.out, record)
     else:
-        raise ParameterError(f"unknown command {command!r}")
-
+        write_csv(config.out, *data)
+    meta = {"config": config.echo(), "version": __version__, **extras}
     meta["wall_time_s"] = time.perf_counter() - started
-    meta["data_file"] = str(out)
-    write_sidecar(out, meta)
-    print(f"{summary} -> {out}")
+    meta["data_file"] = str(config.out)
+    write_sidecar(config.out, meta)
+    print(f"{summary} -> {config.out}")
     return 0
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    head = next((tok for tok in argv if not tok.startswith("-")), None)
-    if head is None and not any(tok in ("-h", "--help") for tok in argv):
+    words = [tok for tok in argv if not tok.startswith("-")]
+    if not words and not any(tok in ("-h", "--help") for tok in argv):
         build_parser().print_usage(sys.stderr)
         return 1
-    if head is not None and head not in COMMANDS:
-        print(f"unknown subcommand: {head}", file=sys.stderr)
+    if words and words[0] not in COMMANDS:
+        print(f"unknown subcommand: {words[0]}", file=sys.stderr)
         build_parser().print_usage(sys.stderr)
         return 1
-    if head == "couple":
-        mode = next(
-            (tok for tok in argv[argv.index(head) + 1 :] if not tok.startswith("-")),
-            None,
-        )
+    if words[:1] == ["couple"]:
+        mode = words[1] if len(words) > 1 else None
         if mode not in COUPLE_MODES:
             print(f"unknown couple mode: {mode}", file=sys.stderr)
             return 1

@@ -3,11 +3,24 @@
 import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from shufflemix.cli import COMMANDS, build_parser, config_from_args, main
+from shufflemix.cli import (
+    COMMAND_TABLE,
+    COMMANDS,
+    COUPLE_MODES,
+    _float_list,
+    _int_list,
+    build_parser,
+    config_from_args,
+    main,
+)
 from shufflemix.exact import LumpedEvolver
 from shufflemix.rng import DEFAULT_SEED
 
@@ -201,10 +214,17 @@ def test_worst_tv_strategy_flag(tmp_path):
     assert meta["start_strategy"] == "exhaustive"
 
 
-def _choices(command, flag):
+def words(name):
+    """The argv words that select a COMMAND_TABLE entry."""
+    return ["couple", name[len("couple-"):]] if name.startswith("couple-") else [name]
+
+
+def _choices(name, flag):
     parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+    for word in words(name):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    action = next(a for a in parser._actions if flag in a.option_strings)
     return action.choices
 
 
@@ -315,3 +335,157 @@ def test_config_echo_roundtrip(tmp_path):
     assert echo["seed"] == 4
     assert echo["threads"] == 2
     assert echo["n"] == 9 and echo["k"] == 2
+
+
+def test_threads_below_one_is_parameter_error(tmp_path, capsys):
+    for threads in ("0", "-2"):
+        assert run(tmp_path, "exact-tv", "--n", "6", "--threads", threads) == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "exact-tv.csv").exists()
+
+
+def test_bad_number_list_is_usage_exit_2(tmp_path, capsys):
+    for argv in (["exact-tv", "--n", "5", "--times", "1,x"],
+                 ["cutoff", "--n", "5", "--alphas", "0,y"]):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        assert exc.value.code == 2
+        assert "expected comma-separated" in capsys.readouterr().err
+
+
+# one toy invocation per COMMAND_TABLE entry
+TOY = {
+    "exact-tv": "--n 5 --k 2 --t-max 4",
+    "worst-tv": "--rule random --n 5 --k 2 --t-max 4",
+    "mix-time": "--n 5 --k 2",
+    "cutoff": "--n 6 --k 2 --alphas 0,1",
+    "mc-tv": "--n 5 --k 1 --t 3 --samples 500",
+    "lower-bound": "--n 8 --k 2 --t 4 --samples 500",
+    "couple-one-card": "--n 8 --trials 200 --horizon 10",
+    "couple-two-hand": "--n 8 --trials 200 --horizon 10",
+    "couple-k-deck": "--n 12 --k 2 --trials 200 --horizon 10",
+    "hits": "--n 8 --k 2 --t 10 --trials 200",
+    "tau-hat": "--n 50",
+    "p0": "--n 100",
+    "eig-scan": "--num 5",
+    "eig-opt": "--xi 0.1",
+    "cyclic-bound": "--n 8 --t-max 10",
+    "cyclic-mix": "--n 40 --k 2",
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_every_format_choice_writes_that_format(tmp_path):
+    """Each subcommand offers exactly the formats it writes, and writes them."""
+    assert sorted(TOY) == sorted(COMMAND_TABLE)
+    for name, argv in TOY.items():
+        offered = _choices(name, "--format")
+        assert offered == COMMAND_TABLE[name].formats, name
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{name}.{fmt}"
+            args = [*words(name), *argv.split(), "--format", fmt, "--out", out]
+            if fmt not in offered:
+                with pytest.raises(SystemExit) as exc:
+                    run(tmp_path, *args)
+                assert exc.value.code == 2, (name, fmt)
+                continue
+            assert run(tmp_path, *args) == 0, (name, fmt)
+            if fmt == "json":
+                assert json.loads(out.read_text())["op"] == name
+            else:
+                header, rows = read_csv(out)
+                assert rows and all(len(r) == header.count(",") + 1 for r in rows)
+                assert all(math.isfinite(float(v)) for r in rows for v in r), name
+
+
+# flags each couple mode ignored before it stopped offering them
+IGNORED_COUPLE_FLAGS = {
+    "one-card": (("--k", "2"),),
+    "two-hand": (("--rule", "top"), ("--phase", "1"), ("--k", "4")),
+    "k-deck": (("--card", "2"),),
+}
+
+
+@pytest.mark.parametrize("mode", COUPLE_MODES)
+def test_couple_mode_offers_only_the_flags_it_reads(tmp_path, capsys, mode):
+    base = ["couple", mode, "--n", "8", "--trials", "100", "--horizon", "5"]
+    for flag, value in IGNORED_COUPLE_FLAGS[mode]:
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *base, flag, value)
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(tmp_path, *base, "--out", "c.csv") == 0
+    config = json.loads((tmp_path / "c.csv.meta.json").read_text())["config"]
+    offered = {flag for flag, _ in COMMAND_TABLE[f"couple-{mode}"].arguments()}
+    for flag, _ in IGNORED_COUPLE_FLAGS[mode]:
+        assert flag not in offered and flag[2:] not in config
+
+
+def _value(flag, kwargs):
+    """A strategy for (command-line text, parsed value) of one flag."""
+    kind = kwargs.get("type")
+    if kwargs.get("action") == "store_true":
+        return st.just((None, True))
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"]).map(lambda v: (v, v))
+    if flag == "--threads":
+        return st.integers(1, 64).map(lambda v: (str(v), v))
+    if kind is int:
+        return st.integers(0, 10**6).map(lambda v: (str(v), v))
+    finite = st.floats(0.0, 1e6, allow_nan=False)
+    if kind is float:
+        return finite.map(lambda v: (repr(v), v))
+    if kind is _int_list:
+        ints = st.lists(st.integers(0, 1000), min_size=1, max_size=5)
+        return ints.map(lambda v: (",".join(map(str, v)), v))
+    if kind is _float_list:
+        floats = st.lists(finite, min_size=1, max_size=5)
+        return floats.map(lambda v: (",".join(map(repr, v)), v))
+    assert kind is None, flag
+    return st.text("abcxyz019_.", min_size=1, max_size=12).map(lambda v: (v, v))
+
+
+@st.composite
+def invocations(draw, name):
+    """A random valid argv for one table entry, and the values it set."""
+    argv, given_values = words(name), {}
+    for flag, kwargs in COMMAND_TABLE[name].arguments():
+        if kwargs.get("required") or draw(st.booleans()):
+            text, value = draw(_value(flag, kwargs))
+            argv += [flag] if text is None else [flag, text]
+            given_values[flag] = value
+    return argv, given_values
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_TABLE))
+@settings(
+    max_examples=30,
+    deadline=2000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_config_roundtrip_property(name, data):
+    """The config echo carries every flag's value; defaults follow the table."""
+    argv, given_values = data.draw(invocations(name))
+    spec = COMMAND_TABLE[name]
+    cfg = config_from_args(build_parser().parse_args(argv))
+    echo = cfg.echo()
+    assert cfg.command == name
+    defaults = {
+        "--format": spec.formats[0],
+        "--out": f"{name}.{echo['format']}",
+        "--seed": DEFAULT_SEED,
+    }
+    for flag, kwargs in spec.arguments():
+        want = given_values.get(flag, defaults.get(flag, kwargs.get("default", False)))
+        assert echo[flag[2:].replace("-", "_")] == want, (argv, flag)
+
+
+def test_readme_subcommand_table_lists_every_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    names = [name for first, _ in rows for name in re.findall(r"`([^`]+)`", first)]
+    assert tuple(names) == COMMANDS
+    couple = next(second for first, second in rows if first.strip() == "`couple`")
+    assert tuple(re.findall(r"`([^`]+)`", couple)) == COUPLE_MODES
