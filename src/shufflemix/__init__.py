@@ -20,15 +20,7 @@ from .errors import (
     ShuffleMixError,
 )
 from .rng import DEFAULT_SEED, RandomStream
-from .deck import (
-    Permutation,
-    ShuffleKind,
-    ShuffleRule,
-    StepRecord,
-    TrajectoryResult,
-    run_trajectory,
-    step,
-)
+from .deck import Permutation, ShuffleKind, ShuffleRule
 from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
 from .exact import (
     CutoffProfile,

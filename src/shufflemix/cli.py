@@ -504,17 +504,22 @@ def dispatch(config: ExperimentConfig) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     words = [tok for tok in argv if not tok.startswith("-")]
-    if not words and not any(tok in ("-h", "--help") for tok in argv):
+    asks_help = any(tok in ("-h", "--help") for tok in argv)
+    if not words and not asks_help:
         build_parser().print_usage(sys.stderr)
         return 1
     if words and words[0] not in COMMANDS:
         print(f"unknown subcommand: {words[0]}", file=sys.stderr)
         build_parser().print_usage(sys.stderr)
         return 1
-    if words[:1] == ["couple"]:
+    # `couple --help` with no mode goes to argparse, which lists the modes
+    if words[:1] == ["couple"] and (len(words) > 1 or not asks_help):
         mode = words[1] if len(words) > 1 else None
         if mode not in COUPLE_MODES:
-            print(f"unknown couple mode: {mode}", file=sys.stderr)
+            if mode is not None:
+                print(f"unknown couple mode: {mode}", file=sys.stderr)
+            modes = ",".join(COUPLE_MODES)
+            print(f"usage: shufflemix couple {{{modes}}} ...", file=sys.stderr)
             return 1
     args = build_parser().parse_args(argv)
     try:

@@ -1,4 +1,4 @@
-"""Deck state and the semi-random transposition step.
+"""Shuffle rules and deck arrangements.
 
 A shuffle step swaps the cards under two hands: the left hand follows a
 deterministic or random rule (always the top card, a uniformly random
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -77,8 +77,12 @@ class ShuffleRule:
     def cyclic_position(self, t: int) -> int:
         return (t - 1 + self.phase) % self.n + 1
 
-    def left_position(self, t: int, rng: RandomStream) -> int:
-        """Sample the left hand's 1-based position for step t (t >= 1)."""
+    def left_positions(self, t: int, gen: np.random.Generator, size: int):
+        """The left hand's 1-based position(s) at step t (t >= 1).
+
+        A scalar for the deterministic top and cyclic rules; otherwise
+        ``size`` independent draws from ``gen``, one per trial.
+        """
         if t < 1:
             raise ParameterError("step index t starts at 1")
         if self.kind is ShuffleKind.TOP_TO_RANDOM:
@@ -86,9 +90,9 @@ class ShuffleRule:
         if self.kind is ShuffleKind.CYCLIC_TO_RANDOM:
             return self.cyclic_position(t)
         if self.kind is ShuffleKind.RANDOM_TO_RANDOM:
-            return int(rng.positions(self.n))
+            return gen.integers(1, self.n + 1, size=size)
         weights = self.custom[(t - 1) % len(self.custom)]
-        return int(rng.generator.choice(self.n, p=weights)) + 1
+        return gen.choice(self.n, size=size, p=weights) + 1
 
     def left_distribution(self, t: int) -> np.ndarray:
         """The left hand's distribution at step t as a length-n vector.
@@ -170,88 +174,3 @@ class Permutation:
 
     def __hash__(self):
         return hash(self.forward.tobytes())
-
-
-class StepRecord(tuple):
-    """(t, left, right) choices made at one step."""
-
-    __slots__ = ()
-
-    def __new__(cls, t, left, right):
-        return tuple.__new__(cls, (int(t), int(left), int(right)))
-
-    @property
-    def t(self):
-        return self[0]
-
-    @property
-    def left(self):
-        return self[1]
-
-    @property
-    def right(self):
-        return self[2]
-
-
-def step(
-    perm: Permutation, rule: ShuffleRule, t: int, rng: RandomStream
-) -> tuple[Permutation, StepRecord]:
-    """Apply one shuffle step at time t. Left is drawn before right."""
-    if perm.n != rule.n:
-        raise ParameterError(f"deck has {perm.n} cards but rule expects {rule.n}")
-    left = rule.left_position(t, rng)
-    right = int(rng.positions(rule.n))
-    return perm.transpose(left, right), StepRecord(t, left, right)
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    final: Permutation
-    records: list
-    trace: np.ndarray | None  # (t_max, len(tracked)) 1-based positions
-
-
-def run_trajectory(
-    rule: ShuffleRule,
-    start: Permutation,
-    t_max: int,
-    rng: RandomStream,
-    tracked: Sequence[int] | None = None,
-    keep_records: bool = True,
-) -> TrajectoryResult:
-    """Run t_max steps from ``start``, optionally tracing card positions.
-
-    The trace row for step t holds the 1-based positions of the tracked
-    cards after that step. Drawing order is fixed (left, then right, one
-    step at a time) so a trajectory is a pure function of the stream.
-    """
-    if start.n != rule.n:
-        raise ParameterError(f"deck has {start.n} cards but rule expects {rule.n}")
-    if t_max < 0:
-        raise ParameterError("t_max must be non-negative")
-    n = rule.n
-    fwd = start.forward.copy()
-    inv = start.inverse.copy()
-    records = [] if keep_records else None
-    trace = None
-    tracked_idx = None
-    if tracked is not None:
-        tracked_idx = np.asarray(tracked, dtype=np.int64) - 1
-        if tracked_idx.size and not (
-            (tracked_idx >= 0).all() and (tracked_idx < n).all()
-        ):
-            raise ParameterError("tracked cards must lie in 1..n")
-        trace = np.empty((t_max, tracked_idx.size), dtype=np.int64)
-    for t in range(1, t_max + 1):
-        left = rule.left_position(t, rng)
-        right = int(rng.positions(n))
-        if left != right:
-            a, b = left - 1, right - 1
-            ca, cb = fwd[a], fwd[b]
-            fwd[a], fwd[b] = cb, ca
-            inv[ca - 1], inv[cb - 1] = right, left
-        if keep_records:
-            records.append(StepRecord(t, left, right))
-        if trace is not None:
-            trace[t - 1] = inv[tracked_idx]
-    return TrajectoryResult(Permutation(fwd), records, trace)

@@ -5,10 +5,11 @@ whole decks: a transposition at (left, right) moves a tracked card iff it
 sits at one of the two positions, so a size-k position vector is a faithful
 state. All routines draw from per-block substreams of one master stream:
 trials are processed in fixed blocks of ``_TRIAL_BLOCK``, block b using
-``stream.substream(b)``, with a fixed draw schedule per step (left hand
-first, then right hand, then any construction-specific draws). Results
-therefore depend only on (master seed, parameters), not on how blocks
-would be scheduled across workers.
+``stream.substream(b)`` (``_trial_blocks``), with a fixed draw schedule per
+step (``_hand_schedule``: left hand first, then right hand; the k-deck
+coupling draws its own hands after the left one). Results therefore depend
+only on (master seed, parameters), not on how blocks would be scheduled
+across workers.
 """
 
 from __future__ import annotations
@@ -137,62 +138,63 @@ def _as_stream(rng) -> RandomStream:
     return RandomStream(int(rng))
 
 
-def _blocks(trials: int):
-    lo = 0
-    index = 0
-    while lo < trials:
-        size = min(_TRIAL_BLOCK, trials - lo)
-        yield index, lo, size
-        lo += size
-        index += 1
+def _trial_blocks(stream: RandomStream, trials: int):
+    """Yield (generator, size) for each block of at most ``_TRIAL_BLOCK``
+    trials; block b draws from ``stream.substream(b)``."""
+    for b, lo in enumerate(range(0, trials, _TRIAL_BLOCK)):
+        yield stream.substream(b).generator, min(_TRIAL_BLOCK, trials - lo)
 
 
-def _left_positions(rule: ShuffleRule, t: int, gen, size: int):
-    """Left-hand position(s) at step t: a scalar for deterministic rules,
-    one value per trial otherwise."""
-    if rule.kind is ShuffleKind.TOP_TO_RANDOM:
-        return 1
-    if rule.kind is ShuffleKind.CYCLIC_TO_RANDOM:
-        return rule.cyclic_position(t)
-    if rule.kind is ShuffleKind.RANDOM_TO_RANDOM:
-        return gen.integers(1, rule.n + 1, size=size)
-    probs = rule.left_distribution(t)
-    return gen.choice(rule.n, size=size, p=probs) + 1
+def _hand_schedule(rule: ShuffleRule, steps: int, gen, size: int):
+    """Yield (s, left, right) for s = 1..steps: the rule's left hand, then
+    one uniform right hand per trial. Every walker draws its hands here, so
+    the draw order (left first, then right) is fixed in one place."""
+    for s in range(1, steps + 1):
+        left = rule.left_positions(s, gen, size)
+        yield s, left, gen.integers(1, rule.n + 1, size=size)
+
+
+def _along_trials(hand, pos: np.ndarray) -> np.ndarray:
+    """``hand`` (a scalar, or an array whose leading axes match ``pos``'s)
+    with trailing unit axes, so it broadcasts against ``pos``."""
+    h = np.asarray(hand)
+    return h.reshape(h.shape + (1,) * (pos.ndim - h.ndim))
 
 
 def _swap_positions(pos: np.ndarray, left, right) -> np.ndarray:
     """Apply the transposition (left, right) to an array of positions.
 
-    ``pos`` has trials along axis 0; left/right are scalars or per-trial
-    vectors and broadcast across the remaining axes.
+    ``pos`` has trials along axis 0; left/right are scalars, per-trial
+    vectors, or per-trial-and-deck arrays, and broadcast across the
+    remaining axes.
     """
-    l = np.asarray(left)
-    r = np.asarray(right)
-    if l.ndim:
-        l = l.reshape(l.shape + (1,) * (pos.ndim - 1))
-    if r.ndim:
-        r = r.reshape(r.shape + (1,) * (pos.ndim - 1))
+    l = _along_trials(left, pos)
+    r = _along_trials(right, pos)
     hit_l = pos == l
-    hit_r = pos == r
-    out = np.where(hit_l, np.broadcast_to(r, pos.shape), pos)
-    return np.where(hit_r & ~hit_l, np.broadcast_to(l, pos.shape), out)
+    out = np.where(hit_l, r, pos)
+    return np.where((pos == r) & ~hit_l, l, out)
+
+
+def _check_positions(values: np.ndarray, what: str, n: int):
+    if np.unique(values).size != values.size:
+        raise ParameterError(f"{what} must be distinct")
+    if values.min() < 1 or values.max() > n:
+        raise ParameterError(f"{what} must lie in 1..{n}")
 
 
 def _start_positions(cards, start, n: int) -> np.ndarray:
     cards = np.asarray(cards, dtype=np.int64)
     if cards.ndim != 1 or cards.size == 0:
         raise ParameterError("cards must be a non-empty 1-d sequence")
-    if np.unique(cards).size != cards.size:
-        raise ParameterError("cards must be distinct")
-    if cards.min() < 1 or cards.max() > n:
-        raise ParameterError(f"cards must lie in 1..{n}")
+    _check_positions(cards, "cards", n)
     if start is None:
         return cards
     if isinstance(start, Permutation):
-        return np.asarray(start.positions_of(cards.tolist()), dtype=np.int64)
+        start = start.positions_of(cards.tolist())
     pos = np.asarray(start, dtype=np.int64)
     if pos.shape != cards.shape:
         raise ParameterError("start positions must align with cards")
+    _check_positions(pos, "start positions", n)
     return pos
 
 
@@ -256,12 +258,9 @@ def mc_tv_plugin(
             stacklevel=2,
         )
     counts = np.zeros(indexer.count, dtype=np.int64)
-    for b, _, size in _blocks(samples):
-        gen = stream.substream(b).generator
+    for gen, size in _trial_blocks(stream, samples):
         pos = np.tile(start_pos, (size, 1))
-        for s in range(1, t + 1):
-            left = _left_positions(rule, s, gen, size)
-            right = gen.integers(1, n + 1, size=size)
+        for _, left, right in _hand_schedule(rule, t, gen, size):
             pos = _swap_positions(pos, left, right)
         codes = indexer.encode_many(pos - 1)
         counts += np.bincount(codes, minlength=indexer.count)
@@ -321,6 +320,8 @@ def tv_lower_bound_fixed_cards(
     """
     if rule.n != n:
         raise ParameterError(f"rule is for n={rule.n}, got n={n}")
+    if t < 0:
+        raise ParameterError(f"t must be non-negative, got {t}")
     if c_threshold < 1:
         raise ParameterError(f"threshold must be at least 1, got {c_threshold}")
     if samples < 1:
@@ -333,16 +334,11 @@ def tv_lower_bound_fixed_cards(
     sum_x = 0.0
     sum_x2 = 0.0
     exceed_fixed = 0
-    for b, _, size in _blocks(samples):
-        gen = stream.substream(b).generator
+    for gen, size in _trial_blocks(stream, samples):
         pos = np.tile(start_pos, (size, 1))
         touched = np.zeros((size, k), dtype=bool)
-        for s in range(1, t + 1):
-            left = _left_positions(rule, s, gen, size)
-            right = gen.integers(1, n + 1, size=size)
-            l_arr = np.asarray(left)
-            l_col = l_arr[:, None] if l_arr.ndim else l_arr
-            touched |= (pos == l_col) | (pos == right[:, None])
+        for _, left, right in _hand_schedule(rule, t, gen, size):
+            touched |= (pos == _along_trials(left, pos)) | (pos == right[:, None])
             pos = _swap_positions(pos, left, right)
         x = k - touched.sum(axis=1)
         fixed = (pos == start_pos).sum(axis=1)
@@ -399,6 +395,71 @@ def _resolve_start_pair(start_pair, card: int, n: int):
     return resolved[0], resolved[1]
 
 
+def _mirror(hand, x, y):
+    """``hand`` with positions x and y exchanged, per trial."""
+    return np.where(hand == x, y, np.where(hand == y, x, hand))
+
+
+def _couple_two_decks(kind, rule, n, card, start_pair, horizon, trials, rng, mirror):
+    """Run a two-deck coupling of one tracked card under ``rule``.
+
+    ``xy`` holds the card's position in deck one (column 0) and deck two
+    (column 1). At each step ``mirror(left, right, xy)`` turns deck one's
+    hands into both decks' hands, as arrays that broadcast against ``xy``,
+    plus the mask of trials whose designed success event fires, or None
+    for a construction without one (then ``designed_times`` is None).
+    Returns the result with the details both constructions share.
+    """
+    if rule.n != n:
+        raise ParameterError(f"rule is for n={rule.n}, got n={n}")
+    if not 1 <= card <= n:
+        raise ParameterError(f"card must lie in 1..{n}, got {card}")
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+    if horizon is None:
+        horizon = 20 * n
+    if horizon < 1:
+        raise ParameterError(f"horizon must be positive, got {horizon}")
+    x0, y0 = _resolve_start_pair(start_pair, card, n)
+    stream = _as_stream(rng)
+    match_all = []
+    designed_all = []
+    finals = []
+    for gen, size in _trial_blocks(stream, trials):
+        xy = np.empty((size, 2), dtype=np.int64)
+        xy[:, 0] = x0
+        xy[:, 1] = gen.integers(1, n + 1, size=size) if y0 is None else y0
+        match = np.where(xy[:, 0] == xy[:, 1], 0, -1)
+        designed = np.full(size, -1, dtype=np.int64)
+        for s, left, right in _hand_schedule(rule, horizon, gen, size):
+            lefts, rights, fires = mirror(left, right, xy)
+            if fires is not None:
+                designed[(designed < 0) & fires] = s
+            xy = _swap_positions(xy, lefts, rights)
+            match[(match < 0) & (xy[:, 0] == xy[:, 1])] = s
+        match_all.append(match)
+        if fires is not None:
+            designed_all.append(designed)
+        finals.append(xy)
+    match = np.concatenate(match_all)
+    details = {
+        "censored_match": int(np.count_nonzero(match < 0)),
+        "start_pair": (x0, y0),
+        "card": card,
+    }
+    return CouplingResult(
+        kind=kind,
+        n=n,
+        trials=trials,
+        horizon=horizon,
+        seed=stream.master_seed,
+        match_times=match,
+        designed_times=np.concatenate(designed_all) if designed_all else None,
+        final_positions=np.concatenate(finals),
+        details=details,
+    )
+
+
 def couple_one_card(
     rule: ShuffleRule,
     n: int,
@@ -418,71 +479,25 @@ def couple_one_card(
     returned; each deck's right-hand choice stays uniform, which the
     result's tallies verify.
     """
-    if rule.n != n:
-        raise ParameterError(f"rule is for n={rule.n}, got n={n}")
-    if not 1 <= card <= n:
-        raise ParameterError(f"card must lie in 1..{n}, got {card}")
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
-    if horizon is None:
-        horizon = 20 * n
-    x0, y0 = _resolve_start_pair(start_pair, card, n)
-    stream = _as_stream(rng)
-    designed_all = []
-    match_all = []
-    finals = []
-    hist_one = np.zeros(n, dtype=np.int64)
-    hist_two = np.zeros(n, dtype=np.int64)
-    for b, _, size in _blocks(trials):
-        gen = stream.substream(b).generator
-        x = np.full(size, x0, dtype=np.int64)
-        y = (
-            gen.integers(1, n + 1, size=size)
-            if y0 is None
-            else np.full(size, y0, dtype=np.int64)
-        )
-        designed = np.full(size, -1, dtype=np.int64)
-        match = np.where(x == y, 0, -1).astype(np.int64)
-        for s in range(1, horizon + 1):
-            left = _left_positions(rule, s, gen, size)
-            right = gen.integers(1, n + 1, size=size)
-            fires = (designed < 0) & (right == y)
-            designed[fires] = s
-            r_one = np.where(right == x, y, np.where(right == y, x, right))
-            hist_one += np.bincount(r_one - 1, minlength=n)
-            hist_two += np.bincount(right - 1, minlength=n)
-            x = _swap_positions(x, left, r_one)
-            y = _swap_positions(y, left, right)
-            newly = (match < 0) & (x == y)
-            match[newly] = s
-        designed_all.append(designed)
-        match_all.append(match)
-        finals.append(np.stack([x, y], axis=1))
-    designed = np.concatenate(designed_all)
-    match = np.concatenate(match_all)
-    chi_one = stats.chisquare(hist_one)
-    chi_two = stats.chisquare(hist_two)
-    details = {
-        "right_hist_deck_one": hist_one,
-        "right_hist_deck_two": hist_two,
-        "chisq_p_deck_one": float(chi_one.pvalue),
-        "chisq_p_deck_two": float(chi_two.pvalue),
-        "censored_designed": int(np.count_nonzero(designed < 0)),
-        "censored_match": int(np.count_nonzero(match < 0)),
-        "start_pair": (x0, y0),
-        "card": card,
-    }
-    return CouplingResult(
-        kind="one-card",
-        n=n,
-        trials=trials,
-        horizon=horizon,
-        seed=stream.master_seed,
-        match_times=match,
-        designed_times=designed,
-        final_positions=np.concatenate(finals),
-        details=details,
+    hist = np.zeros((2, rule.n), dtype=np.int64)  # right hands of decks one, two
+
+    def mirror(left, right, xy):
+        r_one = _mirror(right, xy[:, 0], xy[:, 1])
+        hist[0] += np.bincount(r_one - 1, minlength=rule.n)
+        hist[1] += np.bincount(right - 1, minlength=rule.n)
+        return left, np.stack([r_one, right], axis=1), right == xy[:, 1]
+
+    result = _couple_two_decks(
+        "one-card", rule, n, card, start_pair, horizon, trials, rng, mirror
     )
+    result.details.update(
+        right_hist_deck_one=hist[0],
+        right_hist_deck_two=hist[1],
+        chisq_p_deck_one=float(stats.chisquare(hist[0]).pvalue),
+        chisq_p_deck_two=float(stats.chisquare(hist[1]).pvalue),
+        censored_designed=int(np.count_nonzero(result.designed_times < 0)),
+    )
+    return result
 
 
 def couple_two_hands_random(
@@ -500,64 +515,26 @@ def couple_two_hands_random(
     deck one's copy while the other hand misses both copies: probability
     2(1 - 2/n)/n per step, twice the one-sided rate.
     """
-    if n < 2:
-        raise ParameterError(f"deck size must be at least 2, got {n}")
-    if not 1 <= card <= n:
-        raise ParameterError(f"card must lie in 1..{n}, got {card}")
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
-    if horizon is None:
-        horizon = 20 * n
-    x0, y0 = _resolve_start_pair(start_pair, card, n)
-    stream = _as_stream(rng)
-    match_all = []
-    finals = []
-    hist_left = np.zeros(n, dtype=np.int64)
-    hist_right = np.zeros(n, dtype=np.int64)
-    for b, _, size in _blocks(trials):
-        gen = stream.substream(b).generator
-        x = np.full(size, x0, dtype=np.int64)
-        y = (
-            gen.integers(1, n + 1, size=size)
-            if y0 is None
-            else np.full(size, y0, dtype=np.int64)
-        )
-        match = np.where(x == y, 0, -1).astype(np.int64)
-        for s in range(1, horizon + 1):
-            left = gen.integers(1, n + 1, size=size)
-            right = gen.integers(1, n + 1, size=size)
-            m_left = np.where(left == x, y, np.where(left == y, x, left))
-            m_right = np.where(right == x, y, np.where(right == y, x, right))
-            hist_left += np.bincount(m_left - 1, minlength=n)
-            hist_right += np.bincount(m_right - 1, minlength=n)
-            x = _swap_positions(x, left, right)
-            y = _swap_positions(y, m_left, m_right)
-            newly = (match < 0) & (x == y)
-            match[newly] = s
-        match_all.append(match)
-        finals.append(np.stack([x, y], axis=1))
-    match = np.concatenate(match_all)
-    chi_left = stats.chisquare(hist_left)
-    chi_right = stats.chisquare(hist_right)
-    details = {
-        "chisq_p_mirrored_left": float(chi_left.pvalue),
-        "chisq_p_mirrored_right": float(chi_right.pvalue),
-        "censored_match": int(np.count_nonzero(match < 0)),
-        "match_rate_per_step": 2.0 * (1.0 - 2.0 / n) / n,
-        "start_pair": (x0, y0),
-        "card": card,
-    }
-    return CouplingResult(
-        kind="two-hand",
-        n=n,
-        trials=trials,
-        horizon=horizon,
-        seed=stream.master_seed,
-        match_times=match,
-        designed_times=None,
-        final_positions=np.concatenate(finals),
-        details=details,
+    rule = ShuffleRule(ShuffleKind.RANDOM_TO_RANDOM, n)
+    hist = np.zeros((2, n), dtype=np.int64)  # deck two's left and right hands
+
+    def mirror(left, right, xy):
+        x, y = xy[:, 0], xy[:, 1]
+        m_left, m_right = _mirror(left, x, y), _mirror(right, x, y)
+        hist[0] += np.bincount(m_left - 1, minlength=n)
+        hist[1] += np.bincount(m_right - 1, minlength=n)
+        return (np.stack([left, m_left], axis=1),
+                np.stack([right, m_right], axis=1), None)
+
+    result = _couple_two_decks(
+        "two-hand", rule, n, card, start_pair, horizon, trials, rng, mirror
     )
+    result.details.update(
+        chisq_p_mirrored_left=float(stats.chisquare(hist[0]).pvalue),
+        chisq_p_mirrored_right=float(stats.chisquare(hist[1]).pvalue),
+        match_rate_per_step=2.0 * (1.0 - 2.0 / n) / n,
+    )
+    return result
 
 
 def survival_counts(times: np.ndarray, horizon: int) -> np.ndarray:
@@ -639,8 +616,7 @@ def couple_k_decks(
     nonspecial_hits = 0
     steps_tallied = 0
     col = np.arange(k)
-    for b, _, size in _blocks(trials):
-        gen = stream.substream(b).generator
+    for gen, size in _trial_blocks(stream, trials):
         S = np.broadcast_to(start_pos.astype(dtype), (size, k + 1, k)).copy()
         extra = np.full(size, extra_card, dtype=dtype)
         mismatch = np.full(size, -1, dtype=np.int64)
@@ -650,7 +626,7 @@ def couple_k_decks(
             cur = run_rows.size
             if cur == 0:
                 break
-            left = _left_positions(rule, s, gen, cur)
+            left = rule.left_positions(s, gen, cur)
             R = gen.integers(1, n + 1, size=(cur, k), dtype=dtype)
             coin = gen.random(cur)
             tails_idx = gen.integers(0, k, size=cur)
@@ -706,16 +682,7 @@ def couple_k_decks(
             nonspecial_hits += int(np.count_nonzero((r0 == extra) & intact))
             steps_tallied += int(np.count_nonzero(intact))
 
-            r_full = np.concatenate([r0[:, None], R], axis=1)
-            l3 = left_arr[:, None, None]
-            r3 = r_full[:, :, None]
-            hit_l = S == l3
-            hit_r = S == r3
-            S = np.where(
-                hit_l,
-                np.broadcast_to(r3, S.shape),
-                np.where(hit_r & ~hit_l, np.broadcast_to(l3, S.shape), S),
-            )
+            S = _swap_positions(S, left_arr, np.concatenate([r0[:, None], R], axis=1))
             extra = _swap_positions(extra, left_arr, r0)
 
             ref_diag = S[rows[:, None], 1 + col[None, :], col[None, :]]
@@ -815,16 +782,11 @@ def left_hand_hit_count(
     stream = _as_stream(rng)
     sum_hits = 0.0
     sum_hits2 = 0.0
-    for b, _, size in _blocks(trials):
-        gen = stream.substream(b).generator
+    for gen, size in _trial_blocks(stream, trials):
         pos = np.tile(start_pos, (size, 1))
         hits = np.zeros(size, dtype=np.int64)
-        for s in range(1, t + 1):
-            left = _left_positions(rule, s, gen, size)
-            right = gen.integers(1, n + 1, size=size)
-            l_arr = np.asarray(left)
-            l_col = l_arr[:, None] if l_arr.ndim else l_arr
-            hits += (pos == l_col).sum(axis=1)
+        for _, left, right in _hand_schedule(rule, t, gen, size):
+            hits += (pos == _along_trials(left, pos)).sum(axis=1)
             pos = _swap_positions(pos, left, right)
         sum_hits += float(hits.sum())
         sum_hits2 += float((hits.astype(np.float64) ** 2).sum())

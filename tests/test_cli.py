@@ -106,6 +106,30 @@ def test_unknown_couple_mode(tmp_path, capsys):
     assert "unknown couple mode" in capsys.readouterr().err
 
 
+def test_couple_help_lists_the_modes(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "couple", "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(mode in out for mode in COUPLE_MODES)
+
+
+def test_couple_without_mode_prints_usage(tmp_path, capsys):
+    assert run(tmp_path, "couple", "--n", "10") == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and all(mode in err for mode in COUPLE_MODES)
+
+
+@pytest.mark.parametrize("argv", [
+    "lower-bound --n 10 --k 2 --t -5",
+    "couple one-card --n 10 --horizon 0",
+    "couple two-hand --n 10 --horizon -2",
+])
+def test_out_of_range_step_counts_exit_2(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv.split()) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cap_exceeded_is_exit_3(tmp_path, capsys):
     code = run(tmp_path, "mc-tv", "--rule", "random", "--n", "100", "--k", "5",
                "--t", "1", "--samples", "10")

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflemix.errors import CapExceededError, ParameterError
 from shufflemix.indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
@@ -43,6 +45,23 @@ def test_encode_many_matches_encode():
     # spot check against the scalar path (which takes 1-based input)
     for i in (0, 7, idx.count - 1):
         assert idx.encode(tuple(int(v) + 1 for v in rows[i])) == i
+
+
+@settings(max_examples=200, deadline=1000, derandomize=True)
+@given(data=st.data())
+def test_encode_decode_bijection_property(data):
+    """decode inverts encode, and encode_many agrees with encode, well past
+    the sizes the exhaustive round trip covers."""
+    n = data.draw(st.integers(1, 40))
+    idx = KTupleIndexer(n, data.draw(st.integers(1, min(n, 4))))
+    tuples = st.permutations(range(1, n + 1)).map(lambda p: tuple(p[: idx.k]))
+    rows = data.draw(st.lists(tuples, min_size=1, max_size=8))
+    codes = [idx.encode(row) for row in rows]
+    assert all(0 <= code < idx.count for code in codes)
+    assert [idx.decode(code) for code in codes] == rows
+    assert idx.encode_many(np.array(rows, dtype=np.int64) - 1).tolist() == codes
+    index = data.draw(st.integers(0, idx.count - 1))
+    assert idx.encode(idx.decode(index)) == index
 
 
 def test_all_positions0_shape_and_dtype():

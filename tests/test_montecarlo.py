@@ -10,10 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
+from shufflemix.deck import Permutation
 from shufflemix.errors import CapExceededError, ParameterError
 from shufflemix.exact import exact_tv_curve, single_card_matrix
 from shufflemix.montecarlo import (
+    _hand_schedule,
+    _swap_positions,
     KDeckCouplingParams,
     MCEstimate,
     couple_k_decks,
@@ -29,7 +35,7 @@ from shufflemix.montecarlo import (
 )
 from shufflemix.rng import RandomStream
 
-from conftest import make_rule
+from conftest import ALL_KINDS, make_rule
 
 
 def test_mc_estimate_validation():
@@ -37,6 +43,66 @@ def test_mc_estimate_validation():
         MCEstimate(value=0.1, std_error=-1.0, samples=10, seed=0)
     with pytest.raises(ParameterError):
         MCEstimate(value=0.1, std_error=0.0, samples=0, seed=0)
+
+
+# -- the tracked-position walk -------------------------------------------------
+
+
+def _deck_with(cards, start, n):
+    """A full deck holding ``cards`` at ``start``; the others fill in order."""
+    forward = np.zeros(n, dtype=np.int64)
+    forward[np.asarray(start) - 1] = cards
+    forward[forward == 0] = [c for c in range(1, n + 1) if c not in cards]
+    return Permutation(forward)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_walk_matches_full_deck_oracle(kind):
+    """Tracked positions equal those of whole decks given the same hands,
+    also with a per-deck axis of right hands (as the k-deck coupling uses)."""
+    trials = 5
+    for n in (4, 8):
+        rule = make_rule(kind, n)
+        for k in (1, 2, 3):
+            gen = RandomStream(100 * n + k).generator
+            other_gen = RandomStream(100 * n + k, 1).generator
+            cards = list(range(1, k + 1))
+            start = gen.permutation(n)[:k] + 1
+            pos = np.tile(start, (trials, 1))
+            pos2 = np.tile(start, (trials, 2, 1))
+            decks = [[_deck_with(cards, start, n)] * 2 for _ in range(trials)]
+            for _, left, right in _hand_schedule(rule, 3 * n, gen, trials):
+                other = other_gen.integers(1, n + 1, size=trials)
+                lefts = np.broadcast_to(left, (trials,))
+                for i, (one, two) in enumerate(decks):
+                    decks[i] = [one.transpose(int(lefts[i]), int(right[i])),
+                                two.transpose(int(lefts[i]), int(other[i]))]
+                pos = _swap_positions(pos, left, right)
+                pos2 = _swap_positions(pos2, left, np.stack([right, other], axis=1))
+                want = [[list(d.positions_of(cards)) for d in pair] for pair in decks]
+                assert pos.tolist() == [one for one, _ in want]
+                assert pos2.tolist() == want
+
+
+@settings(max_examples=40, deadline=2000, derandomize=True)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(ALL_KINDS))
+def test_hand_schedule_marginals(n, seed, kind):
+    """Right hands are uniform on 1..n; left hands follow left_distribution."""
+    rule, size = make_rule(kind, n), 3000
+    gen = RandomStream(seed).generator
+    for s, left, right in _hand_schedule(rule, 3, gen, size):
+        assert right.shape == (size,)
+        assert stats.chisquare(np.bincount(right - 1, minlength=n)).pvalue > 1e-6
+        dist = rule.left_distribution(s)
+        if np.ndim(left) == 0:
+            assert dist[left - 1] == 1.0
+            continue
+        counts = np.bincount(left - 1, minlength=n)
+        assert counts[dist == 0.0].sum() == 0
+        live = dist > 0.0
+        if live.sum() > 1:
+            assert stats.chisquare(counts[live], dist[live] * size).pvalue > 1e-6
 
 
 # -- plug-in TV estimator ------------------------------------------------------
@@ -72,6 +138,13 @@ def test_mc_tv_plugin_cap_redirects():
     rule = make_rule("random", 100)
     with pytest.raises(CapExceededError, match="lower bound"):
         mc_tv_plugin(rule, 100, 5, None, None, t=1, samples=10, rng=RandomStream(0))
+
+
+def test_mc_tv_plugin_rejects_bad_start_positions():
+    rule = make_rule("top", 6)
+    for start in ((0, 9), (1, 1), (2, 7)):
+        with pytest.raises(ParameterError, match="start positions"):
+            mc_tv_plugin(rule, 6, 2, (1, 2), start, t=3, samples=100, rng=RandomStream(0))
 
 
 def test_mc_tv_plugin_replay():
@@ -130,6 +203,8 @@ def test_lower_bound_start_positions_at_bottom():
     assert est.details["start_positions"] == [10, 11, 12]
     with pytest.raises(ParameterError):
         tv_lower_bound_fixed_cards(rule, 12, 3, t=1, c_threshold=0, samples=500, rng=RandomStream(5))
+    with pytest.raises(ParameterError, match="non-negative"):
+        tv_lower_bound_fixed_cards(rule, 12, 3, t=-1, c_threshold=1, samples=500, rng=RandomStream(5))
 
 
 # -- one-card coupling ---------------------------------------------------------
@@ -167,8 +242,6 @@ def test_one_card_matched_start_couples_at_zero():
 
 def test_one_card_final_marginal_matches_exact_chain():
     """Deck one's final position follows the exact one-card law."""
-    from scipy import stats
-
     n, horizon, trials = 15, 40, 30_000
     rule = make_rule("cyclic", n)
     res = couple_one_card(rule, n, card=1, start_pair=(1, 4), horizon=horizon, trials=trials, rng=RandomStream(23))
@@ -206,6 +279,9 @@ def test_one_card_validation():
         couple_one_card(rule, 10, card=1, start_pair=(0, 3), trials=10)
     with pytest.raises(ParameterError):
         couple_one_card(rule, 10, card=1, trials=0)
+    for horizon in (0, -2):
+        with pytest.raises(ParameterError, match="horizon"):
+            couple_one_card(rule, 10, card=1, horizon=horizon, trials=10)
 
 
 # -- two-hand coupling -----------------------------------------------------------
@@ -230,6 +306,14 @@ def test_two_hand_beats_one_hand():
     t_one = np.where(one.match_times < 0, one.horizon, one.match_times)
     t_two = np.where(two.match_times < 0, two.horizon, two.match_times)
     assert t_two.mean() < t_one.mean()
+
+
+def test_two_hand_validation():
+    for horizon in (0, -2):
+        with pytest.raises(ParameterError, match="horizon"):
+            couple_two_hands_random(10, card=1, horizon=horizon, trials=10)
+    with pytest.raises(ParameterError):
+        couple_two_hands_random(1, card=1, trials=10)
 
 
 def test_two_hand_matched_start_couples_at_zero():
