@@ -2,8 +2,10 @@
 
 Every subcommand writes one data file (CSV or JSON) plus a ``.meta.json``
 sidecar echoing the full configuration, the library version, and the wall
-time. Data files contain no timestamps, so identical invocations produce
-byte-identical data files; only the sidecar varies. The seed defaults to
+time; Monte Carlo sidecars also record the worker processes the trial blocks
+ran in (``workers``, from --threads). Data files contain no timestamps, so
+identical invocations produce byte-identical data files; only the sidecar
+varies. The seed defaults to
 ``DEFAULT_SEED``, can be overridden by the SHUFFLE_MIX_SEED environment
 variable, and an explicit --seed wins over both.
 
@@ -49,6 +51,7 @@ from .exact import (
 )
 from .montecarlo import (
     KDeckCouplingParams,
+    block_workers,
     couple_k_decks,
     couple_one_card,
     couple_two_hands_random,
@@ -175,30 +178,41 @@ def _estimate_record(est, fitted=None) -> dict:
     return {**record, "fitted_constants": fitted, "tallies": tallies}
 
 
+def _mc_options(config) -> dict:
+    return {"rng": RandomStream(config.seed), "workers": config.threads}
+
+
+def _workers_used(config, trials: int) -> dict:
+    """The sidecar's record of the worker processes the trials ran in."""
+    return {"workers": block_workers(config.threads, trials)}
+
+
 def _run_mc_tv(params, config):
     rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
-    rng = RandomStream(config.seed)
-    est = mc_tv_plugin(rule, n, k, None, None, t, params["samples"], rng=rng)
+    samples = params["samples"]
+    est = mc_tv_plugin(rule, n, k, None, None, t, samples, **_mc_options(config))
     summary = f"mc-tv: {est.value:.6g} +- {est.std_error:.2g}"
-    return _estimate_record(est), {}, summary
+    return _estimate_record(est), _workers_used(config, samples), summary
 
 
 def _run_lower_bound(params, config):
     rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
     threshold, samples = params["threshold"], params["samples"]
-    rng = RandomStream(config.seed)
-    est = tv_lower_bound_fixed_cards(rule, n, k, t, threshold, samples, rng=rng)
-    return _estimate_record(est), {}, f"lower-bound: {est.value:.6g}"
+    est = tv_lower_bound_fixed_cards(
+        rule, n, k, t, threshold, samples, **_mc_options(config)
+    )
+    extras = _workers_used(config, samples)
+    return _estimate_record(est), extras, f"lower-bound: {est.value:.6g}"
 
 
 def _run_hits(params, config):
     rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
-    rng = RandomStream(config.seed)
-    est = left_hand_hit_count(rule, n, k, None, t, params["trials"], rng=rng)
+    trials = params["trials"]
+    est = left_hand_hit_count(rule, n, k, None, t, trials, **_mc_options(config))
     details = est.details
     fitted = {"constant": details["fit_constant"], "shape": details["fit_shape"]}
     summary = f"hits: mean {est.value:.4g}, constant {fitted['constant']:.4g}"
-    return _estimate_record(est, fitted), {}, summary
+    return _estimate_record(est, fitted), _workers_used(config, trials), summary
 
 
 def _survival_rows(times: np.ndarray, horizon: int, trials: int):
@@ -212,12 +226,13 @@ def _couple_output(config, times, horizon, extras):
     censored = int(np.count_nonzero(times < 0))
     summary = f"{config.command}: {trials} trials, {censored} censored at t={horizon}"
     rows = _survival_rows(times, horizon, trials)
+    extras = {**extras, **_workers_used(config, trials)}
     return ("t,survivors,trials", rows), extras, summary
 
 
 def _couple_options(params, config) -> dict:
     horizon, trials = params["horizon"], params["trials"]
-    return {"horizon": horizon, "trials": trials, "rng": RandomStream(config.seed)}
+    return {"horizon": horizon, "trials": trials, **_mc_options(config)}
 
 
 def _one_card_output(config, result):
@@ -241,8 +256,7 @@ def _run_couple_two_hand(params, config):
 def _run_couple_k_deck(params, config):
     kd = KDeckCouplingParams(n=params["n"], k=params["k"], horizon=params["horizon"])
     rule, cards = _rule_from(params), list(range(1, kd.k + 1))
-    rng = RandomStream(config.seed)
-    result = couple_k_decks(rule, kd, cards, params["trials"], rng=rng)
+    result = couple_k_decks(rule, kd, cards, params["trials"], **_mc_options(config))
     fit = fit_mismatch_bound(result)
     extras = {
         "details": dict(result.details),
@@ -322,7 +336,8 @@ _PLUMBING_FLAGS = (
     _opt("--seed", int),
     _opt("--out", help="output data file path"),
     _opt("--threads", int, 1,
-         help="worker count, at least 1; results are worker-count independent"),
+         help="Monte Carlo worker processes, at least 1 (capped at the CPUs and "
+              "trial blocks); results are worker-count independent"),
 )
 _T_MAX, _TIMES = _opt("--t-max", int), _opt("--times", _int_list)
 _T, _HORIZON = _opt("--t", int, required=True), _opt("--horizon", int)

@@ -16,7 +16,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ParameterError
-from .rng import RandomStream
 
 
 class ShuffleKind(str, enum.Enum):
@@ -140,10 +139,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(np.arange(1, n + 1))
-
-    @classmethod
-    def random(cls, n: int, rng: RandomStream) -> "Permutation":
-        return cls(rng.generator.permutation(n) + 1)
 
     @property
     def n(self) -> int:

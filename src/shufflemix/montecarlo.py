@@ -7,14 +7,20 @@ state. All routines draw from per-block substreams of one master stream:
 trials are processed in fixed blocks of ``_TRIAL_BLOCK``, block b using
 ``stream.substream(b)`` (``_trial_blocks``), with a fixed draw schedule per
 step (``_hand_schedule``: left hand first, then right hand; the k-deck
-coupling draws its own hands after the left one). Results therefore depend
-only on (master seed, parameters), not on how blocks would be scheduled
-across workers.
+coupling draws its own hands after the left one).
+
+Each estimator and coupling runs one block function per block through
+``_map_blocks``, which returns every block's tallies in block order for the
+caller to sum. With ``workers`` above 1 the blocks run in forked worker
+processes (``block_workers`` says how many), but substreams are created in
+the calling process and merged in block order, so results depend only on
+(master seed, parameters), never on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -145,6 +151,54 @@ def _trial_blocks(stream: RandomStream, trials: int):
         yield stream.substream(b).generator, min(_TRIAL_BLOCK, trials - lo)
 
 
+def block_workers(workers: int, trials: int) -> int:
+    """The worker processes ``trials`` trials run in when ``workers`` are
+    asked for: at most the block count and the CPUs this process may use
+    (taken as 1 on a platform without CPU affinity)."""
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(workers, cpus, -(-trials // _TRIAL_BLOCK)))
+
+
+_BLOCK_TASK = None  # (block function, blocks), set in each forked worker
+
+
+def _init_block_worker(block_fn, blocks):
+    global _BLOCK_TASK
+    _BLOCK_TASK = block_fn, blocks
+
+
+def _run_block(b: int):
+    block_fn, blocks = _BLOCK_TASK
+    return block_fn(*blocks[b])
+
+
+def _map_blocks(block_fn, stream: RandomStream, trials: int, workers: int = 1):
+    """Yield ``block_fn(generator, size)`` for each block of
+    ``_trial_blocks(stream, trials)``, in block order.
+
+    One worker runs the blocks in this process. More fork a pool of
+    ``block_workers(workers, trials)`` processes; the fork hands each worker
+    the block function and the generators, which the calling process
+    created, so only block indices and results cross between processes. A
+    worker that dies raises ``BrokenProcessPool`` instead of hanging.
+    """
+    count = block_workers(workers, trials)
+    if count == 1:
+        for gen, size in _trial_blocks(stream, trials):
+            yield block_fn(gen, size)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    blocks = list(_trial_blocks(stream, trials))
+    fork = multiprocessing.get_context("fork")
+    task = (block_fn, blocks)
+    with ProcessPoolExecutor(count, fork, _init_block_worker, task) as pool:
+        yield from pool.map(_run_block, range(len(blocks)))
+
+
 def _hand_schedule(rule: ShuffleRule, steps: int, gen, size: int):
     """Yield (s, left, right) for s = 1..steps: the rule's left hand, then
     one uniform right hand per trial. Every walker draws its hands here, so
@@ -170,9 +224,7 @@ def _swap_positions(pos: np.ndarray, left, right) -> np.ndarray:
     """
     l = _along_trials(left, pos)
     r = _along_trials(right, pos)
-    hit_l = pos == l
-    out = np.where(hit_l, r, pos)
-    return np.where((pos == r) & ~hit_l, l, out)
+    return np.where(pos == l, r, np.where(pos == r, l, pos))
 
 
 def _check_positions(values: np.ndarray, what: str, n: int):
@@ -224,6 +276,7 @@ def mc_tv_plugin(
     samples: int,
     rng=None,
     cap: int = DEFAULT_STATE_CAP,
+    workers: int = 1,
 ) -> MCEstimate:
     """Monte Carlo plug-in estimate of the k-card TV distance to uniform.
 
@@ -257,11 +310,15 @@ def mc_tv_plugin(
             f"{indexer.count}; the plug-in estimate will be bias-dominated",
             stacklevel=2,
         )
-    counts = np.zeros(indexer.count, dtype=np.int64)
-    for gen, size in _trial_blocks(stream, samples):
+
+    def block(gen, size):
         pos = np.tile(start_pos, (size, 1))
         for _, left, right in _hand_schedule(rule, t, gen, size):
             pos = _swap_positions(pos, left, right)
+        return pos
+
+    counts = np.zeros(indexer.count, dtype=np.int64)
+    for pos in _map_blocks(block, stream, samples, workers):
         codes = indexer.encode_many(pos - 1)
         counts += np.bincount(codes, minlength=indexer.count)
     tv, se = plugin_tv_from_counts(counts, samples)
@@ -309,6 +366,7 @@ def tv_lower_bound_fixed_cards(
     c_threshold: int,
     samples: int,
     rng=None,
+    workers: int = 1,
 ) -> MCEstimate:
     """TV lower bound from the never-touched-cards statistic.
 
@@ -330,11 +388,8 @@ def tv_lower_bound_fixed_cards(
         raise ParameterError(f"need 0 < k <= n, got k={k}")
     start_pos = np.arange(n - k + 1, n + 1, dtype=np.int64)
     stream = _as_stream(rng)
-    exceed = 0
-    sum_x = 0.0
-    sum_x2 = 0.0
-    exceed_fixed = 0
-    for gen, size in _trial_blocks(stream, samples):
+
+    def block(gen, size):
         pos = np.tile(start_pos, (size, 1))
         touched = np.zeros((size, k), dtype=bool)
         for _, left, right in _hand_schedule(rule, t, gen, size):
@@ -342,10 +397,16 @@ def tv_lower_bound_fixed_cards(
             pos = _swap_positions(pos, left, right)
         x = k - touched.sum(axis=1)
         fixed = (pos == start_pos).sum(axis=1)
-        exceed += int(np.count_nonzero(x > c_threshold))
-        exceed_fixed += int(np.count_nonzero(fixed > c_threshold))
-        sum_x += float(x.sum())
-        sum_x2 += float((x.astype(np.float64) ** 2).sum())
+        return (
+            int(np.count_nonzero(x > c_threshold)),
+            int(np.count_nonzero(fixed > c_threshold)),
+            float(x.sum()),
+            float((x.astype(np.float64) ** 2).sum()),
+        )
+
+    # float tallies are integer-valued, so their sums are exact in any order
+    blocks = _map_blocks(block, stream, samples, workers)
+    exceed, exceed_fixed, sum_x, sum_x2 = map(sum, zip(*blocks))
     p_hat = exceed / samples
     tail = uniform_fixed_point_tail(n, k, c_threshold)
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
@@ -400,15 +461,18 @@ def _mirror(hand, x, y):
     return np.where(hand == x, y, np.where(hand == y, x, hand))
 
 
-def _couple_two_decks(kind, rule, n, card, start_pair, horizon, trials, rng, mirror):
+def _couple_two_decks(
+    kind, rule, n, card, start_pair, horizon, trials, rng, workers, mirror
+):
     """Run a two-deck coupling of one tracked card under ``rule``.
 
     ``xy`` holds the card's position in deck one (column 0) and deck two
     (column 1). At each step ``mirror(left, right, xy)`` turns deck one's
-    hands into both decks' hands, as arrays that broadcast against ``xy``,
-    plus the mask of trials whose designed success event fires, or None
-    for a construction without one (then ``designed_times`` is None).
-    Returns the result with the details both constructions share.
+    hands into both decks' hands, as arrays that broadcast against ``xy``;
+    the mask of trials whose designed success event fires, or None for a
+    construction without one (then ``designed_times`` is None); and two
+    per-trial hands whose positions are tallied. Returns the result with the
+    details both constructions share, and the (2, n) tally of those hands.
     """
     if rule.n != n:
         raise ParameterError(f"rule is for n={rule.n}, got n={n}")
@@ -422,42 +486,45 @@ def _couple_two_decks(kind, rule, n, card, start_pair, horizon, trials, rng, mir
         raise ParameterError(f"horizon must be positive, got {horizon}")
     x0, y0 = _resolve_start_pair(start_pair, card, n)
     stream = _as_stream(rng)
-    match_all = []
-    designed_all = []
-    finals = []
-    for gen, size in _trial_blocks(stream, trials):
+
+    def block(gen, size):
         xy = np.empty((size, 2), dtype=np.int64)
         xy[:, 0] = x0
         xy[:, 1] = gen.integers(1, n + 1, size=size) if y0 is None else y0
         match = np.where(xy[:, 0] == xy[:, 1], 0, -1)
         designed = np.full(size, -1, dtype=np.int64)
+        hist = np.zeros((2, n), dtype=np.int64)
         for s, left, right in _hand_schedule(rule, horizon, gen, size):
-            lefts, rights, fires = mirror(left, right, xy)
+            lefts, rights, fires, tallied = mirror(left, right, xy)
+            for row, hand in zip(hist, tallied):
+                row += np.bincount(hand - 1, minlength=n)
             if fires is not None:
                 designed[(designed < 0) & fires] = s
             xy = _swap_positions(xy, lefts, rights)
             match[(match < 0) & (xy[:, 0] == xy[:, 1])] = s
-        match_all.append(match)
-        if fires is not None:
-            designed_all.append(designed)
-        finals.append(xy)
+        return match, None if fires is None else designed, xy, hist
+
+    blocks = _map_blocks(block, stream, trials, workers)
+    match_all, designed_all, finals, hists = zip(*blocks)
     match = np.concatenate(match_all)
     details = {
         "censored_match": int(np.count_nonzero(match < 0)),
         "start_pair": (x0, y0),
         "card": card,
     }
-    return CouplingResult(
+    designed = None if designed_all[0] is None else np.concatenate(designed_all)
+    result = CouplingResult(
         kind=kind,
         n=n,
         trials=trials,
         horizon=horizon,
         seed=stream.master_seed,
         match_times=match,
-        designed_times=np.concatenate(designed_all) if designed_all else None,
+        designed_times=designed,
         final_positions=np.concatenate(finals),
         details=details,
     )
+    return result, np.sum(hists, axis=0)
 
 
 def couple_one_card(
@@ -468,6 +535,7 @@ def couple_one_card(
     horizon: int | None = None,
     trials: int = 100_000,
     rng=None,
+    workers: int = 1,
 ) -> CouplingResult:
     """Two decks, shared left hand, right hand mirrored across the pair.
 
@@ -479,16 +547,15 @@ def couple_one_card(
     returned; each deck's right-hand choice stays uniform, which the
     result's tallies verify.
     """
-    hist = np.zeros((2, rule.n), dtype=np.int64)  # right hands of decks one, two
 
     def mirror(left, right, xy):
         r_one = _mirror(right, xy[:, 0], xy[:, 1])
-        hist[0] += np.bincount(r_one - 1, minlength=rule.n)
-        hist[1] += np.bincount(right - 1, minlength=rule.n)
-        return left, np.stack([r_one, right], axis=1), right == xy[:, 1]
+        rights = np.stack([r_one, right], axis=1)
+        # tally the right hands of decks one and two
+        return left, rights, right == xy[:, 1], (r_one, right)
 
-    result = _couple_two_decks(
-        "one-card", rule, n, card, start_pair, horizon, trials, rng, mirror
+    result, hist = _couple_two_decks(
+        "one-card", rule, n, card, start_pair, horizon, trials, rng, workers, mirror
     )
     result.details.update(
         right_hist_deck_one=hist[0],
@@ -507,6 +574,7 @@ def couple_two_hands_random(
     horizon: int | None = None,
     trials: int = 100_000,
     rng=None,
+    workers: int = 1,
 ) -> CouplingResult:
     """Both hands mirrored between two decks of the uniform-left rule.
 
@@ -516,18 +584,16 @@ def couple_two_hands_random(
     2(1 - 2/n)/n per step, twice the one-sided rate.
     """
     rule = ShuffleRule(ShuffleKind.RANDOM_TO_RANDOM, n)
-    hist = np.zeros((2, n), dtype=np.int64)  # deck two's left and right hands
 
     def mirror(left, right, xy):
         x, y = xy[:, 0], xy[:, 1]
         m_left, m_right = _mirror(left, x, y), _mirror(right, x, y)
-        hist[0] += np.bincount(m_left - 1, minlength=n)
-        hist[1] += np.bincount(m_right - 1, minlength=n)
+        # tally deck two's left and right hands
         return (np.stack([left, m_left], axis=1),
-                np.stack([right, m_right], axis=1), None)
+                np.stack([right, m_right], axis=1), None, (m_left, m_right))
 
-    result = _couple_two_decks(
-        "two-hand", rule, n, card, start_pair, horizon, trials, rng, mirror
+    result, hist = _couple_two_decks(
+        "two-hand", rule, n, card, start_pair, horizon, trials, rng, workers, mirror
     )
     result.details.update(
         chisq_p_mirrored_left=float(stats.chisquare(hist[0]).pvalue),
@@ -571,6 +637,7 @@ def couple_k_decks(
     trials: int,
     rng=None,
     diagnostic: bool = False,
+    workers: int = 1,
 ) -> KDeckCouplingResult:
     """Coupled deck versus k independent single-card reference decks.
 
@@ -610,17 +677,14 @@ def couple_k_decks(
     extra_card = next(c for c in range(1, n + 1) if c not in set(cards.tolist()))
     stream = _as_stream(rng)
     horizon = params.horizon
-    mismatch_all = []
-    sits_all = []
-    hist = np.zeros(n, dtype=np.int64)
-    nonspecial_hits = 0
-    steps_tallied = 0
-    col = np.arange(k)
-    for gen, size in _trial_blocks(stream, trials):
+
+    def block(gen, size):
         S = np.broadcast_to(start_pos.astype(dtype), (size, k + 1, k)).copy()
         extra = np.full(size, extra_card, dtype=dtype)
         mismatch = np.full(size, -1, dtype=np.int64)
         sits = np.zeros((size, 4), dtype=np.int64)
+        hist = np.zeros(n, dtype=np.int64)
+        nonspecial_hits = steps_tallied = 0
         run_rows = np.arange(size)
         for s in range(1, horizon + 1):
             cur = run_rows.size
@@ -635,18 +699,14 @@ def couple_k_decks(
 
             rows = np.arange(cur)
             left_arr = np.broadcast_to(np.asarray(left, dtype=dtype), (cur,))
-            intact = (
-                mismatch[run_rows] < 0
-                if diagnostic
-                else np.ones(cur, dtype=bool)
-            )
+            intact = mismatch[run_rows] < 0 if diagnostic else np.ones(cur, dtype=bool)
             spec0 = S[:, 0, :]
             l_eq = spec0 == left_arr[:, None]
             l_any = l_eq.any(axis=1)
             l_idx = np.argmax(l_eq, axis=1)
             tails = coin >= p_heads
-            ref_own_pos = S[rows[:, None], 1 + col[None, :], col[None, :]]
-            own = R == ref_own_pos
+            # reference deck j's own card j
+            own = R == np.diagonal(S[:, 1:, :], axis1=1, axis2=2)
             e_size = own.sum(axis=1)
             cum = np.cumsum(own, axis=1)
             target = np.floor(pick_draw * e_size).astype(np.int64) + 1
@@ -668,9 +728,13 @@ def couple_k_decks(
                 ),
             )
 
-            sit1 = l_any & _crossed_risk(S, R, l_idx, own)
-            sit2 = ~l_any & tails & _crossed_risk(S, R, tails_idx, own)
-            sit3 = ~l_any & ~tails & u_any & _crossed_risk(S, R, u_idx, own)
+            # situations 1-3 are exclusive, so one crossed-risk pass over
+            # each trial's designated reference deck serves all three
+            idx = np.where(l_any, l_idx, np.where(tails, tails_idx, u_idx))
+            risk = _crossed_risk(S, R, idx, own)
+            sit1 = l_any & risk
+            sit2 = ~l_any & tails & risk
+            sit3 = ~l_any & ~tails & u_any & risk
             sit4 = ~l_any & ~tails & ~u_any & (e_size > 1)
             sits[run_rows[sit1], 0] += 1
             sits[run_rows[sit2], 1] += 1
@@ -685,7 +749,7 @@ def couple_k_decks(
             S = _swap_positions(S, left_arr, np.concatenate([r0[:, None], R], axis=1))
             extra = _swap_positions(extra, left_arr, r0)
 
-            ref_diag = S[rows[:, None], 1 + col[None, :], col[None, :]]
+            ref_diag = np.diagonal(S[:, 1:, :], axis1=1, axis2=2)
             broken = (ref_diag != S[:, 0, :]).any(axis=1)
             newly = broken & intact
             mismatch[run_rows[newly]] = s
@@ -694,10 +758,14 @@ def couple_k_decks(
                 S = S[keep]
                 extra = extra[keep]
                 run_rows = run_rows[keep]
-        mismatch_all.append(mismatch)
-        sits_all.append(sits)
+        return mismatch, sits, hist, nonspecial_hits, steps_tallied
+
+    blocks = _map_blocks(block, stream, trials, workers)
+    mismatch_all, sits_all, hists, hits, tallied = zip(*blocks)
     mismatch = np.concatenate(mismatch_all)
     sits = np.concatenate(sits_all, axis=0)
+    hist = np.sum(hists, axis=0)
+    nonspecial_hits, steps_tallied = sum(hits), sum(tallied)
     chi = stats.chisquare(hist) if hist.sum() else None
     rate = nonspecial_hits / steps_tallied if steps_tallied else float("nan")
     details = {
@@ -765,6 +833,7 @@ def left_hand_hit_count(
     t: int,
     trials: int,
     rng=None,
+    workers: int = 1,
 ) -> MCEstimate:
     """Mean number of times the left hand lands on a tracked card by t,
     with the implied constant against the envelope k (t/n + log t)."""
@@ -780,16 +849,17 @@ def left_hand_hit_count(
         raise ParameterError(f"expected {k} cards, got {len(cards)}")
     start_pos = _start_positions(cards, None, n)
     stream = _as_stream(rng)
-    sum_hits = 0.0
-    sum_hits2 = 0.0
-    for gen, size in _trial_blocks(stream, trials):
+
+    def block(gen, size):
         pos = np.tile(start_pos, (size, 1))
         hits = np.zeros(size, dtype=np.int64)
         for _, left, right in _hand_schedule(rule, t, gen, size):
             hits += (pos == _along_trials(left, pos)).sum(axis=1)
             pos = _swap_positions(pos, left, right)
-        sum_hits += float(hits.sum())
-        sum_hits2 += float((hits.astype(np.float64) ** 2).sum())
+        return float(hits.sum()), float((hits.astype(np.float64) ** 2).sum())
+
+    blocks = _map_blocks(block, stream, trials, workers)
+    sum_hits, sum_hits2 = map(sum, zip(*blocks))
     mean = sum_hits / trials
     var = max(sum_hits2 / trials - mean * mean, 0.0)
     se = math.sqrt(var / trials)

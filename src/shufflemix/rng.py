@@ -3,9 +3,12 @@
 Every stochastic routine in the package draws from a ``RandomStream``, a thin
 wrapper around numpy's Philox bit generator keyed by ``(master_seed,
 stream_id)``.  Two streams built from the same pair replay the same sequence;
-distinct stream ids give statistically independent streams regardless of how
-work is split across workers.  That property is what makes every experiment
-reproducible from a single 64-bit seed and independent of the worker count.
+distinct stream ids give statistically independent streams (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).  The Monte Carlo
+routines give each block of trials its own ``substream``, created in the
+calling process; blocks may then run in separate worker processes and are
+merged in block order, so every experiment is reproducible from a single
+64-bit seed and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -60,7 +63,3 @@ class RandomStream:
             raise ParameterError("substream index must be non-negative")
         child = (self.stream_id * _GOLDEN + index + 1) & _MASK64
         return RandomStream(self.master_seed, child)
-
-    def positions(self, n: int, size=None):
-        """Uniform 1-based position(s) on {1..n}."""
-        return self.generator.integers(1, n + 1, size=size)

@@ -1,4 +1,5 @@
-"""Shared helpers: a brute-force full-permutation oracle and rule builders.
+"""Shared helpers: a brute-force full-permutation oracle, rule builders and
+a time-bounded child interpreter.
 
 The oracle evolves the distribution over all n! arrangements directly and
 projects it onto the tracked k-tuple, so the lumped chain can be checked
@@ -6,6 +7,10 @@ entrywise. Only usable for small n.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -86,3 +91,15 @@ def brute_force_marginals(rule, k, start, t_max):
         dist = new
         out[t] = np.bincount(proj, weights=dist, minlength=indexer.count)
     return out
+
+
+def run_bounded(code: str) -> str:
+    """Run ``code`` in a child interpreter that is killed after 60 s."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()

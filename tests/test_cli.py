@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -297,15 +298,26 @@ def test_hits_record(tmp_path):
     assert rec["fitted_constants"]["constant"] > 0.0
 
 
+# every Monte Carlo subcommand at 20,000 trials: two blocks of trials
+_MC_TWO_BLOCKS = (
+    ["mc-tv", "--rule", "top", "--n", "10", "--k", "2", "--t", "8",
+     "--samples", "20000"],
+    ["lower-bound", "--rule", "random", "--n", "12", "--k", "3", "--t", "10",
+     "--samples", "20000"],
+    ["hits", "--rule", "cyclic", "--n", "12", "--k", "2", "--t", "10",
+     "--trials", "20000"],
+    ["couple", "one-card", "--rule", "top", "--n", "15", "--trials", "20000",
+     "--horizon", "20"],
+    ["couple", "two-hand", "--n", "15", "--trials", "20000", "--horizon", "20"],
+    ["couple", "k-deck", "--rule", "random", "--n", "40", "--k", "2",
+     "--trials", "20000", "--horizon", "20"],
+)
+
+
 def test_data_files_identical_across_threads(tmp_path):
     """The worker count never touches the data file, only the sidecar."""
-    for cmd in (
-        ["mc-tv", "--rule", "top", "--n", "10", "--k", "2", "--t", "8",
-         "--samples", "20000"],
-        ["couple", "one-card", "--rule", "top", "--n", "15", "--trials",
-         "3000", "--horizon", "60"],
-        ["p0", "--n", "500"],
-    ):
+    two_blocks = min(2, len(os.sched_getaffinity(0)))
+    for cmd in (*_MC_TWO_BLOCKS, ["p0", "--n", "500"]):
         a = tmp_path / "a.out"
         b = tmp_path / "b.out"
         assert run(tmp_path, *cmd, "--seed", "5", "--threads", "1", "--out", a) == 0
@@ -315,6 +327,19 @@ def test_data_files_identical_across_threads(tmp_path):
         meta_b = json.loads((tmp_path / "b.out.meta.json").read_text())
         assert meta_a["config"]["threads"] == 1
         assert meta_b["config"]["threads"] == 7
+        if cmd[0] != "p0":
+            assert (meta_a["workers"], meta_b["workers"]) == (1, two_blocks), cmd
+        else:
+            assert "workers" not in meta_b
+
+
+def test_huge_threads_clamped_to_cpus(tmp_path):
+    cmd = ["hits", "--rule", "top", "--n", "10", "--k", "2", "--t", "4",
+           "--trials", "100000", "--threads", "1000000", "--out", "h.json"]
+    assert run(tmp_path, *cmd) == 0
+    meta = json.loads((tmp_path / "h.json.meta.json").read_text())
+    assert meta["config"]["threads"] == 1000000
+    assert 1 <= meta["workers"] <= len(os.sched_getaffinity(0))
 
 
 def test_same_seed_same_bytes_different_seed_differs(tmp_path):

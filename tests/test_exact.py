@@ -2,14 +2,13 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shufflemix.deck import ShuffleKind, ShuffleRule
 from shufflemix.errors import HorizonError, MassDriftError, ParameterError
 from shufflemix.exact import (
     KTupleDistribution,
@@ -27,7 +26,7 @@ from shufflemix.exact import (
 )
 from shufflemix.indexing import KTupleIndexer
 
-from conftest import ALL_KINDS, brute_force_marginals, make_rule
+from conftest import ALL_KINDS, brute_force_marginals, make_rule, run_bounded
 
 
 def test_tv_distance_basics():
@@ -72,6 +71,27 @@ def test_mass_conserved_many_steps():
         probs = evolver.step(probs, t)
         assert probs.min() >= -1e-15
         assert abs(probs.sum() - 1.0) < 1e-12
+
+
+@st.composite
+def _custom_rules(draw):
+    """A custom rule with n <= 7: 1-3 rows of random non-negative weights."""
+    n = draw(st.integers(2, 7))
+    weights = st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any)
+    rows = [np.array(w, dtype=float) for w in draw(st.lists(weights, min_size=1, max_size=3))]
+    return ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, n, custom=[r / r.sum() for r in rows])
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True)
+@given(rule=_custom_rules(), k=st.integers(1, 2))
+def test_step_matrix_column_stochastic_property(rule, k):
+    evolver = LumpedEvolver(rule, k)
+    for t in range(1, len(rule.custom) + 1):
+        mat = evolver.step_matrix_T(t)
+        assert mat.shape == (evolver.indexer.count,) * 2
+        assert mat.data.min() >= 0.0
+        sums = np.asarray(mat.sum(axis=0)).ravel()
+        assert np.abs(sums - 1.0).max() <= 1e-12, (rule.n, k, t)
 
 
 def test_single_card_matrix_matches_evolver():
@@ -237,20 +257,8 @@ def test_top_rule_with_every_card_tracked():
     assert res.strategy == "exact-canonical" and res.tv < 0.25
 
 
-def _run_bounded(code: str) -> str:
-    """Run ``code`` in a child interpreter that is killed after 60 s."""
-    here = Path(__file__).resolve().parent
-    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
 def test_sampled_starts_clamped_to_tuple_count():
-    out = _run_bounded(
+    out = run_bounded(
         "from conftest import make_rule\n"
         "from shufflemix.exact import worst_case_curve\n"
         "rule = make_rule('cyclic', 8)\n"
@@ -262,7 +270,7 @@ def test_sampled_starts_clamped_to_tuple_count():
 
 
 def test_unknown_start_strategy_rejected_by_mixing_time():
-    out = _run_bounded(
+    out = run_bounded(
         "from conftest import make_rule\n"
         "from shufflemix.errors import ParameterError\n"
         "from shufflemix.exact import partial_mixing_time\n"

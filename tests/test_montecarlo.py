@@ -5,8 +5,10 @@ deterministic; tolerance envelopes are 3 standard errors unless a quantity
 is exact by construction.
 """
 
+import hashlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,10 +20,13 @@ from shufflemix.deck import Permutation
 from shufflemix.errors import CapExceededError, ParameterError
 from shufflemix.exact import exact_tv_curve, single_card_matrix
 from shufflemix.montecarlo import (
+    _TRIAL_BLOCK,
     _hand_schedule,
+    _map_blocks,
     _swap_positions,
     KDeckCouplingParams,
     MCEstimate,
+    block_workers,
     couple_k_decks,
     couple_one_card,
     couple_two_hands_random,
@@ -35,7 +40,7 @@ from shufflemix.montecarlo import (
 )
 from shufflemix.rng import RandomStream
 
-from conftest import ALL_KINDS, make_rule
+from conftest import ALL_KINDS, make_rule, run_bounded
 
 
 def test_mc_estimate_validation():
@@ -393,6 +398,77 @@ def test_k_deck_diagnostic_counts_all_trials():
     assert res.situation_counts.shape == (trials, 4)
     assert res.mismatch_times.shape == (trials,)
     assert res.diagnostic
+
+
+# sha256 prefixes of (mismatch_times, situation_counts, r0_histogram) for
+# random n=40, k=3, horizon 25, 20,000 trials (two blocks), seed 7, recorded
+# before the blocks could run in worker processes
+_K_DECK_GOLDEN = {
+    False: ("d479df1cd3bcceea", "16e578f01c7cd79a", "98da692cf3b09a21"),
+    True: ("a82698489fd0241d", "c116ac254b4aff4b", "4daf4ef424c55c12"),
+}
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("diagnostic", (False, True))
+def test_k_deck_golden_across_workers(diagnostic, workers):
+    n, trials = 40, 20_000
+    assert trials > _TRIAL_BLOCK
+    res = couple_k_decks(
+        make_rule("random", n), KDeckCouplingParams(n=n, k=3, horizon=25),
+        cards=(1, 2, 3), trials=trials, rng=RandomStream(7),
+        diagnostic=diagnostic, workers=workers,
+    )
+    arrays = (res.mismatch_times, res.situation_counts, res.r0_histogram)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+    assert got == _K_DECK_GOLDEN[diagnostic]
+
+
+def test_block_workers_clamp():
+    cpus = len(os.sched_getaffinity(0))
+    assert block_workers(1, 10 * _TRIAL_BLOCK) == 1
+    assert block_workers(10**6, 10**9) == cpus
+    assert block_workers(10**6, _TRIAL_BLOCK) == 1
+    assert block_workers(10**6, _TRIAL_BLOCK + 1) == min(2, cpus)
+    with pytest.raises(ParameterError):
+        block_workers(0, 100)
+
+
+def _block_tally(gen, size):
+    return size, gen.integers(0, 2**62)
+
+
+def test_map_blocks_keeps_block_order():
+    trials = 3 * _TRIAL_BLOCK + 5
+    serial = list(_map_blocks(_block_tally, RandomStream(11), trials))
+    pooled = list(_map_blocks(_block_tally, RandomStream(11), trials, workers=2))
+    assert [size for size, _ in serial] == [_TRIAL_BLOCK] * 3 + [5]
+    assert pooled == serial
+
+
+_DEAD_WORKER = """
+import os
+from concurrent.futures.process import BrokenProcessPool
+from shufflemix.montecarlo import _TRIAL_BLOCK, _map_blocks
+from shufflemix.rng import RandomStream
+
+def block(gen, size):
+    if size < _TRIAL_BLOCK:
+        os._exit(3)
+    return size
+
+try:
+    list(_map_blocks(block, RandomStream(11), _TRIAL_BLOCK + 5, workers=2))
+except BrokenProcessPool:
+    print("raised")
+"""
+
+
+def test_map_blocks_dead_worker_raises():
+    """A worker process that dies fails the run instead of hanging it."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a pool needs two usable CPUs")
+    assert run_bounded(_DEAD_WORKER) == "raised"
 
 
 def test_k_deck_weak_regime_warns():

@@ -39,19 +39,6 @@ def test_substreams_of_distinct_parents_differ():
     assert len(ids) == 400
 
 
-def test_positions_range():
-    s = RandomStream(5)
-    draws = s.positions(10, size=5000)
-    assert draws.min() >= 1 and draws.max() <= 10
-    # every slot shows up in 5000 draws
-    assert len(np.unique(draws)) == 10
-
-
-def test_position_scalar():
-    v = RandomStream(5).positions(3)
-    assert 1 <= int(v) <= 3
-
-
 def test_key_validation():
     with pytest.raises(ParameterError):
         RandomStream(-1)
