@@ -31,12 +31,10 @@ from .exact import (
     canonical_starts,
     cutoff_profile,
     exact_tv_curve,
-    lumped_step,
     partial_mixing_time,
     resolve_starts,
     single_card_matrix,
     tv_distance,
-    uniform_k_marginal,
     worst_case_curve,
 )
 from .montecarlo import (
@@ -73,7 +71,6 @@ from .cyclic import (
     per_step_rate,
     phase_matrix_exact,
     phase_matrix_limit,
-    power_iteration_lambda2,
     scan_epsilon,
     second_eigenvalue,
     tau_hat_moments,

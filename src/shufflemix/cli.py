@@ -101,18 +101,22 @@ def _resolve_seed(explicit) -> int:
     return DEFAULT_SEED
 
 
-def _int_list(text: str) -> list:
+def _number_list(text: str, kind, what: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}: {text!r}")
+    return values
+
+
+def _int_list(text: str) -> list:
+    return _number_list(text, int, "integers")
 
 
 def _float_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}")
+    return _number_list(text, float, "numbers")
 
 
 def _rule_from(params: dict) -> ShuffleRule:
@@ -121,11 +125,20 @@ def _rule_from(params: dict) -> ShuffleRule:
     )
 
 
+def _t_max_from(params: dict) -> int:
+    """--t-max, or 10 n when it is not given."""
+    t_max = params["t_max"]
+    if t_max is None:
+        return 10 * params["n"]
+    if t_max < 1:
+        raise ParameterError(f"--t-max must be at least 1, got {t_max}")
+    return t_max
+
+
 def _times_from(params: dict) -> np.ndarray:
-    if params.get("times"):
+    if params["times"] is not None:
         return np.asarray(sorted(set(params["times"])), dtype=np.int64)
-    t_max = params.get("t_max") or 10 * params["n"]
-    return np.arange(1, t_max + 1, dtype=np.int64)
+    return np.arange(1, _t_max_from(params) + 1, dtype=np.int64)
 
 
 def _pick(obj, *names) -> dict:
@@ -296,8 +309,7 @@ def _run_eig_opt(params, config):
 
 
 def _run_cyclic_bound(params, config):
-    n = params["n"]
-    t_max = params["t_max"] or 10 * n
+    n, t_max = params["n"], _t_max_from(params)
     if params["fit"]:
         bound = fit_cyclic_bound_constant(n=n, t_max=t_max)
     else:

@@ -49,52 +49,37 @@ class TauHatMoments:
     closed_form_gap: float
 
 
-@dataclass(frozen=True)
-class TauHatModel:
-    """Waiting time tau-hat = min(H, R) until a tracked card is touched.
-
-    H is uniform on {1..n}: the sweeping left hand returns to any given
-    position within one full sweep.  R is Geometric(1/n): each step the
-    uniform right hand hits the card's position with probability 1/n.
-    The two are independent.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 4:
-            raise ParameterError(f"waiting-time model needs n >= 4, got {self.n}")
-
-    def moments(self) -> TauHatMoments:
-        """Exact mean and second moment of min(H, R).
-
-        Conditioning on H = h, the geometric tail r >= h collapses to
-        h q^{h-1} (q = 1 - 1/n); the head r < h is summed explicitly.
-        """
-        n = self.n
-        q = 1.0 - 1.0 / n
-        r = np.arange(1, n + 1, dtype=np.float64)
-        w = q ** (r - 1.0)
-        # head[h-1] = sum_{r < h} r q^{r-1}, same with r^2 for the second moment
-        head1 = np.concatenate(([0.0], np.cumsum(r * w)))[:n]
-        head2 = np.concatenate(([0.0], np.cumsum(r * r * w)))[:n]
-        tail = r * w
-        mean = float(np.sum(head1 / n + tail) / n)
-        second = float(np.sum(head2 / n + r * tail) / n)
-        closed = 0.5 * (n - 3.0) * q**n + 1.0
-        return TauHatMoments(
-            n=n,
-            mean=mean,
-            second_moment=second,
-            variance=second - mean * mean,
-            closed_form_mean=closed,
-            closed_form_gap=mean - closed,
-        )
-
-
 def tau_hat_moments(n: int) -> TauHatMoments:
-    """Moments of the touch waiting time for a deck of n cards."""
-    return TauHatModel(n).moments()
+    """Exact mean and second moment of the touch waiting time for n cards.
+
+    The waiting time until a tracked card is touched is min(H, R): H is
+    uniform on {1..n}, since the sweeping left hand returns to any given
+    position within one full sweep, and R is Geometric(1/n), since each step
+    the uniform right hand hits the card's position with probability 1/n;
+    the two are independent. Conditioning on H = h, the geometric tail
+    r >= h collapses to h q^{h-1} (q = 1 - 1/n); the head r < h is summed
+    explicitly.
+    """
+    if n < 4:
+        raise ParameterError(f"waiting-time model needs n >= 4, got {n}")
+    q = 1.0 - 1.0 / n
+    r = np.arange(1, n + 1, dtype=np.float64)
+    w = q ** (r - 1.0)
+    # head[h-1] = sum_{r < h} r q^{r-1}, same with r^2 for the second moment
+    head1 = np.concatenate(([0.0], np.cumsum(r * w)))[:n]
+    head2 = np.concatenate(([0.0], np.cumsum(r * r * w)))[:n]
+    tail = r * w
+    mean = float(np.sum(head1 / n + tail) / n)
+    second = float(np.sum(head2 / n + r * tail) / n)
+    closed = 0.5 * (n - 3.0) * q**n + 1.0
+    return TauHatMoments(
+        n=n,
+        mean=mean,
+        second_moment=second,
+        variance=second - mean * mean,
+        closed_form_mean=closed,
+        closed_form_gap=mean - closed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,26 +302,6 @@ def second_eigenvalue(chain: PhaseChainMatrix) -> float:
     return block_spectrum(chain).lam_max
 
 
-def power_iteration_lambda2(
-    chain: PhaseChainMatrix, max_iter: int = 200_000, tol: float = 1e-15
-) -> float:
-    """Dominant block eigenvalue by power iteration, for cross-checking."""
-    b = chain.block()
-    v = np.array([1.0, 1.0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ (b @ v))
-        if abs(new - lam) <= tol:
-            return new
-        lam = new
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # window-width optimization
 
@@ -361,6 +326,8 @@ def scan_epsilon(
     xi: float = 0.0, lo: float = 0.01, hi: float = 0.49, num: int = 500
 ):
     """Grid of (epsilon, second eigenvalue) pairs for the limit chain."""
+    if num < 1:
+        raise ParameterError(f"need at least one grid point, got num={num}")
     eps = np.linspace(lo, hi, num)
     lams = np.array([lambda2_of_epsilon(float(e), xi) for e in eps])
     return eps, lams

@@ -66,15 +66,6 @@ class KTupleDistribution:
         if drift > MASS_TOL:
             raise MassDriftError(f"probability mass drifted by {drift:.3e}")
 
-    def tv_to_uniform(self) -> float:
-        return tv_distance(self.probs, np.full(self.indexer.count, 1.0 / self.indexer.count))
-
-
-def uniform_k_marginal(n: int, k: int, cap: int = DEFAULT_STATE_CAP) -> KTupleDistribution:
-    """The uniform distribution on ordered distinct k-tuples (the fixed point)."""
-    indexer = KTupleIndexer(n, k, cap=cap)
-    return KTupleDistribution(indexer, np.full(indexer.count, 1.0 / indexer.count))
-
 
 class LumpedEvolver:
     """One-step pushforward for the k-tuple location chain.
@@ -88,11 +79,11 @@ class LumpedEvolver:
     rule's mass on the tracked positions.
     """
 
-    def __init__(self, rule: ShuffleRule, k: int, cap: int = DEFAULT_STATE_CAP):
+    def __init__(self, rule: ShuffleRule, k: int):
         self.rule = rule
         self.n = rule.n
         self.k = k
-        self.indexer = KTupleIndexer(self.n, k, cap=cap)
+        self.indexer = KTupleIndexer(self.n, k)
         self._pos0 = self.indexer.all_positions0()
         self._cache_targets = self.indexer.count * k * self.n <= _TARGET_CACHE_BUDGET
         self._targets: dict = {}
@@ -100,23 +91,39 @@ class LumpedEvolver:
 
     # -- transposition targets ------------------------------------------------
 
+    def _transposed(self, rows: np.ndarray, i: int, q: int) -> np.ndarray:
+        """State indices of the 0-based tuples ``rows`` after transposing
+        (p_i, q): card i moves to q, and a tracked card at q takes p_i."""
+        moved = rows.astype(np.int64)
+        old = moved[:, i].copy()
+        hit = moved == q
+        hit[:, i] = False
+        moved[hit] = old[hit.any(axis=1)]
+        moved[:, i] = q
+        return self.indexer.encode_many(moved)
+
     def _target(self, i: int, q: int) -> np.ndarray:
         """State index after transposing (p_i, q), vectorized over states."""
         key = (i, q)
         cached = self._targets.get(key)
         if cached is not None:
             return cached
-        pos = self._pos0.astype(np.int64)
-        old = pos[:, i].copy()
-        hit = pos == q
-        hit[:, i] = False
-        rows = hit.any(axis=1)
-        pos[hit] = old[rows]  # the tracked card that sat at q takes p_i
-        pos[:, i] = q
-        tgt = self.indexer.encode_many(pos)
+        tgt = self._transposed(self._pos0, i, q)
         if self._cache_targets:
             self._targets[key] = tgt
         return tgt
+
+    def _moves(self, lvec: np.ndarray):
+        """Yield (weight per state, i, q) for every move of tracked card i to
+        position q: its own position drawn by the left hand, or q drawn by the
+        left hand while untracked, each with the uniform right hand's 1/n."""
+        pos = self._pos0
+        left_at = [lvec[pos[:, i]] for i in range(self.k)]
+        for q in range(self.n):
+            untracked_q = ~(pos == q).any(axis=1)
+            lq = lvec[q] * untracked_q
+            for i in range(self.k):
+                yield (left_at[i] + lq) / self.n, i, q
 
     # -- single step ----------------------------------------------------------
 
@@ -144,30 +151,18 @@ class LumpedEvolver:
                 continue
             # left hand holds card i: it moves to the uniform right position
             w = probs[idx] / n
-            sub = pos[idx].astype(np.int64)
-            old = sub[:, i].copy()
+            held = pos[idx]
             for q in range(n):
-                moved = sub.copy()
-                hit = moved == q
-                hit[:, i] = False
-                rows = hit.any(axis=1)
-                moved[hit] = old[rows]
-                moved[:, i] = q
-                np.add.at(new, self.indexer.encode_many(moved), w)
+                np.add.at(new, self._transposed(held, i, q), w)
         return new
 
     def _step_general(self, probs: np.ndarray, lvec: np.ndarray) -> np.ndarray:
         n, k, count = self.n, self.k, self.indexer.count
-        pos = self._pos0
-        left_on_tracked = lvec[pos].sum(axis=1)
+        left_on_tracked = lvec[self._pos0].sum(axis=1)
         new = probs * (1.0 - left_on_tracked) * ((n - k) / n)
-        left_at = [lvec[pos[:, i]] for i in range(k)]
-        for q in range(n):
-            untracked_q = ~(pos == q).any(axis=1)
-            lq = lvec[q] * untracked_q
-            for i in range(k):
-                w = probs * ((left_at[i] + lq) / n)
-                new += np.bincount(self._target(i, q), weights=w, minlength=count)
+        for weight, i, q in self._moves(lvec):
+            w = probs * weight
+            new += np.bincount(self._target(i, q), weights=w, minlength=count)
         return new
 
     # -- sparse step matrices (for many simultaneous starts) -------------------
@@ -187,23 +182,17 @@ class LumpedEvolver:
         if mat is not None:
             return mat
         n, k, count = self.n, self.k, self.indexer.count
-        pos = self._pos0
         lvec = self.rule.left_distribution(t)
         src = [np.arange(count, dtype=np.int64)]
         dst = [np.arange(count, dtype=np.int64)]
-        val = [(1.0 - lvec[pos].sum(axis=1)) * ((n - k) / n)]
-        left_at = [lvec[pos[:, i]] for i in range(k)]
-        for q in range(n):
-            untracked_q = ~(pos == q).any(axis=1)
-            lq = lvec[q] * untracked_q
-            for i in range(k):
-                w = (left_at[i] + lq) / n
-                keep = np.flatnonzero(w)
-                if keep.size == 0:
-                    continue
-                src.append(keep)
-                dst.append(self._target(i, q)[keep])
-                val.append(w[keep])
+        val = [(1.0 - lvec[self._pos0].sum(axis=1)) * ((n - k) / n)]
+        for w, i, q in self._moves(lvec):
+            keep = np.flatnonzero(w)
+            if keep.size == 0:
+                continue
+            src.append(keep)
+            dst.append(self._target(i, q)[keep])
+            val.append(w[keep])
         mat = sp.coo_matrix(
             (np.concatenate(val), (np.concatenate(dst), np.concatenate(src))),
             shape=(count, count),
@@ -213,16 +202,6 @@ class LumpedEvolver:
 
     def evolve_columns(self, dense: np.ndarray, t: int) -> np.ndarray:
         return self.step_matrix_T(t) @ dense
-
-
-def lumped_step(
-    dist: KTupleDistribution, rule: ShuffleRule, t: int
-) -> KTupleDistribution:
-    """Push a k-tuple distribution through one shuffle step at time t."""
-    if rule.n != dist.indexer.n:
-        raise ParameterError("rule and distribution disagree on deck size")
-    evolver = LumpedEvolver(rule, dist.indexer.k, cap=dist.indexer.cap)
-    return KTupleDistribution(evolver.indexer, evolver.step(dist.probs, t))
 
 
 def single_card_matrix(rule: ShuffleRule, t: int) -> np.ndarray:
@@ -308,7 +287,6 @@ def exact_tv_curve(
     k: int,
     start,
     times,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> TVCurve:
     """Exact TV-to-uniform of the k tracked cards from one start tuple.
 
@@ -316,7 +294,7 @@ def exact_tv_curve(
     ``times`` the (strictly increasing) step counts to record.
     """
     times = _check_times(times)
-    evolver = LumpedEvolver(rule, k, cap=cap)
+    evolver = LumpedEvolver(rule, k)
     values = _values_at(_worst_tv_steps(evolver, [start]), times)
     meta = _curve_metadata(rule, k, evolver, "single-start")
     meta["start"] = list(map(int, start))
@@ -329,7 +307,7 @@ def _curve_metadata(rule, k, evolver, strategy) -> dict:
         "n": rule.n,
         "k": k,
         "states": evolver.indexer.count,
-        "cap": evolver.indexer.cap,
+        "cap": DEFAULT_STATE_CAP,
         "start_strategy": strategy,
     }
 
@@ -465,7 +443,6 @@ def worst_case_curve(
     k: int,
     times,
     start_strategy: str = "auto",
-    cap: int = DEFAULT_STATE_CAP,
     sample: int = 64,
 ) -> TVCurve:
     """Max-over-starts exact TV curve.
@@ -477,7 +454,7 @@ def worst_case_curve(
     on the true worst case (flagged in metadata). See ``resolve_starts``.
     """
     times = _check_times(times)
-    evolver = LumpedEvolver(rule, k, cap=cap)
+    evolver = LumpedEvolver(rule, k)
     starts, strategy = resolve_starts(
         rule, k, evolver.indexer.count, start_strategy, sample
     )
@@ -503,7 +480,6 @@ def partial_mixing_time(
     k: int,
     epsilon: float,
     horizon: int | None = None,
-    cap: int = DEFAULT_STATE_CAP,
     start_strategy: str = "auto",
 ) -> MixingTime:
     """Smallest t with worst-case exact TV below epsilon.
@@ -516,7 +492,7 @@ def partial_mixing_time(
     n = rule.n
     if horizon is None:
         horizon = int(math.ceil(n * (math.log(max(k, 2)) + 4.0 * max(1.0, -math.log(epsilon)))))
-    evolver = LumpedEvolver(rule, k, cap=cap)
+    evolver = LumpedEvolver(rule, k)
     starts, strategy = resolve_starts(rule, k, evolver.indexer.count, start_strategy)
     for t, tv in _worst_tv_steps(evolver, starts):
         if tv < epsilon:
@@ -555,7 +531,6 @@ def cutoff_profile(
     rule: ShuffleRule,
     k: int,
     alphas,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> CutoffProfile:
     """Worst-case TV at times center + alpha*n (rounded down).
 
@@ -581,7 +556,7 @@ def cutoff_profile(
     if (times < 0).any():
         raise ParameterError("center + alpha*n must be non-negative after rounding")
     grid = np.unique(times)
-    curve = worst_case_curve(rule, k, grid, cap=cap)
+    curve = worst_case_curve(rule, k, grid)
     tv_by_t = dict(zip(curve.times.tolist(), curve.values.tolist()))
     values = np.array([tv_by_t[int(t)] for t in times])
     bounds = np.array([bound_fn(a, t) for a, t in zip(alphas, times)])

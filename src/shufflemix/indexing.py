@@ -33,17 +33,16 @@ class KTupleIndexer:
 
     n: int
     k: int
-    cap: int = DEFAULT_STATE_CAP
     count: int = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ParameterError("need 1 <= k <= n")
         self.count = tuple_count(self.n, self.k)
-        if self.count > self.cap:
+        if self.count > DEFAULT_STATE_CAP:
             raise CapExceededError(
                 f"{self.count} ordered {self.k}-tuples on {self.n} positions "
-                f"exceed the state cap {self.cap}"
+                f"exceed the state cap {DEFAULT_STATE_CAP}"
             )
         # Radix place values: digit j ranges over n-j values.
         self._bases = np.array(

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .deck import Permutation, ShuffleKind, ShuffleRule
+from .deck import ShuffleKind, ShuffleRule
 from .errors import CapExceededError, ParameterError
-from .indexing import DEFAULT_STATE_CAP, KTupleIndexer
+from .indexing import KTupleIndexer
 from .rng import DEFAULT_SEED, RandomStream
 
 _TRIAL_BLOCK = 16384
@@ -234,15 +234,19 @@ def _check_positions(values: np.ndarray, what: str, n: int):
         raise ParameterError(f"{what} must lie in 1..{n}")
 
 
-def _start_positions(cards, start, n: int) -> np.ndarray:
+def _start_positions(cards, start, n: int, k: int) -> np.ndarray:
+    """Start positions of the k tracked ``cards`` (default 1..k): ``start``,
+    or the cards' own positions when ``start`` is None."""
+    if cards is None:
+        cards = np.arange(1, k + 1)
     cards = np.asarray(cards, dtype=np.int64)
     if cards.ndim != 1 or cards.size == 0:
         raise ParameterError("cards must be a non-empty 1-d sequence")
+    if cards.size != k:
+        raise ParameterError(f"expected {k} cards, got {cards.size}")
     _check_positions(cards, "cards", n)
     if start is None:
         return cards
-    if isinstance(start, Permutation):
-        start = start.positions_of(cards.tolist())
     pos = np.asarray(start, dtype=np.int64)
     if pos.shape != cards.shape:
         raise ParameterError("start positions must align with cards")
@@ -275,7 +279,6 @@ def mc_tv_plugin(
     t: int,
     samples: int,
     rng=None,
-    cap: int = DEFAULT_STATE_CAP,
     workers: int = 1,
 ) -> MCEstimate:
     """Monte Carlo plug-in estimate of the k-card TV distance to uniform.
@@ -291,18 +294,14 @@ def mc_tv_plugin(
         raise ParameterError(f"t must be non-negative, got {t}")
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples}")
-    if cards is None:
-        cards = np.arange(1, k + 1)
-    if len(cards) != k:
-        raise ParameterError(f"expected {k} cards, got {len(cards)}")
+    start_pos = _start_positions(cards, start, n, k)
     try:
-        indexer = KTupleIndexer(n, k, cap=cap)
+        indexer = KTupleIndexer(n, k)
     except CapExceededError as exc:
         raise CapExceededError(
             f"{exc}; the frequency table is too large, use the "
             "statistic-based lower bound instead"
         ) from None
-    start_pos = _start_positions(cards, start, n)
     stream = _as_stream(rng)
     if samples < 100 * indexer.count:
         warnings.warn(
@@ -434,7 +433,7 @@ def tv_lower_bound_fixed_cards(
 # two-deck couplings for one tracked card
 
 
-def _resolve_start_pair(start_pair, card: int, n: int):
+def _resolve_start_pair(start_pair, n: int):
     if start_pair is None:
         return 1, None
     if len(start_pair) != 2:
@@ -443,9 +442,6 @@ def _resolve_start_pair(start_pair, card: int, n: int):
     for entry in start_pair:
         if entry is None:
             resolved.append(None)
-            continue
-        if isinstance(entry, Permutation):
-            resolved.append(entry.position_of(card))
             continue
         value = int(entry)
         if not 1 <= value <= n:
@@ -484,7 +480,7 @@ def _couple_two_decks(
         horizon = 20 * n
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
-    x0, y0 = _resolve_start_pair(start_pair, card, n)
+    x0, y0 = _resolve_start_pair(start_pair, n)
     stream = _as_stream(rng)
 
     def block(gen, size):
@@ -661,10 +657,8 @@ def couple_k_decks(
         raise ParameterError(f"rule is for n={rule.n}, got n={n}")
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    cards = np.asarray(cards, dtype=np.int64)
-    if cards.size != k:
-        raise ParameterError(f"expected {k} cards, got {cards.size}")
-    start_pos = _start_positions(cards, None, n)
+    # the tracked cards start at their own positions
+    cards = _start_positions(cards, None, n, k)
     if k * k * math.log(max(params.horizon, 2)) >= n:
         warnings.warn(
             f"k^2 log(horizon) = {k * k * math.log(params.horizon):.1f} is not "
@@ -679,7 +673,7 @@ def couple_k_decks(
     horizon = params.horizon
 
     def block(gen, size):
-        S = np.broadcast_to(start_pos.astype(dtype), (size, k + 1, k)).copy()
+        S = np.broadcast_to(cards.astype(dtype), (size, k + 1, k)).copy()
         extra = np.full(size, extra_card, dtype=dtype)
         mismatch = np.full(size, -1, dtype=np.int64)
         sits = np.zeros((size, 4), dtype=np.int64)
@@ -843,11 +837,7 @@ def left_hand_hit_count(
         raise ParameterError(f"t must be at least 1, got {t}")
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    if cards is None:
-        cards = np.arange(1, k + 1)
-    if len(cards) != k:
-        raise ParameterError(f"expected {k} cards, got {len(cards)}")
-    start_pos = _start_positions(cards, None, n)
+    start_pos = _start_positions(cards, None, n, k)
     stream = _as_stream(rng)
 
     def block(gen, size):

@@ -125,6 +125,12 @@ def test_couple_without_mode_prints_usage(tmp_path, capsys):
     "lower-bound --n 10 --k 2 --t -5",
     "couple one-card --n 10 --horizon 0",
     "couple two-hand --n 10 --horizon -2",
+    "exact-tv --n 5 --t-max 0",
+    "worst-tv --n 5 --t-max 0",
+    "cyclic-bound --n 10 --t-max 0",
+    "cyclic-bound --n 10 --t-max -5",
+    "eig-scan --num 0",
+    "eig-scan --num -1",
 ])
 def test_out_of_range_step_counts_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv.split()) == 2
@@ -395,7 +401,9 @@ def test_threads_below_one_is_parameter_error(tmp_path, capsys):
 
 def test_bad_number_list_is_usage_exit_2(tmp_path, capsys):
     for argv in (["exact-tv", "--n", "5", "--times", "1,x"],
-                 ["cutoff", "--n", "5", "--alphas", "0,y"]):
+                 ["cutoff", "--n", "5", "--alphas", "0,y"],
+                 ["exact-tv", "--n", "6", "--times", ","],
+                 ["cutoff", "--n", "5", "--alphas", ","]):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, *argv)
         assert exc.value.code == 2

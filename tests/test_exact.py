@@ -15,11 +15,9 @@ from shufflemix.exact import (
     LumpedEvolver,
     cutoff_profile,
     exact_tv_curve,
-    lumped_step,
     partial_mixing_time,
     single_card_matrix,
     tv_distance,
-    uniform_k_marginal,
     worst_case_curve,
     write_csv,
     write_sidecar,
@@ -39,11 +37,11 @@ def test_tv_distance_basics():
 def test_uniform_is_fixed_point():
     """One lumped step leaves the uniform k-marginal unchanged, all kinds."""
     for kind in ALL_KINDS:
-        rule = make_rule(kind, 6)
+        evolver = LumpedEvolver(make_rule(kind, 6), 2)
+        uniform = np.full(evolver.indexer.count, 1.0 / evolver.indexer.count)
         for t in (1, 2, 5):
-            dist = uniform_k_marginal(6, 2)
-            out = lumped_step(dist, rule, t)
-            assert np.abs(out.probs - dist.probs).max() < 1e-14, (kind, t)
+            out = evolver.step(uniform, t)
+            assert np.abs(out - uniform).max() < 1e-14, (kind, t)
 
 
 def test_lumped_matches_brute_force_spot():
