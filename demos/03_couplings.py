@@ -11,7 +11,6 @@ Three experiments with the uniform-left rule at n = 50:
 import numpy as np
 
 from shufflemix import (
-    KDeckCouplingParams,
     RandomStream,
     ShuffleKind,
     ShuffleRule,
@@ -30,14 +29,14 @@ def main():
     rule = ShuffleRule(kind=ShuffleKind.RANDOM_TO_RANDOM, n=N)
     rng = RandomStream(7)
 
-    one = couple_one_card(rule, N, card=1, trials=TRIALS, rng=rng.substream(0))
+    one = couple_one_card(rule, trials=TRIALS, rng=rng.substream(0))
     print(f"one-card coupling, n = {N}, {TRIALS} trials")
     print("   t   survival   (1-1/n)^t")
     surv = survival_counts(one.designed_times, 3 * N)
     for t in (N // 2, N, 2 * N, 3 * N):
         print(f"{t:4d}   {surv[t] / TRIALS:.4f}     {(1 - 1 / N) ** t:.4f}")
 
-    two = couple_two_hands_random(N, card=1, trials=TRIALS, rng=rng.substream(1))
+    two = couple_two_hands_random(N, trials=TRIALS, rng=rng.substream(1))
     m_one = np.where(one.match_times < 0, one.horizon, one.match_times)
     m_two = np.where(two.match_times < 0, two.horizon, two.match_times)
     print(f"\nmean match time, one mirrored hand: {m_one.mean():.1f}")
@@ -46,8 +45,8 @@ def main():
     big = 200
     big_rule = ShuffleRule(kind=ShuffleKind.RANDOM_TO_RANDOM, n=big)
     kd = couple_k_decks(
-        big_rule, KDeckCouplingParams(n=big, k=2, horizon=10 * big),
-        cards=(1, 2), trials=20_000, rng=rng.substream(2),
+        big_rule, 2, cards=(1, 2), horizon=10 * big, trials=20_000,
+        rng=rng.substream(2),
     )
     fit = fit_mismatch_bound(kd)
     fail = survival_counts(kd.mismatch_times, kd.params.horizon)

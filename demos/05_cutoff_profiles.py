@@ -41,7 +41,7 @@ def main():
             t = int(round(r * n * math.log(k)))
             best = max(
                 tv_lower_bound_fixed_cards(
-                    big, n, k, t=t, c_threshold=c, samples=30_000,
+                    big, k, t=t, c_threshold=c, samples=30_000,
                     rng=RandomStream(40 + k),
                 ).value
                 for c in (1, 2)

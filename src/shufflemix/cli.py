@@ -2,12 +2,11 @@
 
 Every subcommand writes one data file (CSV or JSON) plus a ``.meta.json``
 sidecar echoing the full configuration, the library version, and the wall
-time; Monte Carlo sidecars also record the worker processes the trial blocks
-ran in (``workers``, from --threads). Data files contain no timestamps, so
-identical invocations produce byte-identical data files; only the sidecar
-varies. The seed defaults to
-``DEFAULT_SEED``, can be overridden by the SHUFFLE_MIX_SEED environment
-variable, and an explicit --seed wins over both.
+time. Data files contain no timestamps, so identical invocations produce
+byte-identical data files; only the sidecar varies. The seed is --seed, or
+``DEFAULT_SEED`` when it is not given. Only the six Monte Carlo subcommands
+take --threads; their sidecars also record the worker processes the trial
+blocks ran in (``workers``).
 
 Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
 ``couple-<mode>``); the parser, the config and ``dispatch`` are loops over it.
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -50,7 +48,6 @@ from .exact import (
     write_sidecar,
 )
 from .montecarlo import (
-    KDeckCouplingParams,
     block_workers,
     couple_k_decks,
     couple_one_card,
@@ -66,14 +63,13 @@ from .rng import DEFAULT_SEED, RandomStream
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed, seed-resolved experiment ready for dispatch."""
+    """A parsed experiment ready for dispatch."""
 
     command: str
     params: dict
     seed: int
     out: str
     format: str
-    threads: int = 1
 
     def echo(self) -> dict:
         rec = {
@@ -81,24 +77,9 @@ class ExperimentConfig:
             "seed": self.seed,
             "out": self.out,
             "format": self.format,
-            "threads": self.threads,
         }
         rec.update(self.params)
         return rec
-
-
-def _resolve_seed(explicit) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("SHUFFLE_MIX_SEED")
-    if env is not None and env != "":
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(
-                f"SHUFFLE_MIX_SEED must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_SEED
 
 
 def _number_list(text: str, kind, what: str) -> list:
@@ -192,36 +173,35 @@ def _estimate_record(est, fitted=None) -> dict:
 
 
 def _mc_options(config) -> dict:
-    return {"rng": RandomStream(config.seed), "workers": config.threads}
+    return {"rng": RandomStream(config.seed), "workers": config.params["threads"]}
 
 
 def _workers_used(config, trials: int) -> dict:
     """The sidecar's record of the worker processes the trials ran in."""
-    return {"workers": block_workers(config.threads, trials)}
+    return {"workers": block_workers(config.params["threads"], trials)}
 
 
 def _run_mc_tv(params, config):
-    rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
+    rule, k, t = _rule_from(params), params["k"], params["t"]
     samples = params["samples"]
-    est = mc_tv_plugin(rule, n, k, None, None, t, samples, **_mc_options(config))
+    est = mc_tv_plugin(rule, k, t, samples, **_mc_options(config))
     summary = f"mc-tv: {est.value:.6g} +- {est.std_error:.2g}"
     return _estimate_record(est), _workers_used(config, samples), summary
 
 
 def _run_lower_bound(params, config):
-    rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
+    rule, k, t = _rule_from(params), params["k"], params["t"]
     threshold, samples = params["threshold"], params["samples"]
-    est = tv_lower_bound_fixed_cards(
-        rule, n, k, t, threshold, samples, **_mc_options(config)
-    )
+    options = _mc_options(config)
+    est = tv_lower_bound_fixed_cards(rule, k, t, threshold, samples, **options)
     extras = _workers_used(config, samples)
     return _estimate_record(est), extras, f"lower-bound: {est.value:.6g}"
 
 
 def _run_hits(params, config):
-    rule, n, k, t = _rule_from(params), params["n"], params["k"], params["t"]
+    rule, k, t = _rule_from(params), params["k"], params["t"]
     trials = params["trials"]
-    est = left_hand_hit_count(rule, n, k, None, t, trials, **_mc_options(config))
+    est = left_hand_hit_count(rule, k, t, trials, **_mc_options(config))
     details = est.details
     fitted = {"constant": details["fit_constant"], "shape": details["fit_shape"]}
     summary = f"hits: mean {est.value:.4g}, constant {fitted['constant']:.4g}"
@@ -256,27 +236,26 @@ def _one_card_output(config, result):
 
 def _run_couple_one_card(params, config):
     rule, options = _rule_from(params), _couple_options(params, config)
-    result = couple_one_card(rule, params["n"], params["card"], **options)
+    result = couple_one_card(rule, **options)
     return _one_card_output(config, result)
 
 
 def _run_couple_two_hand(params, config):
     options = _couple_options(params, config)
-    result = couple_two_hands_random(params["n"], params["card"], **options)
+    result = couple_two_hands_random(params["n"], **options)
     return _one_card_output(config, result)
 
 
 def _run_couple_k_deck(params, config):
-    kd = KDeckCouplingParams(n=params["n"], k=params["k"], horizon=params["horizon"])
-    rule, cards = _rule_from(params), list(range(1, kd.k + 1))
-    result = couple_k_decks(rule, kd, cards, params["trials"], **_mc_options(config))
+    rule, options = _rule_from(params), _couple_options(params, config)
+    result = couple_k_decks(rule, params["k"], **options)
     fit = fit_mismatch_bound(result)
     extras = {
         "details": dict(result.details),
         "fitted_constants": {"constant": fit.constant, "shape": fit.shape},
         "situation_totals": result.situation_counts.sum(axis=0).tolist(),
     }
-    return _couple_output(config, result.mismatch_times, kd.horizon, extras)
+    return _couple_output(config, result.mismatch_times, result.params.horizon, extras)
 
 
 def _run_tau_hat(params, config):
@@ -345,17 +324,16 @@ _RULE_FLAGS = (
 _N = _opt("--n", int, required=True, help="deck size")
 _K = _opt("--k", int, 1, help="tracked cards")
 _PLUMBING_FLAGS = (
-    _opt("--seed", int),
+    _opt("--seed", int, DEFAULT_SEED),
     _opt("--out", help="output data file path"),
-    _opt("--threads", int, 1,
-         help="Monte Carlo worker processes, at least 1 (capped at the CPUs and "
-              "trial blocks); results are worker-count independent"),
 )
+_THREADS = _opt("--threads", int, 1,
+                help="worker processes for the trial blocks, at least 1 (capped at "
+                     "the CPUs and blocks); results are worker-count independent")
 _T_MAX, _TIMES = _opt("--t-max", int), _opt("--times", _int_list)
 _T, _HORIZON = _opt("--t", int, required=True), _opt("--horizon", int)
 _TRIALS, _SAMPLES = _opt("--trials", int, 100_000), _opt("--samples", int, 100_000)
-_CARD, _C = _opt("--card", int, 1), _opt("--c", float, 1.0)
-_XI = _opt("--xi", float, 0.0)
+_C, _XI = _opt("--c", float, 1.0), _opt("--xi", float, 0.0)
 _STRATEGY = _opt("--strategy", None, "auto",
                  choices=("auto", "canonical", "exhaustive", "sampled"))
 _FIT = ("--fit", {"action": "store_true",
@@ -402,20 +380,21 @@ COMMAND_TABLE = {
     "cutoff": Command("worst-case TV at n log k + alpha n", _run_cutoff,
                       (_opt("--alphas", _float_list),)),
     "mc-tv": Command("plug-in Monte Carlo TV estimate", _run_mc_tv,
-                     (_T, _SAMPLES), _JSON),
+                     (_T, _SAMPLES, _THREADS), _JSON),
     "lower-bound": Command("TV lower bound from the never-touched statistic",
                            _run_lower_bound,
-                           (_T, _opt("--threshold", int, 1), _SAMPLES), _JSON),
+                           (_T, _opt("--threshold", int, 1), _SAMPLES, _THREADS),
+                           _JSON),
     "couple-one-card": Command("one tracked card, right hand mirrored",
-                               _run_couple_one_card, (_CARD, _HORIZON, _TRIALS),
+                               _run_couple_one_card, (_HORIZON, _TRIALS, _THREADS),
                                k=False),
     "couple-two-hand": Command("one tracked card, both hands mirrored (random rule)",
-                               _run_couple_two_hand, (_CARD, _HORIZON, _TRIALS),
+                               _run_couple_two_hand, (_HORIZON, _TRIALS, _THREADS),
                                rule=False, k=False),
     "couple-k-deck": Command("(k+1)-deck coupling of k tracked cards",
-                             _run_couple_k_deck, (_HORIZON, _TRIALS)),
+                             _run_couple_k_deck, (_HORIZON, _TRIALS, _THREADS)),
     "hits": Command("left-hand hit count on tracked cards", _run_hits,
-                    (_T, _TRIALS), _JSON),
+                    (_T, _TRIALS, _THREADS), _JSON),
     "tau-hat": Command("moments of the touch waiting time", _run_tau_hat,
                        (), _JSON, rule=False, k=False),
     "p0": Command("gap-closing probability recursion", _run_p0,
@@ -461,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    seed = _resolve_seed(args.seed)
-    if args.threads < 1:
-        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
-    skip = {"command", "seed", "out", "format", "threads"}
+    threads = getattr(args, "threads", 1)
+    if threads < 1:
+        raise ParameterError(f"--threads must be at least 1, got {threads}")
+    skip = {"command", "seed", "out", "format"}
     params = {key: v for key, v in sorted(vars(args).items()) if key not in skip}
     command = args.command
     if command == "couple":
@@ -472,10 +451,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         command=command,
         params=params,
-        seed=seed,
+        seed=args.seed,
         out=args.out or f"{command}.{args.format}",
         format=args.format,
-        threads=args.threads,
     )
 
 

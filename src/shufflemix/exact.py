@@ -492,6 +492,8 @@ def partial_mixing_time(
     n = rule.n
     if horizon is None:
         horizon = int(math.ceil(n * (math.log(max(k, 2)) + 4.0 * max(1.0, -math.log(epsilon)))))
+    if horizon < 0:
+        raise ParameterError(f"horizon must be non-negative, got {horizon}")
     evolver = LumpedEvolver(rule, k)
     starts, strategy = resolve_starts(rule, k, evolver.indexer.count, start_strategy)
     for t, tv in _worst_tv_steps(evolver, starts):

@@ -9,6 +9,9 @@ trials are processed in fixed blocks of ``_TRIAL_BLOCK``, block b using
 step (``_hand_schedule``: left hand first, then right hand; the k-deck
 coupling draws its own hands after the left one).
 
+Every driver reads n from its ``ShuffleRule``, and names the k tracked cards
+by the positions they start at (``cards``, default 1..k).
+
 Each estimator and coupling runs one block function per block through
 ``_map_blocks``, which returns every block's tallies in block order for the
 caller to sum. With ``workers`` above 1 the blocks run in forked worker
@@ -227,16 +230,9 @@ def _swap_positions(pos: np.ndarray, left, right) -> np.ndarray:
     return np.where(pos == l, r, np.where(pos == r, l, pos))
 
 
-def _check_positions(values: np.ndarray, what: str, n: int):
-    if np.unique(values).size != values.size:
-        raise ParameterError(f"{what} must be distinct")
-    if values.min() < 1 or values.max() > n:
-        raise ParameterError(f"{what} must lie in 1..{n}")
-
-
-def _start_positions(cards, start, n: int, k: int) -> np.ndarray:
-    """Start positions of the k tracked ``cards`` (default 1..k): ``start``,
-    or the cards' own positions when ``start`` is None."""
+def _start_positions(cards, n: int, k: int) -> np.ndarray:
+    """The positions the k tracked cards start at: ``cards``, or 1..k when
+    ``cards`` is None."""
     if cards is None:
         cards = np.arange(1, k + 1)
     cards = np.asarray(cards, dtype=np.int64)
@@ -244,14 +240,11 @@ def _start_positions(cards, start, n: int, k: int) -> np.ndarray:
         raise ParameterError("cards must be a non-empty 1-d sequence")
     if cards.size != k:
         raise ParameterError(f"expected {k} cards, got {cards.size}")
-    _check_positions(cards, "cards", n)
-    if start is None:
-        return cards
-    pos = np.asarray(start, dtype=np.int64)
-    if pos.shape != cards.shape:
-        raise ParameterError("start positions must align with cards")
-    _check_positions(pos, "start positions", n)
-    return pos
+    if np.unique(cards).size != k:
+        raise ParameterError("cards must be distinct")
+    if cards.min() < 1 or cards.max() > n:
+        raise ParameterError(f"cards must lie in 1..{n}")
+    return cards
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +265,27 @@ def plugin_tv_from_counts(counts: np.ndarray, samples: int):
 
 def mc_tv_plugin(
     rule: ShuffleRule,
-    n: int,
     k: int,
-    cards,
-    start,
     t: int,
     samples: int,
+    cards=None,
     rng=None,
     workers: int = 1,
 ) -> MCEstimate:
     """Monte Carlo plug-in estimate of the k-card TV distance to uniform.
 
-    Simulates ``samples`` independent trajectories of the tracked cards'
-    positions for t steps, tabulates the final k-tuples, and returns
+    Simulates ``samples`` independent trajectories of the positions of k
+    tracked cards, started at ``cards`` (default 1..k), for t steps of
+    ``rule``, tabulates the final k-tuples, and returns
     (1/2) sum_s |f_s/M - 1/N|. The estimator is biased upward by roughly
     sqrt(N/(2 pi M)); the bias is reported, not corrected.
     """
-    if rule.n != n:
-        raise ParameterError(f"rule is for n={rule.n}, got n={n}")
+    n = rule.n
     if t < 0:
         raise ParameterError(f"t must be non-negative, got {t}")
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples}")
-    start_pos = _start_positions(cards, start, n, k)
+    start_pos = _start_positions(cards, n, k)
     try:
         indexer = KTupleIndexer(n, k)
     except CapExceededError as exc:
@@ -359,7 +350,6 @@ def uniform_fixed_point_tail(n: int, k: int, threshold: int) -> float:
 
 def tv_lower_bound_fixed_cards(
     rule: ShuffleRule,
-    n: int,
     k: int,
     t: int,
     c_threshold: int,
@@ -375,8 +365,7 @@ def tv_lower_bound_fixed_cards(
     fixed}). The bound is |Phat(X_t > C) - P_uniform(fixed count > C)|,
     the uniform tail computed exactly.
     """
-    if rule.n != n:
-        raise ParameterError(f"rule is for n={rule.n}, got n={n}")
+    n = rule.n
     if t < 0:
         raise ParameterError(f"t must be non-negative, got {t}")
     if c_threshold < 1:
@@ -434,22 +423,16 @@ def tv_lower_bound_fixed_cards(
 
 
 def _resolve_start_pair(start_pair, n: int):
+    """The card's start in deck one (default 1) and in deck two (None: uniform)."""
     if start_pair is None:
         return 1, None
-    if len(start_pair) != 2:
-        raise ParameterError("start_pair must have two entries")
-    resolved = []
-    for entry in start_pair:
-        if entry is None:
-            resolved.append(None)
-            continue
-        value = int(entry)
-        if not 1 <= value <= n:
+    if len(start_pair) != 2 or start_pair[0] is None:
+        raise ParameterError("start_pair must be (deck one's start, deck two's)")
+    x0, y0 = (None if entry is None else int(entry) for entry in start_pair)
+    for value in (x0, y0):
+        if value is not None and not 1 <= value <= n:
             raise ParameterError(f"start position {value} outside 1..{n}")
-        resolved.append(value)
-    if resolved[0] is None:
-        raise ParameterError("the first deck's start position must be given")
-    return resolved[0], resolved[1]
+    return x0, y0
 
 
 def _mirror(hand, x, y):
@@ -457,9 +440,7 @@ def _mirror(hand, x, y):
     return np.where(hand == x, y, np.where(hand == y, x, hand))
 
 
-def _couple_two_decks(
-    kind, rule, n, card, start_pair, horizon, trials, rng, workers, mirror
-):
+def _couple_two_decks(kind, rule, start_pair, horizon, trials, rng, workers, mirror):
     """Run a two-deck coupling of one tracked card under ``rule``.
 
     ``xy`` holds the card's position in deck one (column 0) and deck two
@@ -470,10 +451,7 @@ def _couple_two_decks(
     per-trial hands whose positions are tallied. Returns the result with the
     details both constructions share, and the (2, n) tally of those hands.
     """
-    if rule.n != n:
-        raise ParameterError(f"rule is for n={rule.n}, got n={n}")
-    if not 1 <= card <= n:
-        raise ParameterError(f"card must lie in 1..{n}, got {card}")
+    n = rule.n
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
     if horizon is None:
@@ -506,7 +484,6 @@ def _couple_two_decks(
     details = {
         "censored_match": int(np.count_nonzero(match < 0)),
         "start_pair": (x0, y0),
-        "card": card,
     }
     designed = None if designed_all[0] is None else np.concatenate(designed_all)
     result = CouplingResult(
@@ -525,8 +502,6 @@ def _couple_two_decks(
 
 def couple_one_card(
     rule: ShuffleRule,
-    n: int,
-    card: int,
     start_pair=None,
     horizon: int | None = None,
     trials: int = 100_000,
@@ -551,7 +526,7 @@ def couple_one_card(
         return left, rights, right == xy[:, 1], (r_one, right)
 
     result, hist = _couple_two_decks(
-        "one-card", rule, n, card, start_pair, horizon, trials, rng, workers, mirror
+        "one-card", rule, start_pair, horizon, trials, rng, workers, mirror
     )
     result.details.update(
         right_hist_deck_one=hist[0],
@@ -565,7 +540,6 @@ def couple_one_card(
 
 def couple_two_hands_random(
     n: int,
-    card: int,
     start_pair=None,
     horizon: int | None = None,
     trials: int = 100_000,
@@ -589,7 +563,7 @@ def couple_two_hands_random(
                 np.stack([right, m_right], axis=1), None, (m_left, m_right))
 
     result, hist = _couple_two_decks(
-        "two-hand", rule, n, card, start_pair, horizon, trials, rng, workers, mirror
+        "two-hand", rule, start_pair, horizon, trials, rng, workers, mirror
     )
     result.details.update(
         chisq_p_mirrored_left=float(stats.chisquare(hist[0]).pvalue),
@@ -628,9 +602,10 @@ def _crossed_risk(S: np.ndarray, R: np.ndarray, idx: np.ndarray, own: np.ndarray
 
 def couple_k_decks(
     rule: ShuffleRule,
-    params: KDeckCouplingParams,
-    cards,
+    k: int,
     trials: int,
+    cards=None,
+    horizon: int | None = None,
     rng=None,
     diagnostic: bool = False,
     workers: int = 1,
@@ -651,17 +626,18 @@ def couple_k_decks(
     In the default mode broken trials are dropped from the simulated set
     and consume no further draws, so the draw stream depends on the
     mismatch history; it is still a pure function of seed and parameters.
+
+    ``k`` and ``horizon`` (default 20 n) make the result's ``params``.
     """
-    n, k = params.n, params.k
-    if rule.n != n:
-        raise ParameterError(f"rule is for n={rule.n}, got n={n}")
+    n = rule.n
+    params = KDeckCouplingParams(n, k, horizon)
+    horizon = params.horizon
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    # the tracked cards start at their own positions
-    cards = _start_positions(cards, None, n, k)
-    if k * k * math.log(max(params.horizon, 2)) >= n:
+    cards = _start_positions(cards, n, k)
+    if k * k * math.log(max(horizon, 2)) >= n:
         warnings.warn(
-            f"k^2 log(horizon) = {k * k * math.log(params.horizon):.1f} is not "
+            f"k^2 log(horizon) = {k * k * math.log(horizon):.1f} is not "
             f"small against n={n}; the mismatch bound will be weak",
             stacklevel=2,
         )
@@ -670,7 +646,6 @@ def couple_k_decks(
     # the tracked non-special card for the uniformity spot-check
     extra_card = next(c for c in range(1, n + 1) if c not in set(cards.tolist()))
     stream = _as_stream(rng)
-    horizon = params.horizon
 
     def block(gen, size):
         S = np.broadcast_to(cards.astype(dtype), (size, k + 1, k)).copy()
@@ -821,23 +796,22 @@ def fit_mismatch_bound(result: KDeckCouplingResult, times=None) -> BoundFit:
 
 def left_hand_hit_count(
     rule: ShuffleRule,
-    n: int,
     k: int,
-    cards,
     t: int,
     trials: int,
+    cards=None,
     rng=None,
     workers: int = 1,
 ) -> MCEstimate:
-    """Mean number of times the left hand lands on a tracked card by t,
-    with the implied constant against the envelope k (t/n + log t)."""
-    if rule.n != n:
-        raise ParameterError(f"rule is for n={rule.n}, got n={n}")
+    """Mean number of times the left hand lands on one of k tracked cards,
+    started at ``cards`` (default 1..k), by t, with the implied constant
+    against the envelope k (t/n + log t)."""
+    n = rule.n
     if t < 1:
         raise ParameterError(f"t must be at least 1, got {t}")
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    start_pos = _start_positions(cards, None, n, k)
+    start_pos = _start_positions(cards, n, k)
     stream = _as_stream(rng)
 
     def block(gen, size):

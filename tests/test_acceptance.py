@@ -21,7 +21,6 @@ from shufflemix.exact import (
     worst_case_curve,
 )
 from shufflemix.montecarlo import (
-    KDeckCouplingParams,
     couple_k_decks,
     couple_one_card,
     fit_mismatch_bound,
@@ -142,13 +141,12 @@ def test_criterion_07_tau_hat_oracle():
 
 def test_criterion_08_coupling_marginal_integrity():
     n, trials = 30, 100_000
-    one = couple_one_card(make_rule("random", n), n, card=1, trials=trials,
-                          rng=RandomStream(101))
+    one = couple_one_card(make_rule("random", n), trials=trials, rng=RandomStream(101))
     with pytest.warns(UserWarning, match="not small"):
         # k^2 log(horizon) ~ 2n here; only marginal integrity is under test
         kd = couple_k_decks(
-            make_rule("random", n), KDeckCouplingParams(n=n, k=3),
-            cards=(1, 2, 3), trials=trials, rng=RandomStream(102),
+            make_rule("random", n), 3, cards=(1, 2, 3), trials=trials,
+            rng=RandomStream(102),
         )
     p_vals = (
         one.details["chisq_p_deck_one"],
@@ -172,8 +170,8 @@ def test_criterion_09_mismatch_bound_fit():
     times = [200, 1000, 5000]
     started = time.perf_counter()
     res = couple_k_decks(
-        make_rule("random", n), KDeckCouplingParams(n=n, k=k, horizon=5000),
-        cards=(1, 2, 3), trials=trials, rng=RandomStream(103),
+        make_rule("random", n), k, cards=(1, 2, 3), horizon=5000, trials=trials,
+        rng=RandomStream(103),
     )
     fit = fit_mismatch_bound(res, times=times)
     elapsed = time.perf_counter() - started
@@ -188,7 +186,7 @@ def test_criterion_09_mismatch_bound_fit():
 def test_criterion_10_coupon_collector_moments():
     n, k, t, trials = 100, 10, 200, 100_000
     est = tv_lower_bound_fixed_cards(
-        make_rule("top", n), n, k, t=t, c_threshold=2, samples=trials,
+        make_rule("top", n), k, t=t, c_threshold=2, samples=trials,
         rng=RandomStream(104),
     )
     mean, var = est.details["mean_statistic"], est.details["var_statistic"]
@@ -242,7 +240,7 @@ def test_criterion_13_mc_agrees_with_exact():
     rows = []
     ok = True
     for t in (5, 20):
-        est = mc_tv_plugin(rule, n, k, None, None, t, samples, rng=RandomStream(105 + t))
+        est = mc_tv_plugin(rule, k, t, samples, rng=RandomStream(105 + t))
         gap = abs(est.value - exact.value_at(t))
         tol = 3.0 * est.std_error + 0.02
         ok = ok and gap <= tol
@@ -263,8 +261,11 @@ def test_criterion_14_cli_determinism(tmp_path, monkeypatch, capsys):
     rows = []
     for i, cmd in enumerate(commands):
         a, b = tmp_path / f"a{i}.dat", tmp_path / f"b{i}.dat"
-        assert cli_main([*cmd, "--seed", "7", "--threads", "1", "--out", str(a)]) == 0
-        assert cli_main([*cmd, "--seed", "7", "--threads", "8", "--out", str(b)]) == 0
+        # exact-tv runs no trials, so it takes no --threads
+        threaded = cmd[0] != "exact-tv"
+        for out, threads in ((a, "1"), (b, "8")):
+            extra = ["--threads", threads] if threaded else []
+            assert cli_main([*cmd, "--seed", "7", *extra, "--out", str(out)]) == 0
         same = a.read_bytes() == b.read_bytes()
         ok = ok and same
         rows.append(f"{cmd[0]}: {'identical' if same else 'DIFFER'}")
@@ -287,7 +288,7 @@ def test_cutoff_sharpening_report():
             best = 0.0
             for c in (1, 2):
                 est = tv_lower_bound_fixed_cards(
-                    rule, n, k, t=t, c_threshold=c, samples=30_000,
+                    rule, k, t=t, c_threshold=c, samples=30_000,
                     rng=RandomStream(200 + k),
                 )
                 assert 0.0 <= est.value <= 1.0

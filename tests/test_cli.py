@@ -34,7 +34,6 @@ def run(tmp_path, *argv):
 @pytest.fixture(autouse=True)
 def _isolate(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SHUFFLE_MIX_SEED", raising=False)
 
 
 def read_csv(path):
@@ -131,6 +130,7 @@ def test_couple_without_mode_prints_usage(tmp_path, capsys):
     "cyclic-bound --n 10 --t-max -5",
     "eig-scan --num 0",
     "eig-scan --num -1",
+    "mix-time --n 6 --k 2 --horizon -5",
 ])
 def test_out_of_range_step_counts_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv.split()) == 2
@@ -201,7 +201,7 @@ def test_tau_hat_record(tmp_path):
 
 def test_p0_record_scrubs_plumbing(tmp_path):
     assert run(tmp_path, "p0", "--n", "1000", "--epsilon", "0.442",
-               "--threads", "3", "--out", "p0.json") == 0
+               "--out", "p0.json") == 0
     rec = json.loads((tmp_path / "p0.json").read_text())
     assert abs(rec["p0"] - rec["p0_closed_form"]) < 5.0 / 1000
     assert rec["m"] == 442
@@ -298,10 +298,12 @@ def test_mass_drift_is_exit_3(tmp_path, monkeypatch, capsys):
 
 def test_hits_record(tmp_path):
     assert run(tmp_path, "hits", "--rule", "cyclic", "--n", "50", "--k", "2",
-               "--t", "200", "--trials", "2000", "--out", "h.json") == 0
+               "--t", "200", "--trials", "2000", "--threads", "3",
+               "--out", "h.json") == 0
     rec = json.loads((tmp_path / "h.json").read_text())
     assert rec["estimate"] > 0.0
     assert rec["fitted_constants"]["constant"] > 0.0
+    assert "threads" not in rec["params"] and "out" not in rec["params"]
 
 
 # every Monte Carlo subcommand at 20,000 trials: two blocks of trials
@@ -323,7 +325,7 @@ _MC_TWO_BLOCKS = (
 def test_data_files_identical_across_threads(tmp_path):
     """The worker count never touches the data file, only the sidecar."""
     two_blocks = min(2, len(os.sched_getaffinity(0)))
-    for cmd in (*_MC_TWO_BLOCKS, ["p0", "--n", "500"]):
+    for cmd in _MC_TWO_BLOCKS:
         a = tmp_path / "a.out"
         b = tmp_path / "b.out"
         assert run(tmp_path, *cmd, "--seed", "5", "--threads", "1", "--out", a) == 0
@@ -333,10 +335,7 @@ def test_data_files_identical_across_threads(tmp_path):
         meta_b = json.loads((tmp_path / "b.out.meta.json").read_text())
         assert meta_a["config"]["threads"] == 1
         assert meta_b["config"]["threads"] == 7
-        if cmd[0] != "p0":
-            assert (meta_a["workers"], meta_b["workers"]) == (1, two_blocks), cmd
-        else:
-            assert "workers" not in meta_b
+        assert (meta_a["workers"], meta_b["workers"]) == (1, two_blocks), cmd
 
 
 def test_huge_threads_clamped_to_cpus(tmp_path):
@@ -359,16 +358,11 @@ def test_same_seed_same_bytes_different_seed_differs(tmp_path):
     assert s1 != (tmp_path / "s2.json").read_text()
 
 
-def test_seed_environment_and_flag_precedence(tmp_path, monkeypatch):
+def test_seed_flag_sets_the_seed(tmp_path):
     base = ["mc-tv", "--rule", "top", "--n", "8", "--k", "1", "--t", "3",
             "--samples", "2000"]
-    monkeypatch.setenv("SHUFFLE_MIX_SEED", "99")
-    run(tmp_path, *base, "--out", "env.json")
-    assert json.loads((tmp_path / "env.json").read_text())["seed"] == 99
     run(tmp_path, *base, "--seed", "123", "--out", "flag.json")
     assert json.loads((tmp_path / "flag.json").read_text())["seed"] == 123
-    monkeypatch.setenv("SHUFFLE_MIX_SEED", "not-a-number")
-    assert run(tmp_path, *base, "--out", "bad.json") == 2
 
 
 def test_default_output_name_follows_command(tmp_path):
@@ -384,9 +378,9 @@ def test_default_output_name_follows_command(tmp_path):
 def test_config_echo_roundtrip(tmp_path):
     parser = build_parser()
     cfg = config_from_args(parser.parse_args(
-        ["exact-tv", "--n", "9", "--k", "2", "--seed", "4", "--threads", "2"]))
+        ["hits", "--n", "9", "--k", "2", "--t", "5", "--seed", "4", "--threads", "2"]))
     echo = cfg.echo()
-    assert echo["command"] == "exact-tv"
+    assert echo["command"] == "hits"
     assert echo["seed"] == 4
     assert echo["threads"] == 2
     assert echo["n"] == 9 and echo["k"] == 2
@@ -394,9 +388,9 @@ def test_config_echo_roundtrip(tmp_path):
 
 def test_threads_below_one_is_parameter_error(tmp_path, capsys):
     for threads in ("0", "-2"):
-        assert run(tmp_path, "exact-tv", "--n", "6", "--threads", threads) == 2
+        assert run(tmp_path, "mc-tv", "--n", "6", "--t", "3", "--threads", threads) == 2
         assert "--threads must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "exact-tv.csv").exists()
+    assert not (tmp_path / "mc-tv.json").exists()
 
 
 def test_bad_number_list_is_usage_exit_2(tmp_path, capsys):
@@ -457,25 +451,48 @@ def test_every_format_choice_writes_that_format(tmp_path):
 
 # flags each couple mode ignored before it stopped offering them
 IGNORED_COUPLE_FLAGS = {
-    "one-card": (("--k", "2"),),
-    "two-hand": (("--rule", "top"), ("--phase", "1"), ("--k", "4")),
+    "one-card": (("--k", "2"), ("--card", "2")),
+    "two-hand": (("--rule", "top"), ("--phase", "1"), ("--k", "4"), ("--card", "2")),
     "k-deck": (("--card", "2"),),
 }
+# the subcommands that run no trials, and so ignored --threads
+NO_TRIALS = ("exact-tv", "worst-tv", "mix-time", "cutoff", "tau-hat", "p0",
+             "eig-scan", "eig-opt", "cyclic-bound", "cyclic-mix")
+
+
+def _offers_only_the_flags_it_reads(tmp_path, capsys, name, base, ignored):
+    """Each ignored flag is a usage error, and absent from the sidecar."""
+    for flag, value in ignored:
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *base, flag, value)
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(tmp_path, *base, "--out", "c.out") == 0
+    config = json.loads((tmp_path / "c.out.meta.json").read_text())["config"]
+    offered = {flag for flag, _ in COMMAND_TABLE[name].arguments()}
+    for flag, _ in ignored:
+        assert flag not in offered and flag[2:] not in config
 
 
 @pytest.mark.parametrize("mode", COUPLE_MODES)
 def test_couple_mode_offers_only_the_flags_it_reads(tmp_path, capsys, mode):
     base = ["couple", mode, "--n", "8", "--trials", "100", "--horizon", "5"]
-    for flag, value in IGNORED_COUPLE_FLAGS[mode]:
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, *base, flag, value)
-        assert exc.value.code == 2, flag
-        assert "unrecognized arguments" in capsys.readouterr().err
-    assert run(tmp_path, *base, "--out", "c.csv") == 0
-    config = json.loads((tmp_path / "c.csv.meta.json").read_text())["config"]
-    offered = {flag for flag, _ in COMMAND_TABLE[f"couple-{mode}"].arguments()}
-    for flag, _ in IGNORED_COUPLE_FLAGS[mode]:
-        assert flag not in offered and flag[2:] not in config
+    _offers_only_the_flags_it_reads(
+        tmp_path, capsys, f"couple-{mode}", base, IGNORED_COUPLE_FLAGS[mode]
+    )
+
+
+def test_threads_offered_by_the_six_monte_carlo_subcommands():
+    threaded = {name for name, spec in COMMAND_TABLE.items()
+                if "--threads" in dict(spec.arguments())}
+    assert len(threaded) == 6
+    assert threaded == set(COMMAND_TABLE) - set(NO_TRIALS)
+
+
+@pytest.mark.parametrize("name", NO_TRIALS)
+def test_threads_only_where_trials_run(tmp_path, capsys, name):
+    base = [*words(name), *TOY[name].split()]
+    _offers_only_the_flags_it_reads(tmp_path, capsys, name, base, (("--threads", "2"),))
 
 
 def _value(flag, kwargs):

@@ -40,9 +40,9 @@ CASES = (
     ("mc-tv", "mc-tv --rule random --n 6 --k 2 --t 8 --samples 2000", "mc-tv.json"),
     ("lower-bound", "lower-bound --rule top --n 10 --k 3 --t 10 --threshold 2 "
      "--samples 2000", "lower-bound.json"),
-    ("couple-one-card", "couple one-card --rule cyclic --n 10 --card 3 --trials 1000 "
-     "--horizon 30", "couple-one-card.csv"),
-    ("couple-two-hand", "couple two-hand --n 10 --card 2 --trials 1000 --horizon 30",
+    ("couple-one-card", "couple one-card --rule cyclic --n 10 --trials 1000 --horizon 30",
+     "couple-one-card.csv"),
+    ("couple-two-hand", "couple two-hand --n 10 --trials 1000 --horizon 30",
      "couple-two-hand.csv"),
     ("couple-k-deck", "couple k-deck --rule random --n 12 --k 2 --trials 1000 "
      "--horizon 30", "couple-k-deck.csv"),
@@ -93,13 +93,11 @@ def test_golden_cases_all_present():
 
 
 @pytest.mark.parametrize("name, argv, data_file", CASES, ids=[c[0] for c in CASES])
-def test_golden_cli_case(monkeypatch, name, argv, data_file):
-    monkeypatch.delenv("SHUFFLE_MIX_SEED", raising=False)
+def test_golden_cli_case(name, argv, data_file):
     assert run_case(argv, data_file) == json.loads(GOLDEN.read_text())[name]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_cli.py --write")
-    os.environ.pop("SHUFFLE_MIX_SEED", None)
     GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")

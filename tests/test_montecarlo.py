@@ -124,7 +124,7 @@ def test_plugin_tv_on_uniform_counts():
 
 def test_mc_tv_plugin_matches_exact():
     rule = make_rule("top", 10)
-    est = mc_tv_plugin(rule, 10, 1, (1,), (1,), t=5, samples=200_000, rng=RandomStream(7))
+    est = mc_tv_plugin(rule, 1, t=5, samples=200_000, cards=(1,), rng=RandomStream(7))
     exact = exact_tv_curve(rule, 1, (1,), times=[5]).values[0]
     assert abs(est.value - exact) <= 3.0 * est.std_error + est.details["bias_estimate"]
 
@@ -133,7 +133,7 @@ def test_mc_tv_plugin_at_zero_steps():
     # a point mass puts everything in one cell: TV is exactly 1 - 1/N
     rule = make_rule("top", 10)
     with pytest.warns(UserWarning):
-        est = mc_tv_plugin(rule, 10, 2, (1, 2), (1, 2), t=0, samples=1000, rng=RandomStream(7))
+        est = mc_tv_plugin(rule, 2, t=0, samples=1000, cards=(1, 2), rng=RandomStream(7))
     assert est.value == pytest.approx(1.0 - 1.0 / 90, abs=1e-12)
     assert est.std_error == 0.0
     assert est.details["undersampled"]
@@ -142,20 +142,20 @@ def test_mc_tv_plugin_at_zero_steps():
 def test_mc_tv_plugin_cap_redirects():
     rule = make_rule("random", 100)
     with pytest.raises(CapExceededError, match="lower bound"):
-        mc_tv_plugin(rule, 100, 5, None, None, t=1, samples=10, rng=RandomStream(0))
+        mc_tv_plugin(rule, 5, t=1, samples=10, rng=RandomStream(0))
 
 
 def test_mc_tv_plugin_rejects_bad_start_positions():
     rule = make_rule("top", 6)
-    for start in ((0, 9), (1, 1), (2, 7)):
-        with pytest.raises(ParameterError, match="start positions"):
-            mc_tv_plugin(rule, 6, 2, (1, 2), start, t=3, samples=100, rng=RandomStream(0))
+    for cards in ((0, 9), (1, 1), (2, 7), (1, 2, 3)):
+        with pytest.raises(ParameterError, match="cards"):
+            mc_tv_plugin(rule, 2, t=3, samples=100, cards=cards, rng=RandomStream(0))
 
 
 def test_mc_tv_plugin_replay():
     rule = make_rule("cyclic", 12)
-    a = mc_tv_plugin(rule, 12, 2, None, None, t=8, samples=30_000, rng=RandomStream(42))
-    b = mc_tv_plugin(rule, 12, 2, None, None, t=8, samples=30_000, rng=RandomStream(42))
+    a = mc_tv_plugin(rule, 2, t=8, samples=30_000, rng=RandomStream(42))
+    b = mc_tv_plugin(rule, 2, t=8, samples=30_000, rng=RandomStream(42))
     assert a.value == b.value
 
 
@@ -177,7 +177,7 @@ def test_uniform_fixed_point_tail_brute():
 
 def test_lower_bound_at_zero_steps():
     rule = make_rule("random", 20)
-    est = tv_lower_bound_fixed_cards(rule, 20, 4, t=0, c_threshold=1, samples=2000, rng=RandomStream(3))
+    est = tv_lower_bound_fixed_cards(rule, 4, t=0, c_threshold=1, samples=2000, rng=RandomStream(3))
     # every sample keeps all 4 cards in place, so the bound is 1 - tail
     assert est.value == pytest.approx(1.0 - est.details["uniform_tail"])
     assert est.details["p_hat"] == 1.0
@@ -191,7 +191,7 @@ def test_lower_bound_coupon_moments():
     """
     n, k, t = 100, 10, 200
     rule = make_rule("top", n)
-    est = tv_lower_bound_fixed_cards(rule, n, k, t=t, c_threshold=2, samples=100_000, rng=RandomStream(11))
+    est = tv_lower_bound_fixed_cards(rule, k, t=t, c_threshold=2, samples=100_000, rng=RandomStream(11))
     mean = est.details["mean_statistic"]
     var = est.details["var_statistic"]
     target = k * (1.0 - 1.0 / n) ** t
@@ -204,12 +204,12 @@ def test_lower_bound_coupon_moments():
 
 def test_lower_bound_start_positions_at_bottom():
     rule = make_rule("top", 12)
-    est = tv_lower_bound_fixed_cards(rule, 12, 3, t=1, c_threshold=1, samples=500, rng=RandomStream(5))
+    est = tv_lower_bound_fixed_cards(rule, 3, t=1, c_threshold=1, samples=500, rng=RandomStream(5))
     assert est.details["start_positions"] == [10, 11, 12]
     with pytest.raises(ParameterError):
-        tv_lower_bound_fixed_cards(rule, 12, 3, t=1, c_threshold=0, samples=500, rng=RandomStream(5))
+        tv_lower_bound_fixed_cards(rule, 3, t=1, c_threshold=0, samples=500, rng=RandomStream(5))
     with pytest.raises(ParameterError, match="non-negative"):
-        tv_lower_bound_fixed_cards(rule, 12, 3, t=-1, c_threshold=1, samples=500, rng=RandomStream(5))
+        tv_lower_bound_fixed_cards(rule, 3, t=-1, c_threshold=1, samples=500, rng=RandomStream(5))
 
 
 # -- one-card coupling ---------------------------------------------------------
@@ -217,7 +217,7 @@ def test_lower_bound_start_positions_at_bottom():
 
 def test_one_card_designed_times_are_geometric():
     n = 50
-    res = couple_one_card(make_rule("random", n), n, card=1, trials=100_000, rng=RandomStream(13))
+    res = couple_one_card(make_rule("random", n), trials=100_000, rng=RandomStream(13))
     designed = res.designed_times
     live = designed[designed > 0]
     # horizon 20n censors a (1-1/n)^{1000} ~ 1.7e-9 sliver; ignore it
@@ -232,7 +232,7 @@ def test_one_card_designed_times_are_geometric():
 
 def test_one_card_realized_not_after_designed():
     n = 30
-    res = couple_one_card(make_rule("top", n), n, card=2, trials=20_000, rng=RandomStream(17))
+    res = couple_one_card(make_rule("top", n), trials=20_000, rng=RandomStream(17))
     match, designed = res.match_times, res.designed_times
     both = (match >= 0) & (designed >= 0)
     assert (match[both] <= designed[both]).all()
@@ -241,7 +241,7 @@ def test_one_card_realized_not_after_designed():
 
 
 def test_one_card_matched_start_couples_at_zero():
-    res = couple_one_card(make_rule("top", 20), 20, card=1, start_pair=(7, 7), trials=500, rng=RandomStream(1))
+    res = couple_one_card(make_rule("top", 20), start_pair=(7, 7), trials=500, rng=RandomStream(1))
     assert (res.match_times == 0).all()
 
 
@@ -249,7 +249,7 @@ def test_one_card_final_marginal_matches_exact_chain():
     """Deck one's final position follows the exact one-card law."""
     n, horizon, trials = 15, 40, 30_000
     rule = make_rule("cyclic", n)
-    res = couple_one_card(rule, n, card=1, start_pair=(1, 4), horizon=horizon, trials=trials, rng=RandomStream(23))
+    res = couple_one_card(rule, start_pair=(1, 4), horizon=horizon, trials=trials, rng=RandomStream(23))
     dist = np.zeros(n)
     dist[0] = 1.0
     for t in range(1, horizon + 1):
@@ -261,15 +261,15 @@ def test_one_card_final_marginal_matches_exact_chain():
 
 def test_one_card_censoring_within_survival_bound():
     n, horizon, trials = 40, 80, 50_000
-    res = couple_one_card(make_rule("random", n), n, card=1, horizon=horizon, trials=trials, rng=RandomStream(29))
+    res = couple_one_card(make_rule("random", n), horizon=horizon, trials=trials, rng=RandomStream(29))
     bound = (1.0 - 1.0 / n) ** horizon
     rate = res.details["censored_match"] / trials
     assert rate <= bound + 3.0 * math.sqrt(bound * (1 - bound) / trials)
 
 
 def test_one_card_replay():
-    a = couple_one_card(make_rule("top", 10), 10, card=1, trials=5000, rng=RandomStream(31))
-    b = couple_one_card(make_rule("top", 10), 10, card=1, trials=5000, rng=RandomStream(31))
+    a = couple_one_card(make_rule("top", 10), trials=5000, rng=RandomStream(31))
+    b = couple_one_card(make_rule("top", 10), trials=5000, rng=RandomStream(31))
     assert np.array_equal(a.match_times, b.match_times)
     assert np.array_equal(a.final_positions, b.final_positions)
 
@@ -277,16 +277,12 @@ def test_one_card_replay():
 def test_one_card_validation():
     rule = make_rule("top", 10)
     with pytest.raises(ParameterError):
-        couple_one_card(rule, 12, card=1)
+        couple_one_card(rule, start_pair=(0, 3), trials=10)
     with pytest.raises(ParameterError):
-        couple_one_card(rule, 10, card=0)
-    with pytest.raises(ParameterError):
-        couple_one_card(rule, 10, card=1, start_pair=(0, 3), trials=10)
-    with pytest.raises(ParameterError):
-        couple_one_card(rule, 10, card=1, trials=0)
+        couple_one_card(rule, trials=0)
     for horizon in (0, -2):
         with pytest.raises(ParameterError, match="horizon"):
-            couple_one_card(rule, 10, card=1, horizon=horizon, trials=10)
+            couple_one_card(rule, horizon=horizon, trials=10)
 
 
 # -- two-hand coupling -----------------------------------------------------------
@@ -294,7 +290,7 @@ def test_one_card_validation():
 
 def test_two_hand_survival_bound():
     n, trials = 50, 100_000
-    res = couple_two_hands_random(n, card=1, trials=trials, rng=RandomStream(37))
+    res = couple_two_hands_random(n, trials=trials, rng=RandomStream(37))
     match = res.match_times
     for t in (25, 50, 100):
         surv = float(((match < 0) | (match > t)).mean())
@@ -306,8 +302,8 @@ def test_two_hand_survival_bound():
 
 def test_two_hand_beats_one_hand():
     n, trials, seed = 50, 40_000, 41
-    one = couple_one_card(make_rule("random", n), n, card=1, trials=trials, rng=RandomStream(seed))
-    two = couple_two_hands_random(n, card=1, trials=trials, rng=RandomStream(seed))
+    one = couple_one_card(make_rule("random", n), trials=trials, rng=RandomStream(seed))
+    two = couple_two_hands_random(n, trials=trials, rng=RandomStream(seed))
     t_one = np.where(one.match_times < 0, one.horizon, one.match_times)
     t_two = np.where(two.match_times < 0, two.horizon, two.match_times)
     assert t_two.mean() < t_one.mean()
@@ -316,13 +312,13 @@ def test_two_hand_beats_one_hand():
 def test_two_hand_validation():
     for horizon in (0, -2):
         with pytest.raises(ParameterError, match="horizon"):
-            couple_two_hands_random(10, card=1, horizon=horizon, trials=10)
+            couple_two_hands_random(10, horizon=horizon, trials=10)
     with pytest.raises(ParameterError):
-        couple_two_hands_random(1, card=1, trials=10)
+        couple_two_hands_random(1, trials=10)
 
 
 def test_two_hand_matched_start_couples_at_zero():
-    res = couple_two_hands_random(20, card=1, start_pair=(5, 5), trials=500, rng=RandomStream(2))
+    res = couple_two_hands_random(20, start_pair=(5, 5), trials=500, rng=RandomStream(2))
     assert (res.match_times == 0).all()
 
 
@@ -352,25 +348,23 @@ def test_coin_p_gap_is_order_k2_over_n2():
 
 def test_k_deck_nonspecial_card_stays_uniform():
     n, k = 30, 3
-    params = KDeckCouplingParams(n=n, k=k, horizon=200)
     with pytest.warns(UserWarning, match="not small"):
         # small-n regime on purpose, only the marginal is under test
-        res = couple_k_decks(make_rule("top", n), params, cards=(1, 2, 3),
+        res = couple_k_decks(make_rule("top", n), k, cards=(1, 2, 3), horizon=200,
                              trials=20_000, rng=RandomStream(43))
     rate = res.details["nonspecial_hit_rate"]
     se = res.details["nonspecial_hit_se"]
     assert abs(rate - 1.0 / n) <= 3.0 * se
     assert res.details["r0_chisq_p"] > 0.001
-    assert res.details["coin_p"] == params.coin_p
+    assert res.details["coin_p"] == res.params.coin_p
 
 
 def test_k_deck_situation_four_rate():
     """Situation-4 steps happen at most t P(two relevant events) on average."""
     n, k, t, trials = 50, 3, 500, 4000
-    params = KDeckCouplingParams(n=n, k=k, horizon=t)
     with pytest.warns(UserWarning, match="not small"):
         res = couple_k_decks(
-            make_rule("random", n), params, cards=(1, 2, 3), trials=trials,
+            make_rule("random", n), k, cards=(1, 2, 3), horizon=t, trials=trials,
             rng=RandomStream(47), diagnostic=True,
         )
     q = 1.0 - 1.0 / n
@@ -382,9 +376,8 @@ def test_k_deck_situation_four_rate():
 
 def test_k_deck_mismatch_fit_and_replay():
     n, k = 60, 2
-    params = KDeckCouplingParams(n=n, k=k, horizon=300)
-    a = couple_k_decks(make_rule("random", n), params, cards=(1, 2), trials=20_000, rng=RandomStream(53))
-    b = couple_k_decks(make_rule("random", n), params, cards=(1, 2), trials=20_000, rng=RandomStream(53))
+    a = couple_k_decks(make_rule("random", n), k, cards=(1, 2), horizon=300, trials=20_000, rng=RandomStream(53))
+    b = couple_k_decks(make_rule("random", n), k, cards=(1, 2), horizon=300, trials=20_000, rng=RandomStream(53))
     assert np.array_equal(a.mismatch_times, b.mismatch_times)
     fit = fit_mismatch_bound(a)
     assert fit.constant > 0.0
@@ -393,8 +386,7 @@ def test_k_deck_mismatch_fit_and_replay():
 
 def test_k_deck_diagnostic_counts_all_trials():
     n, k, trials = 40, 2, 3000
-    params = KDeckCouplingParams(n=n, k=k, horizon=100)
-    res = couple_k_decks(make_rule("top", n), params, cards=(5, 9), trials=trials, rng=RandomStream(59), diagnostic=True)
+    res = couple_k_decks(make_rule("top", n), k, cards=(5, 9), horizon=100, trials=trials, rng=RandomStream(59), diagnostic=True)
     assert res.situation_counts.shape == (trials, 4)
     assert res.mismatch_times.shape == (trials,)
     assert res.diagnostic
@@ -415,8 +407,8 @@ def test_k_deck_golden_across_workers(diagnostic, workers):
     n, trials = 40, 20_000
     assert trials > _TRIAL_BLOCK
     res = couple_k_decks(
-        make_rule("random", n), KDeckCouplingParams(n=n, k=3, horizon=25),
-        cards=(1, 2, 3), trials=trials, rng=RandomStream(7),
+        make_rule("random", n), 3, cards=(1, 2, 3), horizon=25, trials=trials,
+        rng=RandomStream(7),
         diagnostic=diagnostic, workers=workers,
     )
     arrays = (res.mismatch_times, res.situation_counts, res.r0_histogram)
@@ -472,9 +464,8 @@ def test_map_blocks_dead_worker_raises():
 
 
 def test_k_deck_weak_regime_warns():
-    params = KDeckCouplingParams(n=20, k=4, horizon=100)
     with pytest.warns(UserWarning, match="not.*small"):
-        couple_k_decks(make_rule("top", 20), params, cards=(1, 2, 3, 4), trials=64, rng=RandomStream(3))
+        couple_k_decks(make_rule("top", 20), 4, cards=(1, 2, 3, 4), horizon=100, trials=64, rng=RandomStream(3))
 
 
 def test_survival_counts():
@@ -489,21 +480,21 @@ def test_survival_counts():
 
 def test_hits_zero_below_top():
     rule = make_rule("top", 20)
-    est = left_hand_hit_count(rule, 20, 1, cards=(5,), t=1, trials=2000, rng=RandomStream(61))
+    est = left_hand_hit_count(rule, 1, cards=(5,), t=1, trials=2000, rng=RandomStream(61))
     assert est.value == 0.0
 
 
 def test_hits_scale_linearly_in_k():
     n, t, trials = 200, 2000, 400
     rule = make_rule("cyclic", n)
-    one = left_hand_hit_count(rule, n, 1, cards=(1,), t=t, trials=trials, rng=RandomStream(67))
-    four = left_hand_hit_count(rule, n, 4, cards=(1, 2, 3, 4), t=t, trials=trials, rng=RandomStream(68))
+    one = left_hand_hit_count(rule, 1, cards=(1,), t=t, trials=trials, rng=RandomStream(67))
+    four = left_hand_hit_count(rule, 4, cards=(1, 2, 3, 4), t=t, trials=trials, rng=RandomStream(68))
     assert four.value == pytest.approx(4.0 * one.value, rel=0.10)
     assert one.details["fit_constant"] > 0.0
 
 
 def test_hits_replay():
     rule = make_rule("random", 30)
-    a = left_hand_hit_count(rule, 30, 2, None, t=100, trials=1000, rng=RandomStream(71))
-    b = left_hand_hit_count(rule, 30, 2, None, t=100, trials=1000, rng=RandomStream(71))
+    a = left_hand_hit_count(rule, 2, t=100, trials=1000, rng=RandomStream(71))
+    b = left_hand_hit_count(rule, 2, t=100, trials=1000, rng=RandomStream(71))
     assert a.value == b.value
