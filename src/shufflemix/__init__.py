@@ -28,11 +28,9 @@ from .exact import (
     LumpedEvolver,
     MixingTime,
     TVCurve,
-    canonical_starts,
     cutoff_profile,
     exact_tv_curve,
     partial_mixing_time,
-    resolve_starts,
     single_card_matrix,
     tv_distance,
     worst_case_curve,
@@ -72,6 +70,5 @@ from .cyclic import (
     phase_matrix_exact,
     phase_matrix_limit,
     scan_epsilon,
-    second_eigenvalue,
     tau_hat_moments,
 )

@@ -11,8 +11,9 @@ blocks ran in (``workers``).
 Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
 ``couple-<mode>``); the parser, the config and ``dispatch`` are loops over it.
 
-Exit codes: 0 success, 1 usage error, 2 invalid parameter, 3 resource
-limit (state cap, horizon, or mass drift).
+Exit codes: 0 success; 1 no subcommand, an unknown subcommand or an unknown
+couple mode; 2 invalid parameter, including every argparse usage error; 3
+resource limit (state cap, horizon, or mass drift).
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _run_exact_tv(params, config):
 
 def _run_worst_tv(params, config):
     rule, k, times = _rule_from(params), params["k"], _times_from(params)
-    curve = worst_case_curve(rule, k, times, start_strategy=params["strategy"])
+    curve = worst_case_curve(rule, k, times)
     return _curve_output("worst-tv", times, curve)
 
 
@@ -334,8 +335,6 @@ _T_MAX, _TIMES = _opt("--t-max", int), _opt("--times", _int_list)
 _T, _HORIZON = _opt("--t", int, required=True), _opt("--horizon", int)
 _TRIALS, _SAMPLES = _opt("--trials", int, 100_000), _opt("--samples", int, 100_000)
 _C, _XI = _opt("--c", float, 1.0), _opt("--xi", float, 0.0)
-_STRATEGY = _opt("--strategy", None, "auto",
-                 choices=("auto", "canonical", "exhaustive", "sampled"))
 _FIT = ("--fit", {"action": "store_true",
                   "help": "fit c against the exact worst-case curve instead of --c"})
 
@@ -374,7 +373,7 @@ COMMAND_TABLE = {
     "exact-tv": Command("exact TV curve from a fixed start", _run_exact_tv,
                         (_T_MAX, _TIMES)),
     "worst-tv": Command("exact worst-case TV curve", _run_worst_tv,
-                        (_T_MAX, _TIMES, _STRATEGY)),
+                        (_T_MAX, _TIMES)),
     "mix-time": Command("smallest t with worst-case TV < eps", _run_mix_time,
                         (_opt("--epsilon", float, 0.25), _HORIZON), _JSON),
     "cutoff": Command("worst-case TV at n log k + alpha n", _run_cutoff,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .deck import ShuffleKind, ShuffleRule
 from .errors import DomainError, HorizonError, ParameterError
-from .exact import worst_case_curve
+from .exact import _resolve_starts, worst_case_curve
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +297,12 @@ def block_spectrum(chain: PhaseChainMatrix) -> BlockSpectrum:
     return BlockSpectrum(0.5 * (tr + root), 0.5 * (tr - root), tr, det, False)
 
 
-def second_eigenvalue(chain: PhaseChainMatrix) -> float:
-    """Second-largest eigenvalue of the phase chain (modulus if complex)."""
-    return block_spectrum(chain).lam_max
-
-
 # ---------------------------------------------------------------------------
 # window-width optimization
 
 
 def lambda2_of_epsilon(epsilon: float, xi: float = 0.0) -> float:
-    return second_eigenvalue(phase_matrix_limit(epsilon, xi))
+    return block_spectrum(phase_matrix_limit(epsilon, xi)).lam_max
 
 
 def per_step_rate(epsilon: float, xi: float = 0.0) -> float:
@@ -448,10 +443,14 @@ def fit_cyclic_bound_constant(
 
     c is the max over t in [1, t_max] of exact TV divided by the bound
     shape; by construction the fitted bound touches the curve from above.
+    Past the exhaustive start budget only a lower bound on that curve is
+    computable, which cannot bound c, so that raises ParameterError.
     """
     if t_max is None:
         t_max = 10 * n
     rule = ShuffleRule(kind=ShuffleKind.CYCLIC_TO_RANDOM, n=n)
+    if _resolve_starts(rule, 1, n)[1] == "sampled-lower-bound":
+        raise ParameterError(f"no exact worst-case curve to fit c to at n={n}")
     times = np.arange(1, t_max + 1)
     curve = worst_case_curve(rule, 1, times)
     shape = _bound_values(times, n, CyclicBoundParams(c=1.0, lam=lam, rate=rate))

@@ -28,6 +28,8 @@ from .rng import DEFAULT_SEED, RandomStream
 MASS_TOL = 1e-10
 # Largest #starts x #states product the exhaustive start scan will hold in RAM.
 _EXHAUSTIVE_BUDGET = 9_000_000
+# Starts in the lower-bound scan of rules over that budget.
+_SAMPLED_STARTS = 64
 _TARGET_CACHE_BUDGET = 40_000_000
 
 
@@ -358,27 +360,24 @@ def _values_at(steps, times: np.ndarray) -> np.ndarray:
                 return values
 
 
-def canonical_starts(rule: ShuffleRule, k: int) -> list[tuple]:
-    """Start tuples covering every worst-case class, when symmetry allows.
+def _canonical_starts(rule: ShuffleRule, k: int) -> list[tuple]:
+    """Start tuples covering every worst-case class of the top or random rule.
 
     With a uniform left hand all positions are exchangeable, so one start
     suffices. With the left hand pinned to the top, positions 2..n are
     exchangeable and classes are distinguished only by which coordinate (if
     any) sits at position 1; at k = n some coordinate always does.
     """
-    n = rule.n
     if rule.kind is ShuffleKind.RANDOM_TO_RANDOM:
         return [tuple(range(1, k + 1))]
-    if rule.kind is ShuffleKind.TOP_TO_RANDOM:
-        pool = list(range(2, k + 1))
-        reps = [tuple(range(2, k + 2))] if k < n else []
-        for j in range(k):
-            reps.append(tuple(pool[:j] + [1] + pool[j:]))
-        return reps
-    raise ParameterError(f"no canonical start classes for rule {rule.kind.value}")
+    pool = list(range(2, k + 1))
+    reps = [tuple(range(2, k + 2))] if k < rule.n else []
+    for j in range(k):
+        reps.append(tuple(pool[:j] + [1] + pool[j:]))
+    return reps
 
 
-def _sampled_starts(n: int, k: int, sample: int) -> list[tuple]:
+def _sampled_starts(n: int, k: int) -> list[tuple]:
     """Structured starts (contiguous, shifted, spread) plus a seeded sample."""
     cands = [tuple(range(1, k + 1))]
     if k < n:
@@ -392,9 +391,9 @@ def _sampled_starts(n: int, k: int, sample: int) -> list[tuple]:
         if c not in seen:
             seen.add(c)
             starts.append(c)
-    sample = min(sample, tuple_count(n, k))
+    size = min(_SAMPLED_STARTS, tuple_count(n, k))
     rng = RandomStream(DEFAULT_SEED, 977).generator
-    while len(starts) < sample:
+    while len(starts) < size:
         cand = tuple(int(x) + 1 for x in rng.choice(n, size=k, replace=False))
         if cand not in seen:
             seen.add(cand)
@@ -402,62 +401,38 @@ def _sampled_starts(n: int, k: int, sample: int) -> list[tuple]:
     return starts
 
 
-def resolve_starts(
-    rule: ShuffleRule, k: int, count: int, strategy: str = "auto", sample: int = 64
+def _resolve_starts(
+    rule: ShuffleRule, k: int, count: int
 ) -> tuple[list[tuple] | None, str]:
     """Start tuples for a worst-case scan over ``count`` states, and their label.
 
-    ``strategy`` is one of:
-
-    - ``canonical``: one representative per symmetry class (top and random
-      rules only), labelled ``exact-canonical``;
-    - ``exhaustive``: every tuple, returned as ``None``, when ``count``^2
-      fits the exhaustive budget;
-    - ``sampled``: structured plus ``sample`` seeded random starts, labelled
+    - top and random rules: one representative per symmetry class, labelled
+      ``exact-canonical``;
+    - other rules with ``count``^2 within the exhaustive budget: every tuple,
+      returned as ``None`` and labelled ``exhaustive``;
+    - past the budget: structured plus seeded random starts, labelled
       ``sampled-lower-bound`` because the max over them only bounds the
-      worst case from below;
-    - ``auto``: canonical when the rule allows it, else exhaustive within
-      the budget, else sampled.
+      worst case from below.
     """
-    fits = count * count <= _EXHAUSTIVE_BUDGET
-    if strategy == "auto":
-        if rule.kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.RANDOM_TO_RANDOM):
-            strategy = "canonical"
-        else:
-            strategy = "exhaustive" if fits else "sampled"
-    if strategy == "canonical":
-        return canonical_starts(rule, k), "exact-canonical"
-    if strategy == "exhaustive":
-        if not fits:
-            raise ParameterError(
-                f"exhaustive start scan needs {count}^2 cells, over the budget"
-            )
+    if rule.kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.RANDOM_TO_RANDOM):
+        return _canonical_starts(rule, k), "exact-canonical"
+    if count * count <= _EXHAUSTIVE_BUDGET:
         return None, "exhaustive"
-    if strategy == "sampled":
-        return _sampled_starts(rule.n, k, sample), "sampled-lower-bound"
-    raise ParameterError(f"unknown start strategy '{strategy}'")
+    return _sampled_starts(rule.n, k), "sampled-lower-bound"
 
 
-def worst_case_curve(
-    rule: ShuffleRule,
-    k: int,
-    times,
-    start_strategy: str = "auto",
-    sample: int = 64,
-) -> TVCurve:
+def worst_case_curve(rule: ShuffleRule, k: int, times) -> TVCurve:
     """Max-over-starts exact TV curve.
 
     For rules with an exchangeability argument the max runs over canonical
     class representatives and is the true worst case. Otherwise every start
     tuple is scanned when the state space is small enough, else a structured
     plus seeded random start set is used and the curve is only a lower bound
-    on the true worst case (flagged in metadata). See ``resolve_starts``.
+    on the true worst case (flagged in metadata). See ``_resolve_starts``.
     """
     times = _check_times(times)
     evolver = LumpedEvolver(rule, k)
-    starts, strategy = resolve_starts(
-        rule, k, evolver.indexer.count, start_strategy, sample
-    )
+    starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
     values = _values_at(_worst_tv_steps(evolver, starts), times)
     meta = _curve_metadata(rule, k, evolver, strategy)
     meta["lower_bound_only"] = strategy == "sampled-lower-bound"
@@ -480,7 +455,6 @@ def partial_mixing_time(
     k: int,
     epsilon: float,
     horizon: int | None = None,
-    start_strategy: str = "auto",
 ) -> MixingTime:
     """Smallest t with worst-case exact TV below epsilon.
 
@@ -495,7 +469,7 @@ def partial_mixing_time(
     if horizon < 0:
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
     evolver = LumpedEvolver(rule, k)
-    starts, strategy = resolve_starts(rule, k, evolver.indexer.count, start_strategy)
+    starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
     for t, tv in _worst_tv_steps(evolver, starts):
         if tv < epsilon:
             return MixingTime(t, tv, epsilon, horizon, strategy)

@@ -236,13 +236,12 @@ def test_cyclic_mix_record(tmp_path):
     assert rec["generic_bound"] == pytest.approx(200 * (math.log(4) + 1.5))
 
 
-def test_worst_tv_strategy_flag(tmp_path):
-    assert run(tmp_path, "worst-tv", "--rule", "random", "--n", "10", "--k", "1",
-               "--t-max", "20", "--strategy", "exhaustive", "--out", "w.csv") == 0
-    header, rows = read_csv(tmp_path / "w.csv")
-    assert header == "t,tv" and len(rows) == 20
-    meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
-    assert meta["start_strategy"] == "exhaustive"
+def test_cyclic_bound_fit_refuses_a_lower_bound(tmp_path, capsys, monkeypatch):
+    """Past the start budget the worst case is only sampled: no c is fitted."""
+    monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 63)
+    assert run(tmp_path, "cyclic-bound", "--n", "8", "--t-max", "10", "--fit") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "cyclic-bound.csv").exists()
 
 
 def words(name):
@@ -259,23 +258,20 @@ def _choices(name, flag):
     return action.choices
 
 
-# every --strategy name, and the sidecar label it resolves to for the random rule
-STRATEGY_LABELS = {
-    "auto": "exact-canonical",
-    "canonical": "exact-canonical",
-    "exhaustive": "exhaustive",
-    "sampled": "sampled-lower-bound",
+# worst-tv runs, and the start label the rule and state count give each
+START_LABELS = {
+    "--rule random --n 5 --k 2": "exact-canonical",
+    "--rule cyclic --n 6 --k 2": "exhaustive",
+    "--rule cyclic --n 16 --k 3": "sampled-lower-bound",  # 3360 states, 3360^2 over budget
 }
 
 
-def test_worst_tv_every_strategy_choice(tmp_path):
-    assert sorted(_choices("worst-tv", "--strategy")) == sorted(STRATEGY_LABELS)
-    for strategy, label in STRATEGY_LABELS.items():
-        out = f"w-{strategy}.csv"
-        assert run(tmp_path, "worst-tv", "--rule", "random", "--n", "5", "--k", "2",
-                   "--t-max", "8", "--strategy", strategy, "--out", out) == 0, strategy
-        meta = json.loads((tmp_path / f"{out}.meta.json").read_text())
-        assert meta["start_strategy"] == label, strategy
+def test_worst_tv_start_labels(tmp_path):
+    for argv, label in START_LABELS.items():
+        assert run(tmp_path, "worst-tv", *argv.split(), "--t-max", "4",
+                   "--out", "w.csv") == 0, argv
+        meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
+        assert meta["start_strategy"] == label, argv
         assert meta["lower_bound_only"] == (label == "sampled-lower-bound")
 
 
@@ -493,6 +489,14 @@ def test_threads_offered_by_the_six_monte_carlo_subcommands():
 def test_threads_only_where_trials_run(tmp_path, capsys, name):
     base = [*words(name), *TOY[name].split()]
     _offers_only_the_flags_it_reads(tmp_path, capsys, name, base, (("--threads", "2"),))
+
+
+def test_worst_tv_takes_no_start_strategy(tmp_path, capsys):
+    """The rule and the state count choose the starts; no flag does."""
+    base = ["worst-tv", *TOY["worst-tv"].split()]
+    _offers_only_the_flags_it_reads(
+        tmp_path, capsys, "worst-tv", base, (("--strategy", "auto"),)
+    )
 
 
 def _value(flag, kwargs):

@@ -18,7 +18,6 @@ from shufflemix.cyclic import (
     phase_matrix_exact,
     phase_matrix_limit,
     scan_epsilon,
-    second_eigenvalue,
     tau_hat_moments,
 )
 from shufflemix.errors import ParameterError
@@ -183,7 +182,7 @@ def test_dense_eigenvalues_agree_with_quadratic():
         xi = float(gen.uniform(0.0, 0.05))
         chain = phase_matrix_limit(eps, xi)
         dense = max(abs(np.linalg.eigvals(chain.block())))
-        assert abs(dense - second_eigenvalue(chain)) < 1e-10
+        assert abs(dense - block_spectrum(chain).lam_max) < 1e-10
 
 
 def test_lambda2_near_one_for_narrow_window():

@@ -128,16 +128,23 @@ def test_times_grid_validation():
         exact_tv_curve(rule, 1, (1,), times=[-1, 0])
 
 
+def _max_over_every_start(rule, k, times):
+    """Brute-force worst case: the largest single-start curve, pointwise."""
+    starts = KTupleIndexer(rule.n, k).all_positions0() + 1
+    return np.max([exact_tv_curve(rule, k, s, times).values for s in starts], axis=0)
+
+
 def test_worst_case_strategies_agree():
-    """Canonical class representatives reproduce the exhaustive maximum."""
+    """Canonical class representatives reproduce the max over every start."""
     times = list(range(1, 16))
     for kind in ("top", "random"):
-        rule = make_rule(kind, 6)
-        canon = worst_case_curve(rule, 2, times, start_strategy="canonical")
-        full = worst_case_curve(rule, 2, times, start_strategy="exhaustive")
-        assert np.abs(canon.values - full.values).max() < 1e-12, kind
-        assert canon.metadata["start_strategy"] == "exact-canonical"
-        assert not canon.metadata["lower_bound_only"]
+        for n, k in ((6, 2), (3, 3)):
+            rule = make_rule(kind, n)
+            canon = worst_case_curve(rule, k, times)
+            want = _max_over_every_start(rule, k, times)
+            assert np.abs(canon.values - want).max() < 1e-12, (kind, n, k)
+            assert canon.metadata["start_strategy"] == "exact-canonical"
+            assert not canon.metadata["lower_bound_only"]
 
 
 def test_worst_case_auto_falls_back_to_exhaustive():
@@ -147,12 +154,18 @@ def test_worst_case_auto_falls_back_to_exhaustive():
     assert not curve.metadata["lower_bound_only"]
 
 
-def test_worst_case_sampled_is_flagged():
-    rule = make_rule("cyclic", 6)
-    curve = worst_case_curve(rule, 2, [5], start_strategy="sampled", sample=8)
-    assert curve.metadata["lower_bound_only"]
-    exhaustive = worst_case_curve(rule, 2, [5], start_strategy="exhaustive")
-    assert curve.values[0] <= exhaustive.values[0] + 1e-15
+def test_worst_case_sampled_is_flagged(monkeypatch):
+    """Past the exhaustive budget the scan is a labelled lower bound."""
+    for n in (6, 10):
+        rule = make_rule("cyclic", n)
+        exhaustive = worst_case_curve(rule, 2, [5])
+        with monkeypatch.context() as m:
+            m.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 100)
+            curve = worst_case_curve(rule, 2, [5])
+        assert curve.metadata["start_strategy"] == "sampled-lower-bound"
+        assert curve.metadata["lower_bound_only"]
+        assert curve.metadata["starts"] == min(64, n * (n - 1))
+        assert curve.values[0] <= exhaustive.values[0] + 1e-15
 
 
 def test_one_card_universal_bound_small():
@@ -243,14 +256,8 @@ def test_curve_to_csv_roundtrip(tmp_path):
 
 def test_top_rule_with_every_card_tracked():
     """At k = n some card always sits at position 1; that leaves k classes."""
-    rule = make_rule("top", 3)
-    times = list(range(1, 11))
-    canon = worst_case_curve(rule, 3, times, start_strategy="canonical")
-    full = worst_case_curve(rule, 3, times, start_strategy="exhaustive")
-    assert np.abs(canon.values - full.values).max() < 1e-12
-    assert canon.metadata["starts"] == 3
-    sampled = worst_case_curve(rule, 3, times, start_strategy="sampled", sample=4)
-    assert sampled.metadata["starts"] == 4
+    # test_worst_case_strategies_agree checks these curves at n = k = 3
+    assert worst_case_curve(make_rule("top", 3), 3, [1, 5]).metadata["starts"] == 3
     res = partial_mixing_time(make_rule("top", 4), 4, 0.25)
     assert res.strategy == "exact-canonical" and res.tv < 0.25
 
@@ -258,32 +265,20 @@ def test_top_rule_with_every_card_tracked():
 def test_sampled_starts_clamped_to_tuple_count():
     out = run_bounded(
         "from conftest import make_rule\n"
-        "from shufflemix.exact import worst_case_curve\n"
+        "from shufflemix import exact\n"
         "rule = make_rule('cyclic', 8)\n"
-        "s = worst_case_curve(rule, 2, [1, 5, 9], start_strategy='sampled')\n"
-        "e = worst_case_curve(rule, 2, [1, 5, 9], start_strategy='exhaustive')\n"
+        "e = exact.worst_case_curve(rule, 2, [1, 5, 9])\n"
+        "exact._EXHAUSTIVE_BUDGET = 0\n"
+        "s = exact.worst_case_curve(rule, 2, [1, 5, 9])\n"
         "print(s.metadata['starts'], abs(s.values - e.values).max() < 1e-12)\n"
     )
     assert out == "56 True"
 
 
-def test_unknown_start_strategy_rejected_by_mixing_time():
-    out = run_bounded(
-        "from conftest import make_rule\n"
-        "from shufflemix.errors import ParameterError\n"
-        "from shufflemix.exact import partial_mixing_time\n"
-        "try:\n"
-        "    partial_mixing_time(make_rule('cyclic', 8), 2, 0.25, start_strategy='bogus')\n"
-        "except ParameterError as exc:\n"
-        "    print('ParameterError', exc)\n"
-    )
-    assert out.startswith("ParameterError") and "bogus" in out
-
-
 def test_exhaustive_budget_applies_to_mixing_time(monkeypatch):
     monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 100)
-    with pytest.raises(ParameterError):
-        partial_mixing_time(make_rule("cyclic", 6), 2, 0.25, start_strategy="exhaustive")
+    res = partial_mixing_time(make_rule("cyclic", 6), 2, 0.25)
+    assert res.strategy == "sampled-lower-bound" and res.tv < 0.25
 
 
 @pytest.fixture(params=["step", "evolve_columns"])
@@ -293,17 +288,17 @@ def leaky_kernel(request, monkeypatch):
     monkeypatch.setattr(
         LumpedEvolver, request.param, lambda self, p, t: orig(self, p, t) * (1.0 - 1e-6)
     )
-    # listed starts go through step, the exhaustive scan through evolve_columns
-    return "canonical" if request.param == "step" else "exhaustive"
+    # the top rule's canonical starts go through step, the cyclic rule's
+    # exhaustive scan through evolve_columns
+    return request.param
 
 
 def test_mass_drift_caught_on_every_exact_path(leaky_kernel):
-    rule = make_rule("top", 6)
-    strategy = leaky_kernel
+    rule = make_rule("top" if leaky_kernel == "step" else "cyclic", 6)
     with pytest.raises(MassDriftError):
-        worst_case_curve(rule, 2, [3], start_strategy=strategy)
+        worst_case_curve(rule, 2, [3])
     with pytest.raises(MassDriftError):
-        partial_mixing_time(rule, 2, 0.25, start_strategy=strategy)
-    if strategy == "canonical":
+        partial_mixing_time(rule, 2, 0.25)
+    if leaky_kernel == "step":
         with pytest.raises(MassDriftError):
             exact_tv_curve(rule, 2, (1, 2), [3])

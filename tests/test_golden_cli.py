@@ -33,8 +33,6 @@ CASES = (
     ("exact-tv-cyclic", "exact-tv --rule cyclic --phase 2 --n 6 --k 2 --times 1,3,9",
      "exact-tv.csv"),
     ("worst-tv-random", "worst-tv --rule random --n 6 --k 2 --t-max 12", "worst-tv.csv"),
-    ("worst-tv-sampled", "worst-tv --rule cyclic --n 6 --k 2 --t-max 8 --strategy sampled",
-     "worst-tv.csv"),
     ("mix-time", "mix-time --rule top --n 8 --k 2", "mix-time.json"),
     ("cutoff", "cutoff --rule random --n 8 --k 2 --alphas 0,1", "cutoff.csv"),
     ("mc-tv", "mc-tv --rule random --n 6 --k 2 --t 8 --samples 2000", "mc-tv.json"),

@@ -31,9 +31,9 @@ def _curve(curve) -> dict:
     return {"values": curve.values.tolist(), "metadata": curve.metadata}
 
 
-def _mixing(rule, k, epsilon, **kwargs) -> dict:
+def _mixing(rule, k, epsilon) -> dict:
     try:
-        res = partial_mixing_time(rule, k, epsilon, horizon=30, **kwargs)
+        res = partial_mixing_time(rule, k, epsilon, horizon=30)
     except HorizonError as exc:
         return {"horizon_error": exc.last_value}
     return {"t": res.t, "tv": res.tv, "strategy": res.strategy}
@@ -50,25 +50,8 @@ def compute() -> dict:
                 name = "-".join(map(str, start))
                 out[f"exact_tv/{tag}/{name}"] = _curve(exact_tv_curve(rule, k, start, TIMES))
             out[f"worst/{tag}/auto"] = _curve(worst_case_curve(rule, k, TIMES))
-            out[f"worst/{tag}/exhaustive"] = _curve(
-                worst_case_curve(rule, k, TIMES, start_strategy="exhaustive")
-            )
-            out[f"worst/{tag}/sampled"] = _curve(
-                worst_case_curve(rule, k, TIMES, start_strategy="sampled", sample=4)
-            )
             for eps in (0.5, 0.25, 0.05):
                 out[f"mix/{tag}/{eps}/auto"] = _mixing(rule, k, eps)
-                out[f"mix/{tag}/{eps}/exhaustive"] = _mixing(
-                    rule, k, eps, start_strategy="exhaustive"
-                )
-        if kind in ("top", "random"):
-            rule = make_rule(kind, 6)
-            out[f"worst/{kind}/n6k2/canonical"] = _curve(
-                worst_case_curve(rule, 2, TIMES, start_strategy="canonical")
-            )
-            out[f"mix/{kind}/n6k2/0.25/canonical"] = _mixing(
-                rule, 2, 0.25, start_strategy="canonical"
-            )
     return out
 
 
