@@ -16,6 +16,7 @@ from shufflemix import (
     cutoff_profile,
     tv_lower_bound_fixed_cards,
 )
+from shufflemix.exact import write_csv
 
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -28,7 +29,7 @@ def main():
         profile = cutoff_profile(rule, k, ALPHAS)
         for alpha, t, tv, bound in profile.rows():
             print(f"   {k}  {alpha:5.2f}  {t:4d}  {tv:.4f}   {bound:.4f}")
-        profile.to_csv(f"cutoff_top_k{k}.csv")
+        write_csv(f"cutoff_top_k{k}.csv", "alpha,t,tv,bound", profile.rows())
     print("-> cutoff_top_k2.csv, cutoff_top_k3.csv")
 
     n = 200
@@ -45,6 +46,7 @@ def main():
                     rng=RandomStream(40 + k),
                 ).value
                 for c in (1, 2)
+                if c < k
             )
             vals.append(best)
         print(f"   {k}   " + "   ".join(f"{v:.4f}" for v in vals))

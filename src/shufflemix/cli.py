@@ -1,4 +1,4 @@
-"""Command line front end: configure an experiment, run it, emit files.
+"""Command line front end: parse the flags, run the experiment, emit files.
 
 Every subcommand writes one data file (CSV or JSON) plus a ``.meta.json``
 sidecar echoing the full configuration, the library version, and the wall
@@ -9,7 +9,9 @@ take --threads; their sidecars also record the worker processes the trial
 blocks ran in (``workers``).
 
 Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
-``couple-<mode>``); the parser, the config and ``dispatch`` are loops over it.
+``couple-<mode>``); the parser and ``dispatch`` are loops over it. The
+parsed flags travel as one dict, the config, from ``config_from_args`` to
+the runner and into both files.
 
 Exit codes: 0 success; 1 no subcommand, an unknown subcommand or an unknown
 couple mode; 2 invalid parameter, including every argparse usage error; 3
@@ -27,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
 from .cyclic import (
     CyclicBoundParams,
     cyclic_mixing_upper,
@@ -62,27 +63,6 @@ from .montecarlo import (
 from .rng import DEFAULT_SEED, RandomStream
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A parsed experiment ready for dispatch."""
-
-    command: str
-    params: dict
-    seed: int
-    out: str
-    format: str
-
-    def echo(self) -> dict:
-        rec = {
-            "command": self.command,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
-        rec.update(self.params)
-        return rec
-
-
 def _number_list(text: str, kind, what: str) -> list:
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -101,36 +81,37 @@ def _float_list(text: str) -> list:
     return _number_list(text, float, "numbers")
 
 
-def _rule_from(params: dict) -> ShuffleRule:
+def _rule_from(config: dict) -> ShuffleRule:
     return ShuffleRule(
-        kind=ShuffleKind(params["rule"]), n=params["n"], phase=params["phase"]
+        kind=ShuffleKind(config["rule"]), n=config["n"], phase=config["phase"]
     )
 
 
-def _t_max_from(params: dict) -> int:
+def _t_max_from(config: dict) -> int:
     """--t-max, or 10 n when it is not given."""
-    t_max = params["t_max"]
+    t_max = config["t_max"]
     if t_max is None:
-        return 10 * params["n"]
+        return 10 * config["n"]
     if t_max < 1:
         raise ParameterError(f"--t-max must be at least 1, got {t_max}")
     return t_max
 
 
-def _times_from(params: dict) -> np.ndarray:
-    if params["times"] is not None:
-        return np.asarray(sorted(set(params["times"])), dtype=np.int64)
-    return np.arange(1, _t_max_from(params) + 1, dtype=np.int64)
+def _times_from(config: dict) -> np.ndarray:
+    if config["times"] is not None:
+        return np.asarray(sorted(set(config["times"])), dtype=np.int64)
+    return np.arange(1, _t_max_from(config) + 1, dtype=np.int64)
 
 
 def _pick(obj, *names) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
-# -- runners: (params, config) -> (data, sidecar extras, summary line) ----------
-# data is a JSON record, to which dispatch adds "op" and "params", or a
-# (CSV header, rows) pair. Runners call the library by module-global name at
-# call time, so code that patches this module's attributes reaches them too.
+# -- runners: config -> (data, sidecar extras, summary line) --------------------
+# config is the dict from config_from_args. data is a JSON record, to which
+# dispatch adds "op" and "params", or a (CSV header, rows) pair. Runners call
+# the library by module-global name at call time, so code that patches this
+# module's attributes reaches them too.
 
 
 def _curve_output(command, times, curve):
@@ -139,29 +120,29 @@ def _curve_output(command, times, curve):
     return ("t,tv", rows), dict(curve.metadata), summary
 
 
-def _run_exact_tv(params, config):
-    k, times = params["k"], _times_from(params)
-    curve = exact_tv_curve(_rule_from(params), k, tuple(range(1, k + 1)), times)
+def _run_exact_tv(config):
+    k, times = config["k"], _times_from(config)
+    curve = exact_tv_curve(_rule_from(config), k, tuple(range(1, k + 1)), times)
     return _curve_output("exact-tv", times, curve)
 
 
-def _run_worst_tv(params, config):
-    rule, k, times = _rule_from(params), params["k"], _times_from(params)
+def _run_worst_tv(config):
+    rule, k, times = _rule_from(config), config["k"], _times_from(config)
     curve = worst_case_curve(rule, k, times)
     return _curve_output("worst-tv", times, curve)
 
 
-def _run_mix_time(params, config):
-    rule, horizon = _rule_from(params), params["horizon"]
-    result = partial_mixing_time(rule, params["k"], params["epsilon"], horizon=horizon)
+def _run_mix_time(config):
+    rule, horizon = _rule_from(config), config["horizon"]
+    result = partial_mixing_time(rule, config["k"], config["epsilon"], horizon=horizon)
     fields = ("tv", "epsilon", "horizon", "strategy")
     record = {"t_mix": result.t, **_pick(result, *fields)}
     return record, {}, f"mix-time: t_mix({result.epsilon}) = {result.t}"
 
 
-def _run_cutoff(params, config):
-    alphas = params["alphas"] or [0.0, 0.5, 1.0, 1.5, 2.0]
-    profile = cutoff_profile(_rule_from(params), params["k"], alphas)
+def _run_cutoff(config):
+    alphas = config["alphas"] or [0.0, 0.5, 1.0, 1.5, 2.0]
+    profile = cutoff_profile(_rule_from(config), config["k"], alphas)
     summary = f"cutoff: {len(alphas)} alphas"
     return ("alpha,t,tv,bound", profile.rows()), dict(profile.metadata), summary
 
@@ -174,34 +155,34 @@ def _estimate_record(est, fitted=None) -> dict:
 
 
 def _mc_options(config) -> dict:
-    return {"rng": RandomStream(config.seed), "workers": config.params["threads"]}
+    return {"rng": RandomStream(config["seed"]), "workers": config["threads"]}
 
 
 def _workers_used(config, trials: int) -> dict:
     """The sidecar's record of the worker processes the trials ran in."""
-    return {"workers": block_workers(config.params["threads"], trials)}
+    return {"workers": block_workers(config["threads"], trials)}
 
 
-def _run_mc_tv(params, config):
-    rule, k, t = _rule_from(params), params["k"], params["t"]
-    samples = params["samples"]
+def _run_mc_tv(config):
+    rule, k, t = _rule_from(config), config["k"], config["t"]
+    samples = config["samples"]
     est = mc_tv_plugin(rule, k, t, samples, **_mc_options(config))
     summary = f"mc-tv: {est.value:.6g} +- {est.std_error:.2g}"
     return _estimate_record(est), _workers_used(config, samples), summary
 
 
-def _run_lower_bound(params, config):
-    rule, k, t = _rule_from(params), params["k"], params["t"]
-    threshold, samples = params["threshold"], params["samples"]
+def _run_lower_bound(config):
+    rule, k, t = _rule_from(config), config["k"], config["t"]
+    threshold, samples = config["threshold"], config["samples"]
     options = _mc_options(config)
     est = tv_lower_bound_fixed_cards(rule, k, t, threshold, samples, **options)
     extras = _workers_used(config, samples)
     return _estimate_record(est), extras, f"lower-bound: {est.value:.6g}"
 
 
-def _run_hits(params, config):
-    rule, k, t = _rule_from(params), params["k"], params["t"]
-    trials = params["trials"]
+def _run_hits(config):
+    rule, k, t = _rule_from(config), config["k"], config["t"]
+    trials = config["trials"]
     est = left_hand_hit_count(rule, k, t, trials, **_mc_options(config))
     details = est.details
     fitted = {"constant": details["fit_constant"], "shape": details["fit_shape"]}
@@ -216,40 +197,40 @@ def _survival_rows(times: np.ndarray, horizon: int, trials: int):
 
 
 def _couple_output(config, times, horizon, extras):
-    trials = config.params["trials"]
+    trials = config["trials"]
     censored = int(np.count_nonzero(times < 0))
-    summary = f"{config.command}: {trials} trials, {censored} censored at t={horizon}"
+    summary = (f"{config['command']}: {trials} trials, "
+               f"{censored} censored at t={horizon}")
     rows = _survival_rows(times, horizon, trials)
     extras = {**extras, **_workers_used(config, trials)}
     return ("t,survivors,trials", rows), extras, summary
 
 
-def _couple_options(params, config) -> dict:
-    horizon, trials = params["horizon"], params["trials"]
+def _couple_options(config) -> dict:
+    horizon, trials = config["horizon"], config["trials"]
     return {"horizon": horizon, "trials": trials, **_mc_options(config)}
 
 
 def _one_card_output(config, result):
-    details = {k: v for k, v in result.details.items() if not isinstance(v, np.ndarray)}
-    extras = {"details": details}
+    extras = {"details": dict(result.details)}
     return _couple_output(config, result.match_times, result.horizon, extras)
 
 
-def _run_couple_one_card(params, config):
-    rule, options = _rule_from(params), _couple_options(params, config)
+def _run_couple_one_card(config):
+    rule, options = _rule_from(config), _couple_options(config)
     result = couple_one_card(rule, **options)
     return _one_card_output(config, result)
 
 
-def _run_couple_two_hand(params, config):
-    options = _couple_options(params, config)
-    result = couple_two_hands_random(params["n"], **options)
+def _run_couple_two_hand(config):
+    options = _couple_options(config)
+    result = couple_two_hands_random(config["n"], **options)
     return _one_card_output(config, result)
 
 
-def _run_couple_k_deck(params, config):
-    rule, options = _rule_from(params), _couple_options(params, config)
-    result = couple_k_decks(rule, params["k"], **options)
+def _run_couple_k_deck(config):
+    rule, options = _rule_from(config), _couple_options(config)
+    result = couple_k_decks(rule, config["k"], **options)
     fit = fit_mismatch_bound(result)
     extras = {
         "details": dict(result.details),
@@ -259,48 +240,49 @@ def _run_couple_k_deck(params, config):
     return _couple_output(config, result.mismatch_times, result.params.horizon, extras)
 
 
-def _run_tau_hat(params, config):
-    m = tau_hat_moments(params["n"])
+def _run_tau_hat(config):
+    m = tau_hat_moments(config["n"])
     fields = ("mean", "second_moment", "variance", "closed_form_mean")
     record = {**_pick(m, *fields, "closed_form_gap"), "mean_over_n": m.mean / m.n}
     return record, {}, f"tau-hat: mean {m.mean:.4f} ({m.mean / m.n:.4f} n)"
 
 
-def _run_p0(params, config):
-    sweep = p_recursion(params["epsilon"], params["n"])
+def _run_p0(config):
+    sweep = p_recursion(config["epsilon"], config["n"])
     summary = f"p0: {sweep.p0:.6f} (closed form {sweep.p0_closed_form:.6f})"
-    if config.format == "csv":
+    if config["format"] == "csv":
         return ("s,p", enumerate(sweep.values.tolist())), {}, summary
     fields = ("p0", "p0_closed_form", "p0_gap", "midrange_max_gap", "m")
     return _pick(sweep, *fields), {}, summary
 
 
-def _run_eig_scan(params, config):
-    eps, lams = scan_epsilon(params["xi"], params["lo"], params["hi"], params["num"])
+def _run_eig_scan(config):
+    eps, lams = scan_epsilon(config["xi"], config["lo"], config["hi"], config["num"])
     rows = zip(eps.tolist(), lams.tolist())
     return ("epsilon,lambda2", rows), {}, f"eig-scan: {eps.size} points"
 
 
-def _run_eig_opt(params, config):
-    opt = optimize_epsilon(params["xi"])
+def _run_eig_opt(config):
+    opt = optimize_epsilon(config["xi"])
     record = {**_pick(opt, "epsilon", "xi", "unimodal"), "lambda": opt.lam}
     summary = f"eig-opt: epsilon {opt.epsilon:.4f}, lambda {opt.lam:.4f}"
     return record, {}, summary
 
 
-def _run_cyclic_bound(params, config):
-    n, t_max = params["n"], _t_max_from(params)
-    if params["fit"]:
+def _run_cyclic_bound(config):
+    n, t_max = config["n"], _t_max_from(config)
+    if config["fit"]:
         bound = fit_cyclic_bound_constant(n=n, t_max=t_max)
     else:
-        bound = CyclicBoundParams(c=params["c"])
-    rows = ((t, cyclic_one_card_bound(t, n, bound)) for t in range(1, t_max + 1))
+        bound = CyclicBoundParams(c=config["c"])
+    ts = np.arange(1, t_max + 1)
+    rows = zip(ts.tolist(), cyclic_one_card_bound(ts, n, bound).tolist())
     extras = {"bound_params": _pick(bound, "c", "lam", "rate")}
     return ("t,bound", rows), extras, f"cyclic-bound: c = {bound.c:.4g}"
 
 
-def _run_cyclic_mix(params, config):
-    result = cyclic_mixing_upper(params["n"], params["k"], params["c"])
+def _run_cyclic_mix(config):
+    result = cyclic_mixing_upper(config["n"], config["k"], config["c"])
     fields = (
         "t", "threshold", "coefficient_logk", "generic_bound", "constant_direct",
         "coefficient_direct", "constant_inverted", "coefficient_inverted",
@@ -343,7 +325,7 @@ _FIT = ("--fit", {"action": "store_true",
 class Command:
     """One subcommand: its runner, extra flags, formats and shared flags.
 
-    ``run(params, config)`` returns (data, sidecar extras, summary line).
+    ``run(config)`` returns (data, sidecar extras, summary line).
     ``rule``, ``n`` and ``k`` say whether it takes --rule/--phase, --n, --k.
     """
 
@@ -438,26 +420,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def config_from_args(args: argparse.Namespace) -> dict:
+    """The parsed flags as one dict, the config that runners read and both
+    files echo: ``command`` names the ``COMMAND_TABLE`` entry (couple modes
+    as ``couple-<mode>``) and ``out`` defaults to ``<command>.<format>``."""
     threads = getattr(args, "threads", 1)
     if threads < 1:
         raise ParameterError(f"--threads must be at least 1, got {threads}")
-    skip = {"command", "seed", "out", "format"}
-    params = {key: v for key, v in sorted(vars(args).items()) if key not in skip}
-    command = args.command
-    if command == "couple":
-        command = f"{_COUPLE}{args.mode}"
-    return ExperimentConfig(
-        command=command,
-        params=params,
-        seed=args.seed,
-        out=args.out or f"{command}.{args.format}",
-        format=args.format,
-    )
+    config = dict(vars(args))
+    if args.command == "couple":
+        config["command"] = f"{_COUPLE}{args.mode}"
+    config["out"] = args.out or f"{config['command']}.{args.format}"
+    return config
 
 
-def _check_k(params: dict):
-    n, k = params["n"], params["k"]
+def _check_k(config: dict):
+    n, k = config["n"], config["k"]
     if k > n:
         raise ParameterError(f"k exceeds n (k={k}, n={n})")
     if k < 1:
@@ -475,33 +453,33 @@ def _write_json(path, record: dict):
 _DATA_ECHO_SKIP = {"threads", "out"}
 
 
-def _data_params(config: ExperimentConfig) -> dict:
+def _data_params(config: dict) -> dict:
     return {
         key: value
-        for key, value in config.echo().items()
+        for key, value in config.items()
         if value is not None and key not in _DATA_ECHO_SKIP
     }
 
 
-def dispatch(config: ExperimentConfig) -> int:
-    """Run the configured experiment and write its artifacts."""
+def dispatch(config: dict) -> int:
+    """Run the configured experiment and write its data file and sidecar."""
     started = time.perf_counter()
-    spec = COMMAND_TABLE.get(config.command)
+    command, out = config["command"], config["out"]
+    spec = COMMAND_TABLE.get(command)
     if spec is None:
-        raise ParameterError(f"unknown command {config.command!r}")
+        raise ParameterError(f"unknown command {command!r}")
     if spec.k:
-        _check_k(config.params)
-    data, extras, summary = spec.run(config.params, config)
+        _check_k(config)
+    data, extras, summary = spec.run(config)
     if isinstance(data, dict):
-        record = {"op": config.command, "params": _data_params(config), **data}
-        _write_json(config.out, record)
+        _write_json(out, {"op": command, "params": _data_params(config), **data})
     else:
-        write_csv(config.out, *data)
-    meta = {"config": config.echo(), "version": __version__, **extras}
+        write_csv(out, *data)
+    meta = {"config": config, **extras}
     meta["wall_time_s"] = time.perf_counter() - started
-    meta["data_file"] = str(config.out)
-    write_sidecar(config.out, meta)
-    print(f"{summary} -> {config.out}")
+    meta["data_file"] = str(out)
+    write_sidecar(out, meta)
+    print(f"{summary} -> {out}")
     return 0
 
 

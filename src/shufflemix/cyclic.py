@@ -418,19 +418,17 @@ class CyclicBoundParams:
             raise ParameterError(f"rate must be positive, got {self.rate!r}")
 
 
-def _bound_values(ts: np.ndarray, n: int, params: CyclicBoundParams) -> np.ndarray:
-    ts = np.asarray(ts, dtype=np.float64)
-    rounds = np.floor(params.rate * ts / n)
-    return params.c * np.exp(-ts / n) * (params.lam**rounds + 1.0 / n)
-
-
-def cyclic_one_card_bound(t, n: int, params: CyclicBoundParams) -> float:
-    """Evaluate the one-card failure bound at step t (floor kept exact)."""
-    if t < 0:
+def cyclic_one_card_bound(t, n: int, params: CyclicBoundParams):
+    """Evaluate the one-card failure bound at step t, or at every step of an
+    array of them (floor kept exact): a float for a scalar t, else an array."""
+    ts = np.asarray(t, dtype=np.float64)
+    if (ts < 0).any():
         raise ParameterError(f"time must be non-negative, got {t!r}")
     if n < 2:
         raise ParameterError(f"deck size must be at least 2, got {n}")
-    return float(_bound_values(np.array([t]), n, params)[0])
+    rounds = np.floor(params.rate * ts / n)
+    values = params.c * np.exp(-ts / n) * (params.lam**rounds + 1.0 / n)
+    return float(values) if values.ndim == 0 else values
 
 
 def fit_cyclic_bound_constant(
@@ -453,7 +451,7 @@ def fit_cyclic_bound_constant(
         raise ParameterError(f"no exact worst-case curve to fit c to at n={n}")
     times = np.arange(1, t_max + 1)
     curve = worst_case_curve(rule, 1, times)
-    shape = _bound_values(times, n, CyclicBoundParams(c=1.0, lam=lam, rate=rate))
+    shape = cyclic_one_card_bound(times, n, CyclicBoundParams(1.0, lam, rate))
     c = float(np.max(curve.values / shape))
     return CyclicBoundParams(c=c, lam=lam, rate=rate, fit_n=n, fit_t_max=t_max)
 
@@ -488,7 +486,7 @@ def cyclic_mixing_upper(
 ) -> CyclicMixingResult:
     """Solve the bound threshold for the k-card mixing time.
 
-    Scans t upward for the smallest value with
+    Bisects for the smallest t up to 10 n log n with
     c e^{-t/n} (lam^floor(rate t/n) + 1/n) <= e^{-3/2}/k; the factor in
     front of the tolerance comes from trading accuracy 1/4 at k cards for
     accuracy e^{-3/2}/k at one card.
@@ -500,22 +498,21 @@ def cyclic_mixing_upper(
     params = c_fit if isinstance(c_fit, CyclicBoundParams) else CyclicBoundParams(c=float(c_fit))
     target = math.exp(-1.5) / k
     horizon = int(math.ceil(10.0 * n * math.log(n)))
-    block = 65536
-    t_star = None
-    t0 = 1
-    while t0 <= horizon:
-        ts = np.arange(t0, min(t0 + block - 1, horizon) + 1, dtype=np.int64)
-        vals = _bound_values(ts, n, params)
-        hits = np.flatnonzero(vals <= target)
-        if hits.size:
-            t_star = int(ts[hits[0]])
-            break
-        t0 += block
-    if t_star is None:
+    last_value = cyclic_one_card_bound(horizon, n, params)
+    if last_value > target:
         raise HorizonError(
             f"bound never crossed {target:.3e} below horizon {horizon}",
-            last_value=float(_bound_values(np.array([horizon]), n, params)[0]),
+            last_value=last_value,
         )
+    # the bound is non-increasing in t: bisect, keeping bound(t_star) <=
+    # target and lo = 0 or bound(lo) > target
+    lo, t_star = 0, horizon
+    while t_star - lo > 1:
+        mid = (lo + t_star) // 2
+        if cyclic_one_card_bound(mid, n, params) <= target:
+            t_star = mid
+        else:
+            lo = mid
     logk = math.log(k)
     c_direct = 1.5 + math.log(params.c)
     ratio = target * k / params.c  # e^{-3/2} / c

@@ -245,11 +245,6 @@ class TVCurve:
             raise ParameterError(f"t={t} not on the curve grid")
         return float(self.values[hits[0]])
 
-    def to_csv(self, path, sidecar: bool = True):
-        write_csv(path, "t,tv", zip(self.times.tolist(), self.values.tolist()))
-        if sidecar:
-            write_sidecar(path, self.metadata)
-
 
 def _format_value(v) -> str:
     if isinstance(v, float):
@@ -266,8 +261,8 @@ def write_csv(path, header: str, rows):
 
 
 def write_sidecar(path, metadata: dict):
-    meta = dict(metadata)
-    meta.setdefault("version", _pkg_version)
+    """Write ``<path>.meta.json``: the metadata plus the library version."""
+    meta = {**metadata, "version": _pkg_version}
     with open(str(path) + ".meta.json", "w", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -496,11 +491,6 @@ class CutoffProfile:
             self.values.tolist(),
             self.bounds.tolist(),
         )
-
-    def to_csv(self, path, sidecar: bool = True):
-        write_csv(path, "alpha,t,tv,bound", self.rows())
-        if sidecar:
-            write_sidecar(path, self.metadata)
 
 
 def cutoff_profile(

@@ -363,7 +363,7 @@ def tv_lower_bound_fixed_cards(
     never selected by either hand up to t (such a card still sits at its
     start position, so {X_t > C} implies {more than C of the k cards
     fixed}). The bound is |Phat(X_t > C) - P_uniform(fixed count > C)|,
-    the uniform tail computed exactly.
+    the uniform tail computed exactly. For C >= k it is 0, with a warning.
     """
     n = rule.n
     if t < 0:
@@ -374,6 +374,12 @@ def tv_lower_bound_fixed_cards(
         raise ParameterError(f"samples must be positive, got {samples}")
     if not 0 < k <= n:
         raise ParameterError(f"need 0 < k <= n, got k={k}")
+    if c_threshold >= k:
+        warnings.warn(
+            f"threshold={c_threshold} is at least k={k}: X_t > threshold never "
+            "holds, so the bound is 0",
+            stacklevel=2,
+        )
     start_pos = np.arange(n - k + 1, n + 1, dtype=np.int64)
     stream = _as_stream(rng)
 
@@ -529,8 +535,6 @@ def couple_one_card(
         "one-card", rule, start_pair, horizon, trials, rng, workers, mirror
     )
     result.details.update(
-        right_hist_deck_one=hist[0],
-        right_hist_deck_two=hist[1],
         chisq_p_deck_one=float(stats.chisquare(hist[0]).pvalue),
         chisq_p_deck_two=float(stats.chisquare(hist[1]).pvalue),
         censored_designed=int(np.count_nonzero(result.designed_times < 0)),
@@ -774,14 +778,14 @@ def fit_mismatch_bound(result: KDeckCouplingResult, times=None) -> BoundFit:
             np.linspace(1, params.horizon, 32, dtype=np.int64)
         )
     times = np.asarray(times, dtype=np.int64)
-    if times.min() < 1:
-        raise ParameterError("fit times must be at least 1")
+    if times.size == 0:
+        raise ParameterError("need at least one fit time")
+    if times.min() < 1 or times.max() > params.horizon:
+        raise ParameterError(f"fit times must lie in 1..{params.horizon}")
     survivors = survival_counts(result.mismatch_times, params.horizon)
     fail_prob = 1.0 - survivors[times] / result.trials
     shape = times * k * k / n**2 + k * k * np.log(times) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(shape > 0, fail_prob / shape, 0.0)
-    constant = float(np.max(ratios)) if ratios.size else 0.0
+    constant = float(np.max(fail_prob / shape))  # shape > 0 for every t >= 1
     residuals = constant * shape - fail_prob
     return BoundFit(
         constant=constant,

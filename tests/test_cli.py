@@ -364,18 +364,17 @@ def test_seed_flag_sets_the_seed(tmp_path):
 def test_default_output_name_follows_command(tmp_path):
     parser = build_parser()
     cfg = config_from_args(parser.parse_args(["tau-hat", "--n", "100"]))
-    assert cfg.out == "tau-hat.json" and cfg.format == "json"
+    assert cfg["out"] == "tau-hat.json" and cfg["format"] == "json"
     cfg = config_from_args(parser.parse_args(
         ["couple", "two-hand", "--n", "10"]))
-    assert cfg.command == "couple-two-hand"
-    assert cfg.out == "couple-two-hand.csv" and cfg.format == "csv"
+    assert cfg["command"] == "couple-two-hand"
+    assert cfg["out"] == "couple-two-hand.csv" and cfg["format"] == "csv"
 
 
 def test_config_echo_roundtrip(tmp_path):
     parser = build_parser()
-    cfg = config_from_args(parser.parse_args(
+    echo = config_from_args(parser.parse_args(
         ["hits", "--n", "9", "--k", "2", "--t", "5", "--seed", "4", "--threads", "2"]))
-    echo = cfg.echo()
     assert echo["command"] == "hits"
     assert echo["seed"] == 4
     assert echo["threads"] == 2
@@ -546,9 +545,8 @@ def test_config_roundtrip_property(name, data):
     """The config echo carries every flag's value; defaults follow the table."""
     argv, given_values = data.draw(invocations(name))
     spec = COMMAND_TABLE[name]
-    cfg = config_from_args(build_parser().parse_args(argv))
-    echo = cfg.echo()
-    assert cfg.command == name
+    echo = config_from_args(build_parser().parse_args(argv))
+    assert echo["command"] == name
     defaults = {
         "--format": spec.formats[0],
         "--out": f"{name}.{echo['format']}",
@@ -567,3 +565,21 @@ def test_readme_subcommand_table_lists_every_command():
     assert tuple(names) == COMMANDS
     couple = next(second for first, second in rows if first.strip() == "`couple`")
     assert tuple(re.findall(r"`([^`]+)`", couple)) == COUPLE_MODES
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    """The Quick start block runs and prints what its comments say: a value
+    ending in "..." is a prefix of the printed one, any other is exact."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    expected = re.findall(r"^print\(.*\)\s+#\s*(\S+)$", block, flags=re.M)
+    assert expected == ["0.2439...", "58"]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        if want.endswith("..."):
+            assert got.startswith(want[:-3]), (got, want)
+        else:
+            assert got == want

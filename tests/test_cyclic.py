@@ -20,7 +20,7 @@ from shufflemix.cyclic import (
     scan_epsilon,
     tau_hat_moments,
 )
-from shufflemix.errors import ParameterError
+from shufflemix.errors import HorizonError, ParameterError
 from shufflemix.rng import RandomStream
 
 
@@ -251,6 +251,16 @@ def test_bound_validation():
         cyclic_one_card_bound(5, 1, CyclicBoundParams(c=1.0))
 
 
+def test_bound_over_an_array_matches_each_step():
+    params = CyclicBoundParams(c=0.7)
+    for n in (10, 20, 60, 137):
+        ts = np.arange(0, 10 * n + 1)
+        values = cyclic_one_card_bound(ts, n, params)
+        assert values.tolist() == [cyclic_one_card_bound(int(t), n, params) for t in ts]
+    with pytest.raises(ParameterError):
+        cyclic_one_card_bound(np.array([3, -1]), 10, params)
+
+
 def test_fitted_constant_dominates_curve():
     params = fit_cyclic_bound_constant(n=60)
     assert 0.0 < params.c <= 10.0
@@ -273,6 +283,30 @@ def test_mixing_solver_matches_threshold():
     assert cyclic_one_card_bound(res.t - 1, 200, params) > target
     assert res.threshold == pytest.approx(target)
     assert res.generic_bound == pytest.approx(200 * (math.log(4) + 1.5))
+
+
+def test_mixing_solver_bisection_matches_full_scan():
+    """The bisection finds the first t of a scan over t = 1..horizon, and
+    raises HorizonError exactly when the scan finds none."""
+    crossed = exhausted = 0
+    for n in (2, 3, 5, 8, 13):
+        horizon = int(math.ceil(10.0 * n * math.log(n)))
+        ts = np.arange(1, horizon + 1)
+        for k in (2, 3, 7, 50):
+            for c in (0.01, 0.3, 1.0, 4.0, 1e3, 1e6):
+                for lam, rate in ((0.237, 0.693), (0.9, 0.2), (0.01, 2.0)):
+                    params = CyclicBoundParams(c=c, lam=lam, rate=rate)
+                    below = np.flatnonzero(
+                        cyclic_one_card_bound(ts, n, params) <= math.exp(-1.5) / k
+                    )
+                    if below.size:
+                        assert cyclic_mixing_upper(n, k, params).t == ts[below[0]]
+                        crossed += 1
+                    else:
+                        with pytest.raises(HorizonError):
+                            cyclic_mixing_upper(n, k, params)
+                        exhausted += 1
+    assert crossed and exhausted
 
 
 def test_mixing_solver_scales_like_half_n_log_k():

@@ -242,14 +242,15 @@ def test_write_sidecar(tmp_path):
     assert raw.index('"a"') < raw.index('"b"')
 
 
-def test_curve_to_csv_roundtrip(tmp_path):
+def test_curve_write_csv_roundtrip(tmp_path):
     rule = make_rule("random", 6)
     curve = exact_tv_curve(rule, 1, (3,), times=[1, 2, 3])
     out = tmp_path / "curve.csv"
-    curve.to_csv(out)
+    write_csv(out, "t,tv", zip(curve.times.tolist(), curve.values.tolist()))
+    write_sidecar(out, curve.metadata)
     lines = out.read_text().splitlines()
     assert lines[0] == "t,tv"
-    assert len(lines) == 4
+    assert [float(line.split(",")[1]) for line in lines[1:]] == curve.values.tolist()
     meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
     assert meta["rule"] == "random" and meta["n"] == 6
 

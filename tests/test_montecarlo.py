@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ def test_lower_bound_start_positions_at_bottom():
         tv_lower_bound_fixed_cards(rule, 3, t=-1, c_threshold=1, samples=500, rng=RandomStream(5))
 
 
+def test_lower_bound_warns_when_threshold_reaches_k():
+    """X_t > C cannot hold once C >= k: the bound is 0, with a warning."""
+    rule = make_rule("top", 10)
+    with pytest.warns(UserWarning, match="bound is 0"):
+        est = tv_lower_bound_fixed_cards(rule, 2, t=3, c_threshold=2, samples=200, rng=RandomStream(5))
+    assert est.value == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tv_lower_bound_fixed_cards(rule, 2, t=3, c_threshold=1, samples=200, rng=RandomStream(5))
+
+
 # -- one-card coupling ---------------------------------------------------------
 
 
@@ -382,6 +394,14 @@ def test_k_deck_mismatch_fit_and_replay():
     fit = fit_mismatch_bound(a)
     assert fit.constant > 0.0
     assert (fit.residuals >= -1e-12).all()
+
+
+def test_mismatch_fit_times_outside_the_horizon_are_parameter_errors():
+    res = couple_k_decks(make_rule("random", 30), 2, horizon=20, trials=200, rng=RandomStream(5))
+    for times in ([], [0, 5], [5, 30]):
+        with pytest.raises(ParameterError):
+            fit_mismatch_bound(res, times=times)
+    assert fit_mismatch_bound(res, times=[1, 20]).residuals.shape == (2,)
 
 
 def test_k_deck_diagnostic_counts_all_trials():
