@@ -114,10 +114,15 @@ def _pick(obj, *names) -> dict:
 # module's attributes reaches them too.
 
 
+def _with_drift(curve) -> dict:
+    """A curve's metadata plus the largest mass drift, for the sidecar."""
+    return {**curve.metadata, "max_mass_drift": curve.max_mass_drift}
+
+
 def _curve_output(command, times, curve):
     rows = zip(curve.times.tolist(), curve.values.tolist())
     summary = f"{command}: {times.size} rows, final tv {curve.values[-1]:.6g}"
-    return ("t,tv", rows), dict(curve.metadata), summary
+    return ("t,tv", rows), _with_drift(curve), summary
 
 
 def _run_exact_tv(config):
@@ -144,14 +149,12 @@ def _run_cutoff(config):
     alphas = config["alphas"] or [0.0, 0.5, 1.0, 1.5, 2.0]
     profile = cutoff_profile(_rule_from(config), config["k"], alphas)
     summary = f"cutoff: {len(alphas)} alphas"
-    return ("alpha,t,tv,bound", profile.rows()), dict(profile.metadata), summary
+    return ("alpha,t,tv,bound", profile.rows()), _with_drift(profile), summary
 
 
 def _estimate_record(est, fitted=None) -> dict:
-    kept = (int, float, str, bool, list, tuple)
-    tallies = {key: v for key, v in est.details.items() if isinstance(v, kept)}
     record = {"estimate": est.value, **_pick(est, "std_error", "samples", "seed")}
-    return {**record, "fitted_constants": fitted, "tallies": tallies}
+    return {**record, "fitted_constants": fitted, "tallies": est.details}
 
 
 def _mc_options(config) -> dict:

@@ -79,6 +79,10 @@ class LumpedEvolver:
     tracked-tracked swap is not double counted). Everything else is a
     self-loop of total weight (1 - l(T)) (n-k)/n where l(T) is the left
     rule's mass on the tracked positions.
+
+    For the top and cyclic rules, a held card's n moves are encoded as one
+    q-major batch and scattered by one ``np.add.at``. That adds in index
+    order, so every sum is the one a loop over q gives, bit for bit.
     """
 
     def __init__(self, rule: ShuffleRule, k: int):
@@ -93,16 +97,18 @@ class LumpedEvolver:
 
     # -- transposition targets ------------------------------------------------
 
-    def _transposed(self, rows: np.ndarray, i: int, q: int) -> np.ndarray:
+    def _transposed(self, rows: np.ndarray, i: int, qs) -> np.ndarray:
         """State indices of the 0-based tuples ``rows`` after transposing
-        (p_i, q): card i moves to q, and a tracked card at q takes p_i."""
-        moved = rows.astype(np.int64)
-        old = moved[:, i].copy()
-        hit = moved == q
-        hit[:, i] = False
-        moved[hit] = old[hit.any(axis=1)]
-        moved[:, i] = q
-        return self.indexer.encode_many(moved)
+        (p_i, q) for each q of ``qs`` (one position or an array), q-major:
+        card i moves to q, and a tracked card at q takes p_i."""
+        qs = np.atleast_1d(qs)[:, None]
+        moved = np.empty((qs.shape[0], *rows.shape), dtype=rows.dtype)
+        moved[:] = rows
+        for j in range(self.k):
+            if j != i:
+                np.copyto(moved[:, :, j], rows[:, i], where=moved[:, :, j] == qs)
+        moved[:, :, i] = qs
+        return self.indexer.encode_many(moved.reshape(-1, self.k))
 
     def _target(self, i: int, q: int) -> np.ndarray:
         """State index after transposing (p_i, q), vectorized over states."""
@@ -115,6 +121,13 @@ class LumpedEvolver:
             self._targets[key] = tgt
         return tgt
 
+    def _untracked(self, q: int) -> np.ndarray:
+        """Per state: True when no tracked card sits at position q."""
+        free = self._pos0[:, 0] != q
+        for col in self._pos0.T[1:]:
+            free &= col != q
+        return free
+
     def _moves(self, lvec: np.ndarray):
         """Yield (weight per state, i, q) for every move of tracked card i to
         position q: its own position drawn by the left hand, or q drawn by the
@@ -122,8 +135,7 @@ class LumpedEvolver:
         pos = self._pos0
         left_at = [lvec[pos[:, i]] for i in range(self.k)]
         for q in range(self.n):
-            untracked_q = ~(pos == q).any(axis=1)
-            lq = lvec[q] * untracked_q
+            lq = lvec[q] * self._untracked(q)
             for i in range(self.k):
                 yield (left_at[i] + lq) / self.n, i, q
 
@@ -141,21 +153,17 @@ class LumpedEvolver:
     def _step_point_mass(self, probs: np.ndarray, left0: int) -> np.ndarray:
         n, k, count = self.n, self.k, self.indexer.count
         pos = self._pos0
-        miss = ~(pos == left0).any(axis=1)
+        miss = self._untracked(left0)
         new = probs * (miss * ((n - k) / n))
         w_miss = probs * miss / n
         for j in range(k):
             # right hand lands on tracked card j, which moves to the left slot
             new += np.bincount(self._target(j, left0), weights=w_miss, minlength=count)
         for i in range(k):
-            idx = np.flatnonzero(pos[:, i] == left0)
-            if idx.size == 0:
-                continue
             # left hand holds card i: it moves to the uniform right position
-            w = probs[idx] / n
-            held = pos[idx]
-            for q in range(n):
-                np.add.at(new, self._transposed(held, i, q), w)
+            idx = np.flatnonzero(pos[:, i] == left0)
+            moved = self._transposed(pos[idx], i, np.arange(n))
+            np.add.at(new, moved, np.tile(probs[idx] / n, n))
         return new
 
     def _step_general(self, probs: np.ndarray, lvec: np.ndarray) -> np.ndarray:
@@ -232,6 +240,7 @@ class TVCurve:
     times: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
+    max_mass_drift: float = 0.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.int64)
@@ -292,10 +301,10 @@ def exact_tv_curve(
     """
     times = _check_times(times)
     evolver = LumpedEvolver(rule, k)
-    values = _values_at(_worst_tv_steps(evolver, [start]), times)
+    values, drift = _values_at(_worst_tv_steps(evolver, [start]), times)
     meta = _curve_metadata(rule, k, evolver, "single-start")
     meta["start"] = list(map(int, start))
-    return TVCurve(times, values, meta)
+    return TVCurve(times, values, meta, drift)
 
 
 def _curve_metadata(rule, k, evolver, strategy) -> dict:
@@ -312,11 +321,11 @@ def _curve_metadata(rule, k, evolver, strategy) -> dict:
 def _worst_tv_steps(evolver: LumpedEvolver, starts):
     """Evolve point masses at ``starts`` together; ``None`` means every tuple.
 
-    Yields (t, largest TV to uniform over the starts) for t = 0, 1, 2, ...
-    and raises MassDriftError as soon as any start's mass drifts. Listed
-    starts are rows of a (starts x states) block, stepped one at a time; the
-    exhaustive scan evolves the identity's columns through the cached kernel
-    and reads its transpose as the block.
+    Yields (t, largest TV to uniform, largest mass drift) over the starts for
+    t = 0, 1, 2, ... and raises MassDriftError as soon as a drift passes
+    MASS_TOL. Listed starts are rows of a (starts x states) block, stepped one
+    at a time; the exhaustive scan evolves the identity's columns through the
+    cached kernel and reads its transpose as the block.
     """
     count = evolver.indexer.count
     uniform = 1.0 / count
@@ -327,7 +336,7 @@ def _worst_tv_steps(evolver: LumpedEvolver, starts):
         block = np.zeros((len(starts), count))
         for row, s in zip(block, starts):
             row[evolver.indexer.encode(s)] = 1.0
-    yield 0, 1.0 - uniform  # every start is a point mass
+    yield 0, 1.0 - uniform, 0.0  # every start is a point mass
     t = 0
     while True:
         t += 1
@@ -340,19 +349,21 @@ def _worst_tv_steps(evolver: LumpedEvolver, starts):
         drift = float(np.abs(block.sum(axis=1) - 1.0).max())
         if drift > MASS_TOL:
             raise MassDriftError(f"probability mass drifted by {drift:.3e} at t={t}")
-        yield t, float(0.5 * np.abs(block - uniform).sum(axis=1).max())
+        yield t, float(0.5 * np.abs(block - uniform).sum(axis=1).max()), drift
 
 
-def _values_at(steps, times: np.ndarray) -> np.ndarray:
-    """The TV values ``steps`` yields at the grid ``times``, stepping no further."""
+def _values_at(steps, times: np.ndarray) -> tuple[np.ndarray, float]:
+    """The TV values ``steps`` yields at the grid ``times``, stepping no
+    further, and the largest mass drift seen up to the last of them."""
     values = np.empty(times.size)
-    cursor = 0
-    for t, tv in steps:
+    cursor, max_drift = 0, 0.0
+    for t, tv, drift in steps:
+        max_drift = max(max_drift, drift)
         if t == times[cursor]:
             values[cursor] = tv
             cursor += 1
             if cursor == times.size:
-                return values
+                return values, max_drift
 
 
 def _canonical_starts(rule: ShuffleRule, k: int) -> list[tuple]:
@@ -428,12 +439,12 @@ def worst_case_curve(rule: ShuffleRule, k: int, times) -> TVCurve:
     times = _check_times(times)
     evolver = LumpedEvolver(rule, k)
     starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
-    values = _values_at(_worst_tv_steps(evolver, starts), times)
+    values, drift = _values_at(_worst_tv_steps(evolver, starts), times)
     meta = _curve_metadata(rule, k, evolver, strategy)
     meta["lower_bound_only"] = strategy == "sampled-lower-bound"
     if starts is not None:
         meta["starts"] = len(starts)
-    return TVCurve(times, values, meta)
+    return TVCurve(times, values, meta, drift)
 
 
 @dataclass
@@ -465,7 +476,7 @@ def partial_mixing_time(
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
     evolver = LumpedEvolver(rule, k)
     starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
-    for t, tv in _worst_tv_steps(evolver, starts):
+    for t, tv, _ in _worst_tv_steps(evolver, starts):
         if tv < epsilon:
             return MixingTime(t, tv, epsilon, horizon, strategy)
         if t >= horizon:
@@ -483,6 +494,7 @@ class CutoffProfile:
     values: np.ndarray
     bounds: np.ndarray
     metadata: dict
+    max_mass_drift: float
 
     def rows(self):
         return zip(
@@ -528,4 +540,4 @@ def cutoff_profile(
     bounds = np.array([bound_fn(a, t) for a, t in zip(alphas, times)])
     meta = dict(curve.metadata)
     meta.update({"center": center, "profile": "cutoff"})
-    return CutoffProfile(alphas, times, values, bounds, meta)
+    return CutoffProfile(alphas, times, values, bounds, meta, curve.max_mass_drift)

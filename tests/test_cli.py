@@ -275,6 +275,17 @@ def test_worst_tv_start_labels(tmp_path):
         assert meta["lower_bound_only"] == (label == "sampled-lower-bound")
 
 
+@pytest.mark.parametrize("argv", [
+    "exact-tv --rule top --n 6 --k 2 --t-max 5",
+    "worst-tv --rule cyclic --n 5 --k 2 --t-max 5",
+    "cutoff --rule random --n 6 --k 2",
+])
+def test_exact_curve_sidecars_record_mass_drift(tmp_path, argv):
+    assert run(tmp_path, *argv.split(), "--out", "c.csv") == 0
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert 0.0 <= meta["max_mass_drift"] < 1e-14
+
+
 def test_top_rule_every_card_tracked_cli(tmp_path):
     assert run(tmp_path, "worst-tv", "--rule", "top", "--n", "3", "--k", "3",
                "--t-max", "10", "--out", "w.csv") == 0
@@ -299,6 +310,7 @@ def test_hits_record(tmp_path):
     rec = json.loads((tmp_path / "h.json").read_text())
     assert rec["estimate"] > 0.0
     assert rec["fitted_constants"]["constant"] > 0.0
+    assert set(rec["tallies"]) == {"fit_constant", "fit_shape", "shape_value"}
     assert "threads" not in rec["params"] and "out" not in rec["params"]
 
 
