@@ -20,7 +20,7 @@ from .errors import (
     ShuffleMixError,
 )
 from .rng import DEFAULT_SEED, RandomStream
-from .deck import Permutation, ShuffleKind, ShuffleRule
+from .deck import ShuffleKind, ShuffleRule
 from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
 from .exact import (
     CutoffProfile,

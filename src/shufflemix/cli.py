@@ -142,7 +142,8 @@ def _run_mix_time(config):
     result = partial_mixing_time(rule, config["k"], config["epsilon"], horizon=horizon)
     fields = ("tv", "epsilon", "horizon", "strategy")
     record = {"t_mix": result.t, **_pick(result, *fields)}
-    return record, {}, f"mix-time: t_mix({result.epsilon}) = {result.t}"
+    extras = _pick(result, "max_mass_drift")
+    return record, extras, f"mix-time: t_mix({result.epsilon}) = {result.t}"
 
 
 def _run_cutoff(config):

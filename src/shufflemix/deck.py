@@ -1,4 +1,4 @@
-"""Shuffle rules and deck arrangements.
+"""Shuffle rules.
 
 A shuffle step swaps the cards under two hands: the left hand follows a
 deterministic or random rule (always the top card, a uniformly random
@@ -10,8 +10,7 @@ interface.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,7 @@ class ShuffleRule:
             when t exceeds its length.
     phase:  offset for CYCLIC_TO_RANDOM; step t uses position
             ((t - 1 + phase) mod n) + 1. Default 0 starts the sweep at the top.
+            Any other kind must keep the default.
     """
 
     kind: ShuffleKind
@@ -48,6 +48,8 @@ class ShuffleRule:
             raise ParameterError("deck size n must be at least 2")
         kind = ShuffleKind(self.kind)
         object.__setattr__(self, "kind", kind)
+        if self.phase != 0 and kind is not ShuffleKind.CYCLIC_TO_RANDOM:
+            raise ParameterError(f"phase needs the cyclic rule, got {kind.value}")
         if kind is ShuffleKind.CUSTOM_SEQUENCE:
             if self.custom is None or len(self.custom) == 0:
                 raise ParameterError("custom rule needs at least one distribution")
@@ -108,64 +110,3 @@ class ShuffleRule:
         pos = 1 if self.kind is ShuffleKind.TOP_TO_RANDOM else self.cyclic_position(t)
         vec[pos - 1] = 1.0
         return vec
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Arrangement of n distinct cards; immutable once built.
-
-    forward[p-1] is the card label at position p; inverse[c-1] is the
-    position of card c. Both are 1-based values stored in 0-indexed arrays.
-    """
-
-    forward: np.ndarray
-    inverse: np.ndarray = field(default=None, compare=False)
-
-    def __post_init__(self):
-        fwd = np.array(self.forward, dtype=np.int64)
-        n = fwd.size
-        if n < 1 or not np.array_equal(np.sort(fwd), np.arange(1, n + 1)):
-            raise ParameterError("forward must be a permutation of 1..n")
-        inv = np.empty(n, dtype=np.int64)
-        inv[fwd - 1] = np.arange(1, n + 1)
-        object.__setattr__(self, "forward", _freeze(fwd))
-        object.__setattr__(self, "inverse", _freeze(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(1, n + 1))
-
-    @property
-    def n(self) -> int:
-        return self.forward.size
-
-    def card_at(self, position: int) -> int:
-        return int(self.forward[position - 1])
-
-    def position_of(self, card: int) -> int:
-        return int(self.inverse[card - 1])
-
-    def positions_of(self, cards: Iterable[int]) -> tuple:
-        return tuple(int(self.inverse[c - 1]) for c in cards)
-
-    def transpose(self, left: int, right: int) -> "Permutation":
-        """Swap the cards at two positions; left == right is the identity."""
-        n = self.n
-        if not (1 <= left <= n and 1 <= right <= n):
-            raise ParameterError("transposition positions must lie in 1..n")
-        fwd = self.forward.copy()
-        fwd[[left - 1, right - 1]] = fwd[[right - 1, left - 1]]
-        return Permutation(fwd)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and np.array_equal(
-            self.forward, other.forward
-        )
-
-    def __hash__(self):
-        return hash(self.forward.tobytes())

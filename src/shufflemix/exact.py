@@ -454,6 +454,7 @@ class MixingTime:
     epsilon: float
     horizon: int
     strategy: str
+    max_mass_drift: float
 
 
 def partial_mixing_time(
@@ -465,7 +466,8 @@ def partial_mixing_time(
     """Smallest t with worst-case exact TV below epsilon.
 
     Monotonicity is not assumed: the scan walks t upward and stops at the
-    first time the threshold actually holds.
+    first time the threshold actually holds. ``max_mass_drift`` is the
+    largest mass drift seen up to that time.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
@@ -476,9 +478,11 @@ def partial_mixing_time(
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
     evolver = LumpedEvolver(rule, k)
     starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
-    for t, tv, _ in _worst_tv_steps(evolver, starts):
+    max_drift = 0.0
+    for t, tv, drift in _worst_tv_steps(evolver, starts):
+        max_drift = max(max_drift, drift)
         if tv < epsilon:
-            return MixingTime(t, tv, epsilon, horizon, strategy)
+            return MixingTime(t, tv, epsilon, horizon, strategy, max_drift)
         if t >= horizon:
             break
     raise HorizonError(

@@ -113,7 +113,6 @@ class CouplingResult:
     trial censored at the horizon.
     """
 
-    kind: str
     n: int
     trials: int
     horizon: int
@@ -132,7 +131,6 @@ class KDeckCouplingResult:
     cards: tuple
     trials: int
     seed: int
-    diagnostic: bool
     mismatch_times: np.ndarray  # first step the matching breaks; -1 = never
     situation_counts: np.ndarray  # (trials, 4) occurrences of each risk situation
     r0_histogram: np.ndarray
@@ -140,11 +138,15 @@ class KDeckCouplingResult:
 
 
 def _as_stream(rng) -> RandomStream:
+    """``rng`` as a stream: None (``DEFAULT_SEED``), a RandomStream, or an
+    integer seed."""
     if rng is None:
         return RandomStream(DEFAULT_SEED)
     if isinstance(rng, RandomStream):
         return rng
-    return RandomStream(int(rng))
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
+        return RandomStream(int(rng))
+    raise ParameterError(f"rng must be None, a RandomStream or an int, got {rng!r}")
 
 
 def _trial_blocks(stream: RandomStream, trials: int):
@@ -446,7 +448,7 @@ def _mirror(hand, x, y):
     return np.where(hand == x, y, np.where(hand == y, x, hand))
 
 
-def _couple_two_decks(kind, rule, start_pair, horizon, trials, rng, workers, mirror):
+def _couple_two_decks(rule, start_pair, horizon, trials, rng, workers, mirror):
     """Run a two-deck coupling of one tracked card under ``rule``.
 
     ``xy`` holds the card's position in deck one (column 0) and deck two
@@ -493,7 +495,6 @@ def _couple_two_decks(kind, rule, start_pair, horizon, trials, rng, workers, mir
     }
     designed = None if designed_all[0] is None else np.concatenate(designed_all)
     result = CouplingResult(
-        kind=kind,
         n=n,
         trials=trials,
         horizon=horizon,
@@ -532,7 +533,7 @@ def couple_one_card(
         return left, rights, right == xy[:, 1], (r_one, right)
 
     result, hist = _couple_two_decks(
-        "one-card", rule, start_pair, horizon, trials, rng, workers, mirror
+        rule, start_pair, horizon, trials, rng, workers, mirror
     )
     result.details.update(
         chisq_p_deck_one=float(stats.chisquare(hist[0]).pvalue),
@@ -567,7 +568,7 @@ def couple_two_hands_random(
                 np.stack([right, m_right], axis=1), None, (m_left, m_right))
 
     result, hist = _couple_two_decks(
-        "two-hand", rule, start_pair, horizon, trials, rng, workers, mirror
+        rule, start_pair, horizon, trials, rng, workers, mirror
     )
     result.details.update(
         chisq_p_mirrored_left=float(stats.chisquare(hist[0]).pvalue),
@@ -611,7 +612,6 @@ def couple_k_decks(
     cards=None,
     horizon: int | None = None,
     rng=None,
-    diagnostic: bool = False,
     workers: int = 1,
 ) -> KDeckCouplingResult:
     """Coupled deck versus k independent single-card reference decks.
@@ -624,12 +624,13 @@ def couple_k_decks(
     uniformly, heads draws U uniform on all positions and either copies
     the reference deck whose card U hit, redirects to a reference deck
     that just hit its own card (the set E), or keeps U. Deck 0's right
-    hand stays uniform; trials stop at the first position mismatch unless
-    ``diagnostic`` keeps them running for the situation counters.
+    hand stays uniform; a trial stops at its first position mismatch.
 
-    In the default mode broken trials are dropped from the simulated set
-    and consume no further draws, so the draw stream depends on the
-    mismatch history; it is still a pure function of seed and parameters.
+    Broken trials are dropped from the simulated set and consume no further
+    draws, so the draw stream depends on the mismatch history; it is still a
+    pure function of seed and parameters. The situation counters and the
+    uniformity tallies count every step a trial runs, the breaking step
+    included.
 
     ``k`` and ``horizon`` (default 20 n) make the result's ``params``.
     """
@@ -672,7 +673,6 @@ def couple_k_decks(
 
             rows = np.arange(cur)
             left_arr = np.broadcast_to(np.asarray(left, dtype=dtype), (cur,))
-            intact = mismatch[run_rows] < 0 if diagnostic else np.ones(cur, dtype=bool)
             spec0 = S[:, 0, :]
             l_eq = spec0 == left_arr[:, None]
             l_any = l_eq.any(axis=1)
@@ -714,19 +714,17 @@ def couple_k_decks(
             sits[run_rows[sit3], 2] += 1
             sits[run_rows[sit4], 3] += 1
 
-            # uniformity tallies only while the matching is intact
-            hist += np.bincount(r0[intact] - 1, minlength=n)
-            nonspecial_hits += int(np.count_nonzero((r0 == extra) & intact))
-            steps_tallied += int(np.count_nonzero(intact))
+            hist += np.bincount(r0 - 1, minlength=n)
+            nonspecial_hits += int(np.count_nonzero(r0 == extra))
+            steps_tallied += cur
 
             S = _swap_positions(S, left_arr, np.concatenate([r0[:, None], R], axis=1))
             extra = _swap_positions(extra, left_arr, r0)
 
             ref_diag = np.diagonal(S[:, 1:, :], axis1=1, axis2=2)
             broken = (ref_diag != S[:, 0, :]).any(axis=1)
-            newly = broken & intact
-            mismatch[run_rows[newly]] = s
-            if not diagnostic and broken.any():
+            mismatch[run_rows[broken]] = s
+            if broken.any():
                 keep = ~broken
                 S = S[keep]
                 extra = extra[keep]
@@ -760,7 +758,6 @@ def couple_k_decks(
         cards=tuple(int(c) for c in cards),
         trials=trials,
         seed=stream.master_seed,
-        diagnostic=diagnostic,
         mismatch_times=mismatch,
         situation_counts=sits,
         r0_histogram=hist,

@@ -26,7 +26,7 @@ def make_rule(kind, n, phase=0, rows=None):
             top_heavy[0] = 0.75
             top_heavy[1] = 0.25
             rows = (np.full(n, 1.0 / n), top_heavy)
-        return ShuffleRule(kind=ShuffleKind.CUSTOM_SEQUENCE, n=n, custom=rows)
+        return ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, n, custom=rows, phase=phase)
     return ShuffleRule(kind=ShuffleKind(kind), n=n, phase=phase)
 
 

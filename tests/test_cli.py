@@ -279,11 +279,22 @@ def test_worst_tv_start_labels(tmp_path):
     "exact-tv --rule top --n 6 --k 2 --t-max 5",
     "worst-tv --rule cyclic --n 5 --k 2 --t-max 5",
     "cutoff --rule random --n 6 --k 2",
+    "mix-time --rule top --n 12 --k 2",
 ])
 def test_exact_curve_sidecars_record_mass_drift(tmp_path, argv):
     assert run(tmp_path, *argv.split(), "--out", "c.csv") == 0
     meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
     assert 0.0 <= meta["max_mass_drift"] < 1e-14
+
+
+@pytest.mark.parametrize("argv", [
+    "worst-tv --rule top --n 6 --k 2 --t-max 3 --phase 3",
+    "couple one-card --rule random --n 8 --trials 100 --horizon 5 --phase 1",
+])
+def test_phase_outside_the_cyclic_rule_is_exit_2(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv.split(), "--out", "p.csv") == 2
+    assert "phase needs the cyclic rule" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_top_rule_every_card_tracked_cli(tmp_path):

@@ -1,9 +1,9 @@
-"""Rules and permutations."""
+"""Shuffle rules."""
 
 import numpy as np
 import pytest
 
-from shufflemix.deck import Permutation, ShuffleKind, ShuffleRule
+from shufflemix.deck import ShuffleKind, ShuffleRule
 from shufflemix.errors import ParameterError
 
 from conftest import make_rule
@@ -48,6 +48,13 @@ def test_cyclic_phase_offset():
     assert rule.cyclic_position(4) == 1  # wraps
 
 
+@pytest.mark.parametrize("kind", ("top", "random", "custom"))
+def test_phase_outside_the_cyclic_rule_is_parameter_error(kind):
+    for phase in (3, -1):
+        with pytest.raises(ParameterError, match="cyclic"):
+            make_rule(kind, 4, phase=phase)
+
+
 def test_custom_rows_cycle():
     rule = make_rule("custom", 4)
     assert np.array_equal(rule.left_distribution(1), rule.left_distribution(3))
@@ -59,21 +66,3 @@ def test_custom_rows_frozen():
     rule = make_rule("custom", 4)
     with pytest.raises(ValueError):
         rule.custom[0][0] = 0.9
-
-
-def test_permutation_roundtrip():
-    p = Permutation((3, 1, 4, 2))
-    assert p.card_at(1) == 3
-    assert p.position_of(3) == 1
-    assert p.positions_of((1, 2)) == (2, 4)
-    q = p.transpose(1, 3)
-    assert q.card_at(1) == 4 and q.card_at(3) == 3
-    assert p.card_at(1) == 3  # original untouched
-    assert p.transpose(2, 2) == p
-
-
-def test_permutation_validation():
-    with pytest.raises(ParameterError):
-        Permutation((1, 1, 3))
-    with pytest.raises(ParameterError):
-        Permutation.identity(3).transpose(0, 2)

@@ -158,6 +158,7 @@ def test_curves_record_the_largest_mass_drift(monkeypatch):
         exact_tv_curve(rule, 2, (1, 2), range(0, 11)),
         worst_case_curve(rule, 2, range(0, 11)),
         cutoff_profile(rule, 2, [0.0, 1.0]),
+        partial_mixing_time(rule, 2, 0.25),
     )
     for curve in curves:
         assert 0.0 <= curve.max_mass_drift < 1e-14
@@ -169,6 +170,9 @@ def test_curves_record_the_largest_mass_drift(monkeypatch):
     drift = exact_tv_curve(rule, 2, (1, 2), range(0, 11)).max_mass_drift
     assert drift == pytest.approx(10e-12, rel=1e-3)
     assert drift < MASS_TOL
+    # and the mixing time's drift is the one up to t_mix
+    mixing = partial_mixing_time(rule, 2, 0.25)
+    assert mixing.max_mass_drift == pytest.approx(mixing.t * 1e-12, rel=1e-3)
 
 
 @st.composite

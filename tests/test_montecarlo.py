@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from shufflemix.deck import Permutation
 from shufflemix.errors import CapExceededError, ParameterError
 from shufflemix.exact import exact_tv_curve, single_card_matrix
 from shufflemix.montecarlo import (
@@ -55,11 +54,16 @@ def test_mc_estimate_validation():
 
 
 def _deck_with(cards, start, n):
-    """A full deck holding ``cards`` at ``start``; the others fill in order."""
-    forward = np.zeros(n, dtype=np.int64)
-    forward[np.asarray(start) - 1] = cards
-    forward[forward == 0] = [c for c in range(1, n + 1) if c not in cards]
-    return Permutation(forward)
+    """A full deck (entry p-1 is the card at position p) holding ``cards``
+    at ``start``; the others fill in order."""
+    deck = np.zeros(n, dtype=np.int64)
+    deck[np.asarray(start) - 1] = cards
+    deck[deck == 0] = [c for c in range(1, n + 1) if c not in cards]
+    return deck
+
+
+def _positions_of(deck, cards):
+    return [int(np.flatnonzero(deck == c)[0]) + 1 for c in cards]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -76,16 +80,16 @@ def test_walk_matches_full_deck_oracle(kind):
             start = gen.permutation(n)[:k] + 1
             pos = np.tile(start, (trials, 1))
             pos2 = np.tile(start, (trials, 2, 1))
-            decks = [[_deck_with(cards, start, n)] * 2 for _ in range(trials)]
+            decks = np.tile(_deck_with(cards, start, n), (trials, 2, 1))
             for _, left, right in _hand_schedule(rule, 3 * n, gen, trials):
                 other = other_gen.integers(1, n + 1, size=trials)
                 lefts = np.broadcast_to(left, (trials,))
-                for i, (one, two) in enumerate(decks):
-                    decks[i] = [one.transpose(int(lefts[i]), int(right[i])),
-                                two.transpose(int(lefts[i]), int(other[i]))]
+                for i in range(trials):
+                    for deck, r in zip(decks[i], (right[i], other[i])):
+                        deck[[lefts[i] - 1, r - 1]] = deck[[r - 1, lefts[i] - 1]]
                 pos = _swap_positions(pos, left, right)
                 pos2 = _swap_positions(pos2, left, np.stack([right, other], axis=1))
-                want = [[list(d.positions_of(cards)) for d in pair] for pair in decks]
+                want = [[_positions_of(d, cards) for d in pair] for pair in decks]
                 assert pos.tolist() == [one for one, _ in want]
                 assert pos2.tolist() == want
 
@@ -128,6 +132,13 @@ def test_mc_tv_plugin_matches_exact():
     est = mc_tv_plugin(rule, 1, t=5, samples=200_000, cards=(1,), rng=RandomStream(7))
     exact = exact_tv_curve(rule, 1, (1,), times=[5]).values[0]
     assert abs(est.value - exact) <= 3.0 * est.std_error + est.details["bias_estimate"]
+
+
+@pytest.mark.parametrize("rng", (3.7, True, "7", np.random.default_rng(7)),
+                         ids=("float", "bool", "str", "generator"))
+def test_rng_outside_none_stream_or_int_is_parameter_error(rng):
+    with pytest.raises(ParameterError, match="rng must be"):
+        mc_tv_plugin(make_rule("top", 6), 1, t=2, samples=1000, rng=rng)
 
 
 def test_mc_tv_plugin_at_zero_steps():
@@ -372,18 +383,19 @@ def test_k_deck_nonspecial_card_stays_uniform():
 
 
 def test_k_deck_situation_four_rate():
-    """Situation-4 steps happen at most t P(two relevant events) on average."""
+    """Situation-4 steps happen at most at rate P(two relevant events) per
+    live trial-step."""
     n, k, t, trials = 50, 3, 500, 4000
     with pytest.warns(UserWarning, match="not small"):
         res = couple_k_decks(
             make_rule("random", n), k, cards=(1, 2, 3), horizon=t, trials=trials,
-            rng=RandomStream(47), diagnostic=True,
+            rng=RandomStream(47),
         )
     q = 1.0 - 1.0 / n
     p_two = 1.0 - q**k - (k / n) * q ** (k - 1)
-    per_trial = res.situation_counts[:, 3].astype(np.float64)
-    se = per_trial.std(ddof=1) / math.sqrt(trials)
-    assert per_trial.mean() <= t * p_two + 3.0 * se
+    steps = res.details["steps_tallied"]
+    rate = res.situation_counts[:, 3].sum() / steps
+    assert rate <= p_two + 3.0 * math.sqrt(p_two * (1.0 - p_two) / steps)
 
 
 def test_k_deck_mismatch_fit_and_replay():
@@ -404,36 +416,30 @@ def test_mismatch_fit_times_outside_the_horizon_are_parameter_errors():
     assert fit_mismatch_bound(res, times=[1, 20]).residuals.shape == (2,)
 
 
-def test_k_deck_diagnostic_counts_all_trials():
+def test_k_deck_reports_every_trial():
     n, k, trials = 40, 2, 3000
-    res = couple_k_decks(make_rule("top", n), k, cards=(5, 9), horizon=100, trials=trials, rng=RandomStream(59), diagnostic=True)
+    res = couple_k_decks(make_rule("top", n), k, cards=(5, 9), horizon=100, trials=trials, rng=RandomStream(59))
     assert res.situation_counts.shape == (trials, 4)
     assert res.mismatch_times.shape == (trials,)
-    assert res.diagnostic
 
 
 # sha256 prefixes of (mismatch_times, situation_counts, r0_histogram) for
 # random n=40, k=3, horizon 25, 20,000 trials (two blocks), seed 7, recorded
 # before the blocks could run in worker processes
-_K_DECK_GOLDEN = {
-    False: ("d479df1cd3bcceea", "16e578f01c7cd79a", "98da692cf3b09a21"),
-    True: ("a82698489fd0241d", "c116ac254b4aff4b", "4daf4ef424c55c12"),
-}
+_K_DECK_GOLDEN = ("d479df1cd3bcceea", "16e578f01c7cd79a", "98da692cf3b09a21")
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-@pytest.mark.parametrize("diagnostic", (False, True))
-def test_k_deck_golden_across_workers(diagnostic, workers):
+def test_k_deck_golden_across_workers(workers):
     n, trials = 40, 20_000
     assert trials > _TRIAL_BLOCK
     res = couple_k_decks(
         make_rule("random", n), 3, cards=(1, 2, 3), horizon=25, trials=trials,
-        rng=RandomStream(7),
-        diagnostic=diagnostic, workers=workers,
+        rng=RandomStream(7), workers=workers,
     )
     arrays = (res.mismatch_times, res.situation_counts, res.r0_histogram)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
-    assert got == _K_DECK_GOLDEN[diagnostic]
+    assert got == _K_DECK_GOLDEN
 
 
 def test_block_workers_clamp():
