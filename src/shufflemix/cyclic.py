@@ -412,10 +412,10 @@ class CyclicBoundParams:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ParameterError(f"decay lam must lie in (0, 1), got {self.lam!r}")
-        if self.c <= 0.0:
-            raise ParameterError(f"constant c must be positive, got {self.c!r}")
-        if self.rate <= 0.0:
-            raise ParameterError(f"rate must be positive, got {self.rate!r}")
+        if not 0.0 < self.c < math.inf:
+            raise ParameterError(f"constant c must be finite and positive, got {self.c!r}")
+        if not 0.0 < self.rate < math.inf:
+            raise ParameterError(f"rate must be finite and positive, got {self.rate!r}")
 
 
 def cyclic_one_card_bound(t, n: int, params: CyclicBoundParams):
@@ -431,12 +431,7 @@ def cyclic_one_card_bound(t, n: int, params: CyclicBoundParams):
     return float(values) if values.ndim == 0 else values
 
 
-def fit_cyclic_bound_constant(
-    n: int = 60,
-    t_max: int | None = None,
-    lam: float = 0.237,
-    rate: float = 0.693,
-) -> CyclicBoundParams:
+def fit_cyclic_bound_constant(n: int = 60, t_max: int | None = None) -> CyclicBoundParams:
     """Fit c so the bound dominates the exact worst-case one-card curve.
 
     c is the max over t in [1, t_max] of exact TV divided by the bound
@@ -451,9 +446,9 @@ def fit_cyclic_bound_constant(
         raise ParameterError(f"no exact worst-case curve to fit c to at n={n}")
     times = np.arange(1, t_max + 1)
     curve = worst_case_curve(rule, 1, times)
-    shape = cyclic_one_card_bound(times, n, CyclicBoundParams(1.0, lam, rate))
+    shape = cyclic_one_card_bound(times, n, CyclicBoundParams(1.0))
     c = float(np.max(curve.values / shape))
-    return CyclicBoundParams(c=c, lam=lam, rate=rate, fit_n=n, fit_t_max=t_max)
+    return CyclicBoundParams(c=c, fit_n=n, fit_t_max=t_max)
 
 
 @dataclass(frozen=True)

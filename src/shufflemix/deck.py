@@ -71,10 +71,6 @@ class ShuffleRule:
         elif self.custom is not None:
             raise ParameterError("custom distributions only apply to the custom kind")
 
-    @property
-    def is_time_homogeneous(self) -> bool:
-        return self.kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.RANDOM_TO_RANDOM)
-
     def cyclic_position(self, t: int) -> int:
         return (t - 1 + self.phase) % self.n + 1
 

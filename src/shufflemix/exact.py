@@ -80,9 +80,10 @@ class LumpedEvolver:
     self-loop of total weight (1 - l(T)) (n-k)/n where l(T) is the left
     rule's mass on the tracked positions.
 
-    For the top and cyclic rules, a held card's n moves are encoded as one
-    q-major batch and scattered by one ``np.add.at``. That adds in index
-    order, so every sum is the one a loop over q gives, bit for bit.
+    One step depends only on the left hand's law at step t. When that law
+    is a point mass, a held card's n moves are encoded as one q-major batch
+    and scattered by one ``np.add.at``. That adds in index order, so every
+    sum is the one a loop over q gives, bit for bit.
     """
 
     def __init__(self, rule: ShuffleRule, k: int):
@@ -142,12 +143,10 @@ class LumpedEvolver:
     # -- single step ----------------------------------------------------------
 
     def step(self, probs: np.ndarray, t: int) -> np.ndarray:
-        rule = self.rule
-        if rule.kind is ShuffleKind.TOP_TO_RANDOM:
-            return self._step_point_mass(probs, 0)
-        if rule.kind is ShuffleKind.CYCLIC_TO_RANDOM:
-            return self._step_point_mass(probs, rule.cyclic_position(t) - 1)
-        lvec = rule.left_distribution(t)
+        lvec = self.rule.left_distribution(t)
+        support = np.flatnonzero(lvec)
+        if support.size == 1 and lvec[support[0]] == 1.0:
+            return self._step_point_mass(probs, int(support[0]))
         return self._step_general(probs, lvec)
 
     def _step_point_mass(self, probs: np.ndarray, left0: int) -> np.ndarray:
@@ -177,13 +176,9 @@ class LumpedEvolver:
 
     # -- sparse step matrices (for many simultaneous starts) -------------------
 
-    def _matrix_key(self, t: int):
-        rule = self.rule
-        if rule.is_time_homogeneous:
-            return 0
-        if rule.kind is ShuffleKind.CYCLIC_TO_RANDOM:
-            return rule.cyclic_position(t)
-        return (t - 1) % len(rule.custom)
+    def _matrix_key(self, t: int) -> bytes:
+        """One cached kernel per distinct left-hand law."""
+        return self.rule.left_distribution(t).tobytes()
 
     def step_matrix_T(self, t: int) -> sp.csr_matrix:
         """Transposed one-step kernel K^T, so columns of K^T @ D evolve."""
@@ -388,10 +383,8 @@ def _sampled_starts(n: int, k: int) -> list[tuple]:
     cands = [tuple(range(1, k + 1))]
     if k < n:
         cands.append(tuple(range(2, k + 2)))
-    shift = max(1, n // k)
-    spread = tuple(1 + (j * shift) % n for j in range(k))
-    if len(set(spread)) == k:
-        cands.append(spread)
+    shift = n // k  # shift * (k - 1) < n, so the spread is distinct
+    cands.append(tuple(1 + j * shift for j in range(k)))
     starts, seen = [], set()
     for c in cands:
         if c not in seen:
@@ -524,6 +517,8 @@ def cutoff_profile(
     alphas = np.asarray(list(alphas), dtype=float)
     if alphas.size == 0:
         raise ParameterError("need at least one alpha")
+    if not np.isfinite(alphas).all():
+        raise ParameterError(f"alphas must be finite, got {alphas.tolist()}")
     n = rule.n
     if rule.kind is ShuffleKind.TOP_TO_RANDOM:
         center = n * math.log(k) if k > 1 else 0.0

@@ -137,6 +137,19 @@ def test_out_of_range_step_counts_exit_2(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    "cyclic-mix --n 50 --k 3 --c={}",
+    "cyclic-bound --n 20 --c={}",
+    "cutoff --n 6 --k 2 --alphas={}",
+    "cutoff --n 6 --k 2 --alphas=0,{}",
+])
+def test_non_finite_inputs_exit_2_without_files(tmp_path, capsys, argv, value):
+    assert run(tmp_path, *argv.format(value).split()) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cap_exceeded_is_exit_3(tmp_path, capsys):
     code = run(tmp_path, "mc-tv", "--rule", "random", "--n", "100", "--k", "5",
                "--t", "1", "--samples", "10")

@@ -245,6 +245,11 @@ def test_bound_validation():
         CyclicBoundParams(c=1.0, lam=1.5)
     with pytest.raises(ParameterError):
         CyclicBoundParams(c=1.0, rate=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            CyclicBoundParams(c=bad)
+        with pytest.raises(ParameterError):
+            CyclicBoundParams(c=1.0, rate=bad)
     with pytest.raises(ParameterError):
         cyclic_one_card_bound(-1, 100, CyclicBoundParams(c=1.0))
     with pytest.raises(ParameterError):

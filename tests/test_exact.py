@@ -92,7 +92,7 @@ def _reference_step(evolver, probs, t):
     n, count = rule.n, indexer.count
     pos = indexer.all_positions0()
     lvec = rule.left_distribution(t)
-    if rule.kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.CYCLIC_TO_RANDOM):
+    if np.count_nonzero(lvec) == 1 and lvec.max() == 1.0:
         left0 = int(np.flatnonzero(lvec)[0])
         miss = ~(pos == left0).any(axis=1)
         new = probs * (miss * ((n - k) / n))
@@ -130,6 +130,45 @@ def test_step_matches_per_move_reference_bit_for_bit(n, k):
             want = _reference_step(evolver, want, t)
             got = evolver.step(got, t)
             assert np.array_equal(got, want), (rule.kind.value, rule.phase, t)
+
+
+def _point_mass_pairs(n):
+    """(custom rule, named rule) pairs with the same left hand at every step:
+    the top card as a one-row custom sequence, and the n unit rows against
+    the cyclic sweep at phase 0."""
+    eye = np.eye(n)
+    custom = lambda rows: ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, n, custom=rows)
+    return [(custom(eye[:1]), make_rule("top", n)), (custom(eye), make_rule("cyclic", n))]
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (7, 3)])
+def test_custom_point_mass_steps_like_the_named_rule(n, k):
+    """The step follows the left hand's law, not the rule's name: a custom
+    rule whose rows are point masses steps bit for bit like top or cyclic."""
+    for custom, named in _point_mass_pairs(n):
+        evolver, reference = LumpedEvolver(custom, k), LumpedEvolver(named, k)
+        probs = np.random.default_rng(n * 10 + k).random(evolver.indexer.count)
+        got = want = probs / probs.sum()
+        for t in range(1, 2 * n + 1):
+            got, want = evolver.step(got, t), reference.step(want, t)
+            assert np.array_equal(got, want), (named.kind.value, t)
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (6, 2)])
+def test_custom_point_mass_worst_case_matches_the_named_rule(n, k):
+    times = range(0, 2 * n + 1)
+    for custom, named in _point_mass_pairs(n):
+        got = worst_case_curve(custom, k, times).values
+        want = worst_case_curve(named, k, times).values
+        assert np.abs(got - want).max() <= 1e-12, named.kind.value
+
+
+@pytest.mark.parametrize("kind,kernels", [("top", 1), ("random", 1), ("cyclic", 6)])
+def test_step_matrix_cached_once_per_left_hand_law(kind, kernels):
+    evolver = LumpedEvolver(make_rule(kind, 6), 2)
+    for t in range(1, 13):
+        evolver.step_matrix_T(t)
+    assert len(evolver._step_matrices) == kernels
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -326,6 +365,12 @@ def test_cutoff_profile_negative_time_rejected():
     rule = make_rule("top", 20)
     with pytest.raises(ParameterError):
         cutoff_profile(rule, 2, [-5.0])
+
+
+@pytest.mark.parametrize("alphas", [[math.nan], [0.0, math.inf], [-math.inf, 1.0]])
+def test_cutoff_profile_non_finite_alpha_rejected(alphas):
+    with pytest.raises(ParameterError, match="alphas must be finite"):
+        cutoff_profile(make_rule("top", 20), 2, alphas)
 
 
 def test_write_csv_repr_floats(tmp_path):
