@@ -6,7 +6,8 @@ time. Data files contain no timestamps, so identical invocations produce
 byte-identical data files; only the sidecar varies. The seed is --seed, or
 ``DEFAULT_SEED`` when it is not given. Only the six Monte Carlo subcommands
 take --threads; their sidecars also record the worker processes the trial
-blocks ran in (``workers``).
+blocks ran in (``workers``). Only ``p0`` writes two formats, so only it takes
+--format. --times and --t-max are either-or, as are --fit and --c.
 
 Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
 ``couple-<mode>``); the parser and ``dispatch`` are loops over it. The
@@ -14,8 +15,9 @@ parsed flags travel as one dict, the config, from ``config_from_args`` to
 the runner and into both files.
 
 Exit codes: 0 success; 1 no subcommand, an unknown subcommand or an unknown
-couple mode; 2 invalid parameter, including every argparse usage error; 3
-resource limit (state cap, horizon, or mass drift).
+couple mode; 2 invalid parameter, including every argparse usage error and
+both flags of an either-or pair; 3 resource limit (state cap, n above it for
+tau-hat and p0, horizon, mass drift, or out of memory).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .cyclic import (
     tau_hat_moments,
 )
 from .deck import ShuffleKind, ShuffleRule
-from .errors import ParameterError, ShuffleMixError
+from .errors import CapExceededError, ParameterError, ShuffleMixError
 from .exact import (
     cutoff_profile,
     exact_tv_curve,
@@ -99,6 +101,8 @@ def _t_max_from(config: dict) -> int:
 
 def _times_from(config: dict) -> np.ndarray:
     if config["times"] is not None:
+        if config["t_max"] is not None:
+            raise ParameterError("give --times or --t-max, not both")
         return np.asarray(sorted(set(config["times"])), dtype=np.int64)
     return np.arange(1, _t_max_from(config) + 1, dtype=np.int64)
 
@@ -274,11 +278,13 @@ def _run_eig_opt(config):
 
 
 def _run_cyclic_bound(config):
-    n, t_max = config["n"], _t_max_from(config)
+    n, t_max, c = config["n"], _t_max_from(config), config["c"]
     if config["fit"]:
+        if c is not None:
+            raise ParameterError("give --fit or --c, not both")
         bound = fit_cyclic_bound_constant(n=n, t_max=t_max)
     else:
-        bound = CyclicBoundParams(c=config["c"])
+        bound = CyclicBoundParams(c=1.0 if c is None else c)
     ts = np.arange(1, t_max + 1)
     rows = zip(ts.tolist(), cyclic_one_card_bound(ts, n, bound).tolist())
     extras = {"bound_params": _pick(bound, "c", "lam", "rate")}
@@ -322,7 +328,7 @@ _T, _HORIZON = _opt("--t", int, required=True), _opt("--horizon", int)
 _TRIALS, _SAMPLES = _opt("--trials", int, 100_000), _opt("--samples", int, 100_000)
 _C, _XI = _opt("--c", float, 1.0), _opt("--xi", float, 0.0)
 _FIT = ("--fit", {"action": "store_true",
-                  "help": "fit c against the exact worst-case curve instead of --c"})
+                  "help": "fit c against the exact worst-case curve; not with --c"})
 
 
 @dataclass(frozen=True)
@@ -350,7 +356,8 @@ class Command:
         if self.k:
             yield _K
         yield from _PLUMBING_FLAGS
-        yield _opt("--format", None, self.formats[0], choices=self.formats)
+        if len(self.formats) > 1:
+            yield _opt("--format", None, self.formats[0], choices=self.formats)
         yield from self.flags
 
 
@@ -392,7 +399,7 @@ COMMAND_TABLE = {
     "eig-opt": Command("eps minimizing the second eigenvalue", _run_eig_opt,
                        (_XI,), _JSON, rule=False, n=False, k=False),
     "cyclic-bound": Command("one-card cyclic bound curve", _run_cyclic_bound,
-                            (_T_MAX, _C, _FIT), rule=False, k=False),
+                            (_T_MAX, _opt("--c", float), _FIT), rule=False, k=False),
     "cyclic-mix": Command("k-card mixing bound, cyclic rule", _run_cyclic_mix,
                           (_C,), _JSON, rule=False),
 }
@@ -427,14 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> dict:
     """The parsed flags as one dict, the config that runners read and both
     files echo: ``command`` names the ``COMMAND_TABLE`` entry (couple modes
-    as ``couple-<mode>``) and ``out`` defaults to ``<command>.<format>``."""
+    as ``couple-<mode>``), ``format`` is the table's first format unless
+    --format chose another, and ``out`` defaults to ``<command>.<format>``."""
     threads = getattr(args, "threads", 1)
     if threads < 1:
         raise ParameterError(f"--threads must be at least 1, got {threads}")
     config = dict(vars(args))
     if args.command == "couple":
         config["command"] = f"{_COUPLE}{args.mode}"
-    config["out"] = args.out or f"{config['command']}.{args.format}"
+    config.setdefault("format", COMMAND_TABLE[config["command"]].formats[0])
+    config["out"] = args.out or f"{config['command']}.{config['format']}"
     return config
 
 
@@ -513,6 +522,9 @@ def main(argv=None) -> int:
     except ShuffleMixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print("error: out of memory; try a smaller size", file=sys.stderr)
+        return CapExceededError.exit_code
 
 
 if __name__ == "__main__":

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deck import ShuffleKind, ShuffleRule
-from .errors import DomainError, HorizonError, ParameterError
+from .errors import CapExceededError, DomainError, HorizonError, ParameterError
 from .exact import _resolve_starts, worst_case_curve
+from .indexing import DEFAULT_STATE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,8 @@ def tau_hat_moments(n: int) -> TauHatMoments:
     """
     if n < 4:
         raise ParameterError(f"waiting-time model needs n >= 4, got {n}")
+    if n > DEFAULT_STATE_CAP:
+        raise CapExceededError(f"n={n} exceeds the state cap {DEFAULT_STATE_CAP}")
     q = 1.0 - 1.0 / n
     r = np.arange(1, n + 1, dtype=np.float64)
     w = q ** (r - 1.0)
@@ -124,6 +127,8 @@ def p_recursion(epsilon: float, n: int) -> SweepSuccess:
     _check_epsilon(epsilon)
     if n < 4:
         raise ParameterError(f"recursion needs n >= 4, got {n}")
+    if n > DEFAULT_STATE_CAP:
+        raise CapExceededError(f"n={n} exceeds the state cap {DEFAULT_STATE_CAP}")
     m = int(math.floor(epsilon * n))
     if m < 1:
         raise ParameterError(
@@ -276,25 +281,20 @@ class BlockSpectrum:
     lam_min: float
     trace: float
     det: float
-    complex_pair: bool
 
 
 def block_spectrum(chain: PhaseChainMatrix) -> BlockSpectrum:
     """Eigenvalues of the (C, F) block.
 
-    S is absorbing, so the full spectrum is {1} plus these two.  A negative
-    discriminant (impossible for a matrix with non-negative off-diagonal
-    block entries, but handled for robustness) reports the common modulus.
+    S is absorbing, so the full spectrum is {1} plus these two.  The
+    discriminant is (a - d)^2 + 4bc >= 0, since every entry lies in [0, 1];
+    the clamp only absorbs rounding.
     """
     b = chain.block()
     tr = float(b[0, 0] + b[1, 1])
     det = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
-    disc = tr * tr - 4.0 * det
-    if disc < 0.0:
-        modulus = math.sqrt(det)
-        return BlockSpectrum(modulus, modulus, tr, det, True)
-    root = math.sqrt(disc)
-    return BlockSpectrum(0.5 * (tr + root), 0.5 * (tr - root), tr, det, False)
+    root = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
+    return BlockSpectrum(0.5 * (tr + root), 0.5 * (tr - root), tr, det)
 
 
 # ---------------------------------------------------------------------------

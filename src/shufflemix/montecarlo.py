@@ -438,11 +438,6 @@ def _resolve_start_pair(start_pair, n: int):
     return x0, y0
 
 
-def _mirror(hand, x, y):
-    """``hand`` with positions x and y exchanged, per trial."""
-    return np.where(hand == x, y, np.where(hand == y, x, hand))
-
-
 def _couple_two_decks(rule, start_pair, horizon, trials, rng, workers, mirror):
     """Run a two-deck coupling of one tracked card under ``rule``.
 
@@ -522,7 +517,7 @@ def couple_one_card(
     """
 
     def mirror(left, right, xy):
-        r_one = _mirror(right, xy[:, 0], xy[:, 1])
+        r_one = _swap_positions(right, xy[:, 0], xy[:, 1])
         rights = np.stack([r_one, right], axis=1)
         # tally the right hands of decks one and two
         return left, rights, right == xy[:, 1], (r_one, right)
@@ -557,7 +552,7 @@ def couple_two_hands_random(
 
     def mirror(left, right, xy):
         x, y = xy[:, 0], xy[:, 1]
-        m_left, m_right = _mirror(left, x, y), _mirror(right, x, y)
+        m_left, m_right = _swap_positions(left, x, y), _swap_positions(right, x, y)
         # tally deck two's left and right hands
         return (np.stack([left, m_left], axis=1),
                 np.stack([right, m_right], axis=1), None, (m_left, m_right))
@@ -635,9 +630,10 @@ def couple_k_decks(
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
     cards = _start_positions(cards, n, k)
-    if k * k * math.log(max(horizon, 2)) >= n:
+    weight = k * k * math.log(max(horizon, 2))
+    if weight >= n:
         warnings.warn(
-            f"k^2 log(horizon) = {k * k * math.log(horizon):.1f} is not "
+            f"k^2 log(max(horizon, 2)) = {weight:.1f} is not "
             f"small against n={n}; the mismatch bound will be weak",
             stacklevel=2,
         )

@@ -23,6 +23,7 @@ from shufflemix.cli import (
     main,
 )
 from shufflemix.exact import LumpedEvolver
+from shufflemix.indexing import DEFAULT_STATE_CAP
 from shufflemix.rng import DEFAULT_SEED
 
 
@@ -131,10 +132,15 @@ def test_couple_without_mode_prints_usage(tmp_path, capsys):
     "eig-scan --num 0",
     "eig-scan --num -1",
     "mix-time --n 6 --k 2 --horizon -5",
+    # either-or flag pairs: neither value is dropped silently
+    "exact-tv --n 5 --times 2 --t-max 3",
+    "worst-tv --n 5 --times 2 --t-max 0",
+    "cyclic-bound --n 8 --t-max 5 --fit --c 2",
 ])
 def test_out_of_range_step_counts_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv.split()) == 2
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -151,10 +157,21 @@ def test_non_finite_inputs_exit_2_without_files(tmp_path, capsys, argv, value):
 
 
 def test_cap_exceeded_is_exit_3(tmp_path, capsys):
-    code = run(tmp_path, "mc-tv", "--rule", "random", "--n", "100", "--k", "5",
-               "--t", "1", "--samples", "10")
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
+    above = str(DEFAULT_STATE_CAP + 1)  # tau-hat and p0 tabulate n values
+    for argv in ("mc-tv --rule random --n 100 --k 5 --t 1 --samples 10",
+                 f"tau-hat --n {above}", f"p0 --n {above}"):
+        assert run(tmp_path, *argv.split()) == 3, argv
+        assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
+    def exhausted(n):
+        raise MemoryError
+    monkeypatch.setattr("shufflemix.cli.tau_hat_moments", exhausted)
+    assert run(tmp_path, "tau-hat", "--n", "100") == 3
+    assert "error: out of memory" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_horizon_exhausted_is_exit_3(tmp_path, capsys):
@@ -456,28 +473,38 @@ TOY = {
 }
 
 
+def _assert_format(name, out, fmt):
+    if fmt == "json":
+        assert json.loads(out.read_text())["op"] == name
+    else:
+        header, rows = read_csv(out)
+        assert rows and all(len(r) == header.count(",") + 1 for r in rows)
+        assert all(math.isfinite(float(v)) for r in rows for v in r), name
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_every_format_choice_writes_that_format(tmp_path):
-    """Each subcommand offers exactly the formats it writes, and writes them."""
+def test_every_format_choice_writes_that_format(tmp_path, capsys):
+    """Only p0 writes two formats, so only p0 offers --format; every other
+    entry writes its table format by default and rejects the flag."""
     assert sorted(TOY) == sorted(COMMAND_TABLE)
+    assert [n for n, c in COMMAND_TABLE.items() if len(c.formats) > 1] == ["p0"]
+    assert _choices("p0", "--format") == ("json", "csv")
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"p0.{fmt}"
+        assert run(tmp_path, "p0", *TOY["p0"].split(), "--format", fmt,
+                   "--out", out) == 0, fmt
+        _assert_format("p0", out, fmt)
     for name, argv in TOY.items():
-        offered = _choices(name, "--format")
-        assert offered == COMMAND_TABLE[name].formats, name
-        for fmt in ("csv", "json"):
-            out = tmp_path / f"{name}.{fmt}"
-            args = [*words(name), *argv.split(), "--format", fmt, "--out", out]
-            if fmt not in offered:
-                with pytest.raises(SystemExit) as exc:
-                    run(tmp_path, *args)
-                assert exc.value.code == 2, (name, fmt)
-                continue
-            assert run(tmp_path, *args) == 0, (name, fmt)
-            if fmt == "json":
-                assert json.loads(out.read_text())["op"] == name
-            else:
-                header, rows = read_csv(out)
-                assert rows and all(len(r) == header.count(",") + 1 for r in rows)
-                assert all(math.isfinite(float(v)) for r in rows for v in r), name
+        if name == "p0":
+            continue
+        (fmt,) = COMMAND_TABLE[name].formats
+        base = [*words(name), *argv.split()]
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *base, "--format", fmt)
+        assert exc.value.code == 2, name
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert run(tmp_path, *base) == 0, name
+        _assert_format(name, tmp_path / f"{name}.{fmt}", fmt)
 
 
 # flags each couple mode ignored before it stopped offering them
@@ -583,6 +610,7 @@ def test_config_roundtrip_property(name, data):
     spec = COMMAND_TABLE[name]
     echo = config_from_args(build_parser().parse_args(argv))
     assert echo["command"] == name
+    assert echo["format"] == given_values.get("--format", spec.formats[0])
     defaults = {
         "--format": spec.formats[0],
         "--out": f"{name}.{echo['format']}",

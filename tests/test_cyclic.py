@@ -169,7 +169,6 @@ def test_block_spectrum_frozen_values():
     assert sp.lam_min == pytest.approx(0.0977029828268882, abs=1e-12)
     assert sp.trace == pytest.approx(0.33449975052818215, abs=1e-12)
     assert sp.det == pytest.approx(0.023135750528182158, abs=1e-12)
-    assert not sp.complex_pair
     # quadratic-formula self consistency
     assert sp.lam_max + sp.lam_min == pytest.approx(sp.trace, rel=1e-12)
     assert sp.lam_max * sp.lam_min == pytest.approx(sp.det, rel=1e-12)

@@ -369,6 +369,16 @@ def test_coin_p_gap_is_order_k2_over_n2():
             assert gap <= 0.75 * k * k / (n * n), (n, k)
 
 
+def test_k_deck_warning_reports_the_value_it_tested():
+    """At horizon 1 the test reads log(2), not log(1) = 0."""
+    n = 4
+    with pytest.warns(UserWarning, match="not small") as record:
+        couple_k_decks(make_rule("top", n), 3, horizon=1, trials=10,
+                       rng=RandomStream(5))
+    value = float(str(record[0].message).split(" = ")[1].split()[0])
+    assert value >= n and value == pytest.approx(9 * math.log(2), abs=0.05)
+
+
 def test_k_deck_nonspecial_card_stays_uniform():
     n, k = 30, 3
     with pytest.warns(UserWarning, match="not small"):
