@@ -3,11 +3,16 @@
 Every subcommand writes one data file (CSV or JSON) plus a ``.meta.json``
 sidecar echoing the full configuration, the library version, and the wall
 time. Data files contain no timestamps, so identical invocations produce
-byte-identical data files; only the sidecar varies. The seed is --seed, or
-``DEFAULT_SEED`` when it is not given. Only the six Monte Carlo subcommands
-take --threads; their sidecars also record the worker processes the trial
-blocks ran in (``workers``). Only ``p0`` writes two formats, so only it takes
---format. --times and --t-max are either-or, as are --fit and --c.
+byte-identical data files; only the sidecar varies. Every flag a subcommand
+offers can change what it writes. Only the six Monte Carlo subcommands draw
+random numbers, so only they take --seed (default ``DEFAULT_SEED``) and
+--threads (default: every CPU this process may use); their sidecars also
+record the worker processes the trial blocks ran in (``workers``). Only
+``exact-tv`` and the five Monte Carlo subcommands that take --rule take
+--phase: a worst-case scan over every start is the same at every phase. The
+other subcommands still echo ``seed`` (as ``DEFAULT_SEED``) and, where they
+take --rule, ``phase`` (as 0). Only ``p0`` writes two formats, so only it
+takes --format. --times and --t-max are either-or, as are --fit and --c.
 
 Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
 ``couple-<mode>``); the parser and ``dispatch`` are loops over it. The
@@ -309,20 +314,19 @@ def _opt(flag: str, type=None, default=None, **kwargs) -> tuple:
     return flag, {"type": type, "default": default, **kwargs}
 
 
-_RULE_FLAGS = (
-    _opt("--rule", None, "top", choices=("top", "random", "cyclic"),
-         help="left-hand rule (default top)"),
-    _opt("--phase", int, 0, help="cyclic sweep offset"),
-)
+_RULE = _opt("--rule", None, "top", choices=("top", "random", "cyclic"),
+             help="left-hand rule (default top)")
 _N = _opt("--n", int, required=True, help="deck size")
 _K = _opt("--k", int, 1, help="tracked cards")
-_PLUMBING_FLAGS = (
+_OUT = _opt("--out", help="output data file path")
+_PHASE = _opt("--phase", int, 0, help="cyclic sweep offset")
+# the flags of every subcommand that runs trials
+_TRIAL_FLAGS = (
     _opt("--seed", int, DEFAULT_SEED),
-    _opt("--out", help="output data file path"),
+    _opt("--threads", int,
+         help="worker processes for the trial blocks, at least 1 (default and cap: "
+              "the CPUs and blocks); results are worker-count independent"),
 )
-_THREADS = _opt("--threads", int, 1,
-                help="worker processes for the trial blocks, at least 1 (capped at "
-                     "the CPUs and blocks); results are worker-count independent")
 _T_MAX, _TIMES = _opt("--t-max", int), _opt("--times", _int_list)
 _T, _HORIZON = _opt("--t", int, required=True), _opt("--horizon", int)
 _TRIALS, _SAMPLES = _opt("--trials", int, 100_000), _opt("--samples", int, 100_000)
@@ -336,7 +340,7 @@ class Command:
     """One subcommand: its runner, extra flags, formats and shared flags.
 
     ``run(config)`` returns (data, sidecar extras, summary line).
-    ``rule``, ``n`` and ``k`` say whether it takes --rule/--phase, --n, --k.
+    ``rule``, ``n`` and ``k`` say whether it takes --rule, --n, --k.
     """
 
     help: str
@@ -350,12 +354,12 @@ class Command:
     def arguments(self):
         """(flag, argparse keywords) of every flag the subcommand offers."""
         if self.rule:
-            yield from _RULE_FLAGS
+            yield _RULE
         if self.n:
             yield _N
         if self.k:
             yield _K
-        yield from _PLUMBING_FLAGS
+        yield _OUT
         if len(self.formats) > 1:
             yield _opt("--format", None, self.formats[0], choices=self.formats)
         yield from self.flags
@@ -364,7 +368,7 @@ class Command:
 _JSON = ("json",)
 COMMAND_TABLE = {
     "exact-tv": Command("exact TV curve from a fixed start", _run_exact_tv,
-                        (_T_MAX, _TIMES)),
+                        (_PHASE, _T_MAX, _TIMES)),
     "worst-tv": Command("exact worst-case TV curve", _run_worst_tv,
                         (_T_MAX, _TIMES)),
     "mix-time": Command("smallest t with worst-case TV < eps", _run_mix_time,
@@ -372,21 +376,23 @@ COMMAND_TABLE = {
     "cutoff": Command("worst-case TV at n log k + alpha n", _run_cutoff,
                       (_opt("--alphas", _float_list),)),
     "mc-tv": Command("plug-in Monte Carlo TV estimate", _run_mc_tv,
-                     (_T, _SAMPLES, _THREADS), _JSON),
+                     (_PHASE, _T, _SAMPLES, *_TRIAL_FLAGS), _JSON),
     "lower-bound": Command("TV lower bound from the never-touched statistic",
                            _run_lower_bound,
-                           (_T, _opt("--threshold", int, 1), _SAMPLES, _THREADS),
+                           (_PHASE, _T, _opt("--threshold", int, 1), _SAMPLES,
+                            *_TRIAL_FLAGS),
                            _JSON),
     "couple-one-card": Command("one tracked card, right hand mirrored",
-                               _run_couple_one_card, (_HORIZON, _TRIALS, _THREADS),
-                               k=False),
+                               _run_couple_one_card,
+                               (_PHASE, _HORIZON, _TRIALS, *_TRIAL_FLAGS), k=False),
     "couple-two-hand": Command("one tracked card, both hands mirrored (random rule)",
-                               _run_couple_two_hand, (_HORIZON, _TRIALS, _THREADS),
+                               _run_couple_two_hand, (_HORIZON, _TRIALS, *_TRIAL_FLAGS),
                                rule=False, k=False),
     "couple-k-deck": Command("(k+1)-deck coupling of k tracked cards",
-                             _run_couple_k_deck, (_HORIZON, _TRIALS, _THREADS)),
+                             _run_couple_k_deck,
+                             (_PHASE, _HORIZON, _TRIALS, *_TRIAL_FLAGS)),
     "hits": Command("left-hand hit count on tracked cards", _run_hits,
-                    (_T, _TRIALS, _THREADS), _JSON),
+                    (_PHASE, _T, _TRIALS, *_TRIAL_FLAGS), _JSON),
     "tau-hat": Command("moments of the touch waiting time", _run_tau_hat,
                        (), _JSON, rule=False, k=False),
     "p0": Command("gap-closing probability recursion", _run_p0,
@@ -435,14 +441,20 @@ def config_from_args(args: argparse.Namespace) -> dict:
     """The parsed flags as one dict, the config that runners read and both
     files echo: ``command`` names the ``COMMAND_TABLE`` entry (couple modes
     as ``couple-<mode>``), ``format`` is the table's first format unless
-    --format chose another, and ``out`` defaults to ``<command>.<format>``."""
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
+    --format chose another, and ``out`` defaults to ``<command>.<format>``.
+    A subcommand that does not offer --seed or --phase echoes
+    ``DEFAULT_SEED`` and, where it takes --rule, phase 0."""
+    threads = getattr(args, "threads", None)
+    if threads is not None and threads < 1:
         raise ParameterError(f"--threads must be at least 1, got {threads}")
     config = dict(vars(args))
     if args.command == "couple":
         config["command"] = f"{_COUPLE}{args.mode}"
-    config.setdefault("format", COMMAND_TABLE[config["command"]].formats[0])
+    spec = COMMAND_TABLE[config["command"]]
+    config.setdefault("format", spec.formats[0])
+    config.setdefault("seed", DEFAULT_SEED)
+    if spec.rule:
+        config.setdefault("phase", 0)
     config["out"] = args.out or f"{config['command']}.{config['format']}"
     return config
 

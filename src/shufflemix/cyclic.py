@@ -123,6 +123,8 @@ def p_recursion(epsilon: float, n: int) -> SweepSuccess:
     mid-range s in (m, n - m) each step multiplies by n/(n-1); entering
     s <= m an extra additive term appears because the sweep can also close
     the gap directly.  Termination: p at s = n - m - 1 equals 2 eps n/(n-1).
+    A value outside [0, 1] (p_0 at epsilon=0.442, n=60, for one) is no
+    probability and raises ``DomainError``.
     """
     _check_epsilon(epsilon)
     if n < 4:
@@ -151,13 +153,20 @@ def p_recursion(epsilon: float, n: int) -> SweepSuccess:
     p[m] = (epsilon * n + m - 1.0) / (n - 1.0) + 2.0 * epsilon * mid_sum / (n - 1.0)
     for s in range(m - 1, -1, -1):
         p[s] = p[s + 1] * grow - 1.0 / (n - 1.0)
+    outside = np.flatnonzero((p < 0.0) | (p > 1.0))
+    if outside.size:
+        s = int(outside[0])
+        raise DomainError(
+            f"p_{s} of the recursion at epsilon={epsilon}, n={n} is "
+            f"{float(p[s])}, outside [0, 1]"
+        )
     p.setflags(write=False)
 
     en = epsilon * n
     p0_closed = 1.0 + 2.0 * epsilon * q ** (en - n) - q ** (-en - 1.0)
     s_mid = np.arange(m + 1, size, dtype=np.float64)
     closed_mid = 2.0 * epsilon * q ** (s_mid + en - n)
-    mid_gap = float(np.max(np.abs(p[m + 1 :] - closed_mid))) if s_mid.size else 0.0
+    mid_gap = float(np.max(np.abs(p[m + 1 :] - closed_mid)))
     return SweepSuccess(
         epsilon=epsilon,
         n=n,
@@ -201,7 +210,7 @@ class PhaseChainMatrix:
                 if not 0.0 <= v <= 1.0:
                     raise DomainError(
                         f"entry ({PHASE_STATES[i]},{PHASE_STATES[j]}) of the "
-                        f"{self.kind} phase matrix is {v!r}, outside [0, 1]"
+                        f"{self.kind} phase matrix is {float(v)}, outside [0, 1]"
                     )
         sums = mat.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > 1e-12:

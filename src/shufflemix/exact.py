@@ -193,8 +193,6 @@ class LumpedEvolver:
         val = [(1.0 - lvec[self._pos0].sum(axis=1)) * ((n - k) / n)]
         for w, i, q in self._moves(lvec):
             keep = np.flatnonzero(w)
-            if keep.size == 0:
-                continue
             src.append(keep)
             dst.append(self._target(i, q)[keep])
             val.append(w[keep])

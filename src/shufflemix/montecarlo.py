@@ -14,10 +14,11 @@ by the positions they start at (``cards``, default 1..k).
 
 Each estimator and coupling runs one block function per block through
 ``_map_blocks``, which returns every block's tallies in block order for the
-caller to sum. With ``workers`` above 1 the blocks run in forked worker
-processes (``block_workers`` says how many), but substreams are created in
-the calling process and merged in block order, so results depend only on
-(master seed, parameters), never on the worker count.
+caller to sum. The blocks run in up to ``workers`` forked worker processes
+(by default every CPU this process may use; ``block_workers`` says how
+many), but substreams are created in the calling process and merged in block
+order, so results depend only on (master seed, parameters), never on the
+worker count.
 """
 
 from __future__ import annotations
@@ -151,14 +152,15 @@ def _trial_blocks(stream: RandomStream, trials: int):
         yield stream.substream(b).generator, min(_TRIAL_BLOCK, trials - lo)
 
 
-def block_workers(workers: int, trials: int) -> int:
+def block_workers(workers: int | None, trials: int) -> int:
     """The worker processes ``trials`` trials run in when ``workers`` are
-    asked for: at most the block count and the CPUs this process may use
-    (taken as 1 on a platform without CPU affinity)."""
-    if workers < 1:
+    asked for (None: every CPU): at most the block count and the CPUs this
+    process may use (taken as 1 on a platform without CPU affinity)."""
+    if workers is not None and workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(workers, cpus, -(-trials // _TRIAL_BLOCK)))
+    wanted = cpus if workers is None else workers
+    return max(1, min(wanted, cpus, -(-trials // _TRIAL_BLOCK)))
 
 
 _BLOCK_TASK = None  # (block function, blocks), set in each forked worker
@@ -174,7 +176,7 @@ def _run_block(b: int):
     return block_fn(*blocks[b])
 
 
-def _map_blocks(block_fn, stream: RandomStream, trials: int, workers: int = 1):
+def _map_blocks(block_fn, stream: RandomStream, trials: int, workers: int | None):
     """Yield ``block_fn(generator, size)`` for each block of
     ``_trial_blocks(stream, trials)``, in block order.
 
@@ -267,7 +269,7 @@ def mc_tv_plugin(
     samples: int,
     cards=None,
     rng=None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> MCEstimate:
     """Monte Carlo plug-in estimate of the k-card TV distance to uniform.
 
@@ -352,7 +354,7 @@ def tv_lower_bound_fixed_cards(
     c_threshold: int,
     samples: int,
     rng=None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> MCEstimate:
     """TV lower bound from the never-touched-cards statistic.
 
@@ -503,7 +505,7 @@ def couple_one_card(
     horizon: int | None = None,
     trials: int = 100_000,
     rng=None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> CouplingResult:
     """Two decks, shared left hand, right hand mirrored across the pair.
 
@@ -539,7 +541,7 @@ def couple_two_hands_random(
     horizon: int | None = None,
     trials: int = 100_000,
     rng=None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> CouplingResult:
     """Both hands mirrored between two decks of the uniform-left rule.
 
@@ -602,7 +604,7 @@ def couple_k_decks(
     cards=None,
     horizon: int | None = None,
     rng=None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> KDeckCouplingResult:
     """Coupled deck versus k independent single-card reference decks.
 
@@ -788,7 +790,7 @@ def left_hand_hit_count(
     trials: int,
     cards=None,
     rng=None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> MCEstimate:
     """Mean number of times the left hand lands on one of k tracked cards,
     started at ``cards`` (default 1..k), by t, with the implied constant

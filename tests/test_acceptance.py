@@ -261,11 +261,11 @@ def test_criterion_14_cli_determinism(tmp_path, monkeypatch, capsys):
     rows = []
     for i, cmd in enumerate(commands):
         a, b = tmp_path / f"a{i}.dat", tmp_path / f"b{i}.dat"
-        # exact-tv runs no trials, so it takes no --threads
+        # exact-tv runs no trials, so it takes no --seed or --threads
         threaded = cmd[0] != "exact-tv"
         for out, threads in ((a, "1"), (b, "8")):
-            extra = ["--threads", threads] if threaded else []
-            assert cli_main([*cmd, "--seed", "7", *extra, "--out", str(out)]) == 0
+            extra = ["--seed", "7", "--threads", threads] if threaded else []
+            assert cli_main([*cmd, *extra, "--out", str(out)]) == 0
         same = a.read_bytes() == b.read_bytes()
         ok = ok and same
         rows.append(f"{cmd[0]}: {'identical' if same else 'DIFFER'}")

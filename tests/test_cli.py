@@ -229,6 +229,18 @@ def test_tau_hat_record(tmp_path):
     assert rec["variance"] > 0.0
 
 
+def test_p0_outside_zero_one_is_exit_2(tmp_path, capsys):
+    assert run(tmp_path, "p0", "--n", "60") == 2
+    assert "outside [0, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_domain_error_prints_plain_floats(tmp_path, capsys):
+    assert run(tmp_path, "eig-opt", "--xi", "100") == 2
+    err = capsys.readouterr().err
+    assert "outside [0, 1]" in err and "np.float64" not in err
+
+
 def test_p0_record_scrubs_plumbing(tmp_path):
     assert run(tmp_path, "p0", "--n", "1000", "--epsilon", "0.442",
                "--out", "p0.json") == 0
@@ -318,7 +330,7 @@ def test_exact_curve_sidecars_record_mass_drift(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    "worst-tv --rule top --n 6 --k 2 --t-max 3 --phase 3",
+    "exact-tv --rule top --n 6 --k 2 --t-max 3 --phase 3",
     "couple one-card --rule random --n 8 --trials 100 --horizon 5 --phase 1",
 ])
 def test_phase_outside_the_cyclic_rule_is_exit_2(tmp_path, capsys, argv):
@@ -551,6 +563,52 @@ def test_threads_offered_by_the_six_monte_carlo_subcommands():
 def test_threads_only_where_trials_run(tmp_path, capsys, name):
     base = [*words(name), *TOY[name].split()]
     _offers_only_the_flags_it_reads(tmp_path, capsys, name, base, (("--threads", "2"),))
+
+
+def _offering(flag):
+    return {name for name, spec in COMMAND_TABLE.items()
+            if flag in dict(spec.arguments())}
+
+
+# the Monte Carlo subcommands that take --rule, and so --phase
+PHASED = ("mc-tv", "lower-bound", "couple-one-card", "couple-k-deck", "hits")
+
+
+def test_seed_and_phase_offered_only_where_they_change_the_answer():
+    assert _offering("--seed") == _offering("--threads")
+    assert _offering("--phase") == {"exact-tv", *PHASED}
+    assert {name for name in _offering("--threads")
+            if COMMAND_TABLE[name].rule} == set(PHASED)
+    assert sum(len(list(spec.arguments())) for spec in COMMAND_TABLE.values()) == 97
+
+
+@pytest.mark.parametrize("name", sorted(set(COMMAND_TABLE) - set(PHASED)))
+def test_seed_and_phase_rejected_but_echoed_as_defaults(tmp_path, capsys, name):
+    """A subcommand that draws no random numbers rejects --seed, and one
+    that is not exact-tv or a Monte Carlo one with --rule rejects --phase;
+    the echo keeps both keys at their default values."""
+    base = [*words(name), *TOY[name].split()]
+    offered = dict(COMMAND_TABLE[name].arguments())
+    for flag, value in (("--seed", "5"), ("--phase", "1")):
+        if flag in offered:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *base, flag, value)
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(tmp_path, *base, "--out", "c.out") == 0
+    config = json.loads((tmp_path / "c.out.meta.json").read_text())["config"]
+    assert config["seed"] == DEFAULT_SEED
+    assert ("phase" in config) == COMMAND_TABLE[name].rule
+    assert config.get("phase", 0) == 0
+
+
+def test_threads_default_to_every_usable_cpu(tmp_path):
+    assert run(tmp_path, "hits", "--n", "8", "--k", "2", "--t", "10",
+               "--trials", "20000", "--out", "h.json") == 0
+    meta = json.loads((tmp_path / "h.json.meta.json").read_text())
+    assert meta["config"]["threads"] is None
+    assert meta["workers"] == min(2, len(os.sched_getaffinity(0)))
 
 
 def test_worst_tv_takes_no_start_strategy(tmp_path, capsys):

@@ -20,7 +20,7 @@ from shufflemix.cyclic import (
     scan_epsilon,
     tau_hat_moments,
 )
-from shufflemix.errors import HorizonError, ParameterError
+from shufflemix.errors import DomainError, HorizonError, ParameterError
 from shufflemix.rng import RandomStream
 
 
@@ -122,6 +122,8 @@ def test_recursion_domain_checks():
         p_recursion(0.005, 100)  # window rounds to zero
     with pytest.raises(ParameterError):
         p_recursion(0.49, 49)  # no mid-range left
+    with pytest.raises(DomainError, match=r"p_0 .* is 1\.004\d+, outside \[0, 1\]"):
+        p_recursion(0.442, 60)  # p_0 above 1
 
 
 # -- phase-chain matrices ------------------------------------------------------------

@@ -455,6 +455,8 @@ def test_k_deck_golden_across_workers(workers):
 def test_block_workers_clamp():
     cpus = len(os.sched_getaffinity(0))
     assert block_workers(1, 10 * _TRIAL_BLOCK) == 1
+    assert block_workers(None, 10**9) == cpus
+    assert block_workers(None, _TRIAL_BLOCK) == 1
     assert block_workers(10**6, 10**9) == cpus
     assert block_workers(10**6, _TRIAL_BLOCK) == 1
     assert block_workers(10**6, _TRIAL_BLOCK + 1) == min(2, cpus)
@@ -468,7 +470,7 @@ def _block_tally(gen, size):
 
 def test_map_blocks_keeps_block_order():
     trials = 3 * _TRIAL_BLOCK + 5
-    serial = list(_map_blocks(_block_tally, RandomStream(11), trials))
+    serial = list(_map_blocks(_block_tally, RandomStream(11), trials, workers=1))
     pooled = list(_map_blocks(_block_tally, RandomStream(11), trials, workers=2))
     assert [size for size, _ in serial] == [_TRIAL_BLOCK] * 3 + [5]
     assert pooled == serial
