@@ -436,20 +436,27 @@ def test_k_deck_reports_every_trial():
 # sha256 prefixes of (mismatch_times, situation_counts, r0_histogram) for
 # random n=40, k=3, horizon 25, 20,000 trials (two blocks), seed 7, recorded
 # before the blocks could run in worker processes
-_K_DECK_GOLDEN = ("d479df1cd3bcceea", "16e578f01c7cd79a", "98da692cf3b09a21")
+# hashes of (mismatch_times, situation_counts, r0_histogram); top and cyclic
+# take the scalar left hand, random the per-trial one
+_K_DECK_GOLDEN = {
+    "random": ("d479df1cd3bcceea", "16e578f01c7cd79a", "98da692cf3b09a21"),
+    "top": ("f0c526b86d2c955b", "8947b395e88c0669", "9a510f1cd8557f0a"),
+    "cyclic": ("179849f17d71e2e7", "c1573940c979640a", "d726b38dd375818f"),
+}
 
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_k_deck_golden_across_workers(workers):
     n, trials = 40, 20_000
     assert trials > _TRIAL_BLOCK
-    res = couple_k_decks(
-        make_rule("random", n), 3, cards=(1, 2, 3), horizon=25, trials=trials,
-        rng=RandomStream(7), workers=workers,
-    )
-    arrays = (res.mismatch_times, res.situation_counts, res.r0_histogram)
-    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
-    assert got == _K_DECK_GOLDEN
+    for kind, golden in _K_DECK_GOLDEN.items():
+        res = couple_k_decks(
+            make_rule(kind, n), 3, cards=(1, 2, 3), horizon=25, trials=trials,
+            rng=RandomStream(7), workers=workers,
+        )
+        arrays = (res.mismatch_times, res.situation_counts, res.r0_histogram)
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+        assert got == golden, kind
 
 
 def test_block_workers_clamp():
