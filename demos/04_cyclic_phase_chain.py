@@ -55,12 +55,12 @@ def main():
     print(f"touch time at n = 10000: mean/n = {tau.mean / 10_000:.4f},"
           f" sd/n = {np.sqrt(tau.variance) / 10_000:.4f}")
 
-    params = fit_cyclic_bound_constant(n=60)
-    print(f"\nfitted bound constant c = {params.c:.3f} at n = 60")
+    c = fit_cyclic_bound_constant(n=60)
+    print(f"\nfitted bound constant c = {c:.3f} at n = 60")
     print("   k   bound on t_mix(1/4)   0.5006 n log k + 1.5 n")
     for k in (2, 4, 8):
-        res = cyclic_mixing_upper(1000, k, params)
-        smooth = 0.5006 * 1000 * (np.log(k) + 1.5 + np.log(params.c))
+        res = cyclic_mixing_upper(1000, k, c)
+        smooth = 0.5006 * 1000 * (np.log(k) + 1.5 + np.log(c))
         print(f"   {k}   {res.t:8d}             {smooth:8.0f}")
 
 

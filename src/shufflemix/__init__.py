@@ -32,7 +32,6 @@ from .exact import (
     exact_tv_curve,
     partial_mixing_time,
     single_card_matrix,
-    tv_distance,
     worst_case_curve,
 )
 from .montecarlo import (
@@ -53,7 +52,6 @@ from .montecarlo import (
 )
 from .cyclic import (
     BlockSpectrum,
-    CyclicBoundParams,
     CyclicMixingResult,
     EpsilonOptimum,
     PhaseChainMatrix,

@@ -37,7 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .cyclic import (
-    CyclicBoundParams,
+    CYCLIC_BOUND_LAM,
+    CYCLIC_BOUND_RATE,
     cyclic_mixing_upper,
     cyclic_one_card_bound,
     fit_cyclic_bound_constant,
@@ -287,13 +288,13 @@ def _run_cyclic_bound(config):
     if config["fit"]:
         if c is not None:
             raise ParameterError("give --fit or --c, not both")
-        bound = fit_cyclic_bound_constant(n=n, t_max=t_max)
-    else:
-        bound = CyclicBoundParams(c=1.0 if c is None else c)
+        c = fit_cyclic_bound_constant(n=n, t_max=t_max)
+    elif c is None:
+        c = 1.0
     ts = np.arange(1, t_max + 1)
-    rows = zip(ts.tolist(), cyclic_one_card_bound(ts, n, bound).tolist())
-    extras = {"bound_params": _pick(bound, "c", "lam", "rate")}
-    return ("t,bound", rows), extras, f"cyclic-bound: c = {bound.c:.4g}"
+    rows = zip(ts.tolist(), cyclic_one_card_bound(ts, n, c).tolist())
+    extras = {"bound_params": {"c": c, "lam": CYCLIC_BOUND_LAM, "rate": CYCLIC_BOUND_RATE}}
+    return ("t,bound", rows), extras, f"cyclic-bound: c = {c:.4g}"
 
 
 def _run_cyclic_mix(config):

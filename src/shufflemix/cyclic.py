@@ -15,7 +15,8 @@ builds the pieces of that structure:
   probability, together with its finite-n and limit transition matrices,
 * the window-width optimization that minimizes that eigenvalue, and
 * the resulting one-card failure bound c e^{-t/n} (lam^floor(rate t/n) + 1/n),
-  a routine that fits c against the exact worst-case curve, and a solver
+  whose lam and rate are module constants, so c is its one free number; a
+  routine that fits c against the exact worst-case curve, and a solver
   that turns the bound into a k-card mixing time.
 """
 
@@ -402,45 +403,33 @@ def optimize_epsilon(xi: float = 0.0) -> EpsilonOptimum:
 # one-card failure bound and the k-card mixing-time solver
 
 
-@dataclass(frozen=True)
-class CyclicBoundParams:
-    """Parameters of the one-card bound c e^{-t/n} (lam^floor(rate t/n) + 1/n).
-
-    ``lam`` is the phase-chain decay per round; ``rate`` converts shuffle
-    steps to phase-chain steps (one per (1+epsilon)n shuffle steps, so
-    1/1.442 at the optimal window).  ``c`` is an empirical constant fitted
-    against exact curves; the fitting n and t range ride along.
-    """
-
-    c: float
-    lam: float = 0.237
-    rate: float = 0.693
-    fit_n: int | None = None
-    fit_t_max: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ParameterError(f"decay lam must lie in (0, 1), got {self.lam!r}")
-        if not 0.0 < self.c < math.inf:
-            raise ParameterError(f"constant c must be finite and positive, got {self.c!r}")
-        if not 0.0 < self.rate < math.inf:
-            raise ParameterError(f"rate must be finite and positive, got {self.rate!r}")
+# The bound's phase-chain decay per round, and the rounds per n shuffle
+# steps: one round per (1 + epsilon) n steps, 1/1.442 at the optimal window.
+CYCLIC_BOUND_LAM = 0.237
+CYCLIC_BOUND_RATE = 0.693
 
 
-def cyclic_one_card_bound(t, n: int, params: CyclicBoundParams):
-    """Evaluate the one-card failure bound at step t, or at every step of an
-    array of them (floor kept exact): a float for a scalar t, else an array."""
+def _check_c(c: float):
+    if not 0.0 < c < math.inf:
+        raise ParameterError(f"constant c must be finite and positive, got {c!r}")
+
+
+def cyclic_one_card_bound(t, n: int, c: float):
+    """The one-card failure bound c e^{-t/n} (lam^floor(rate t/n) + 1/n) at
+    step t, or at every step of an array of them (floor kept exact): a float
+    for a scalar t, else an array."""
+    _check_c(c)
     ts = np.asarray(t, dtype=np.float64)
     if (ts < 0).any():
         raise ParameterError(f"time must be non-negative, got {t!r}")
     if n < 2:
         raise ParameterError(f"deck size must be at least 2, got {n}")
-    rounds = np.floor(params.rate * ts / n)
-    values = params.c * np.exp(-ts / n) * (params.lam**rounds + 1.0 / n)
+    rounds = np.floor(CYCLIC_BOUND_RATE * ts / n)
+    values = c * np.exp(-ts / n) * (CYCLIC_BOUND_LAM**rounds + 1.0 / n)
     return float(values) if values.ndim == 0 else values
 
 
-def fit_cyclic_bound_constant(n: int = 60, t_max: int | None = None) -> CyclicBoundParams:
+def fit_cyclic_bound_constant(n: int = 60, t_max: int | None = None) -> float:
     """Fit c so the bound dominates the exact worst-case one-card curve.
 
     c is the max over t in [1, t_max] of exact TV divided by the bound
@@ -455,9 +444,7 @@ def fit_cyclic_bound_constant(n: int = 60, t_max: int | None = None) -> CyclicBo
         raise ParameterError(f"no exact worst-case curve to fit c to at n={n}")
     times = np.arange(1, t_max + 1)
     curve = worst_case_curve(rule, 1, times)
-    shape = cyclic_one_card_bound(times, n, CyclicBoundParams(1.0))
-    c = float(np.max(curve.values / shape))
-    return CyclicBoundParams(c=c, fit_n=n, fit_t_max=t_max)
+    return float(np.max(curve.values / cyclic_one_card_bound(times, n, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -469,7 +456,8 @@ class CyclicMixingResult:
     coefficient against n (log k + constant_direct) lands near
     1/(1 + 0.693 log(1/0.237)) ~ 0.5006.  ``constant_inverted`` is the
     alternative shift -log(e^{-3/2}/c - 1), defined only when c < e^{-3/2}.
-    ``generic_bound`` is the rule-free n (log k + 3/2) for comparison.
+    ``generic_bound`` is the rule-free n (log k + 3/2) for comparison, and
+    ``c`` the bound's constant.
     """
 
     n: int
@@ -482,12 +470,10 @@ class CyclicMixingResult:
     constant_inverted: float | None
     coefficient_inverted: float | None
     generic_bound: float
-    params: CyclicBoundParams
+    c: float
 
 
-def cyclic_mixing_upper(
-    n: int, k: int, c_fit: CyclicBoundParams | float
-) -> CyclicMixingResult:
+def cyclic_mixing_upper(n: int, k: int, c: float) -> CyclicMixingResult:
     """Solve the bound threshold for the k-card mixing time.
 
     Bisects for the smallest t up to 10 n log n with
@@ -499,10 +485,9 @@ def cyclic_mixing_upper(
         raise ParameterError(f"need k >= 2 tracked cards, got {k}")
     if n < 2:
         raise ParameterError(f"deck size must be at least 2, got {n}")
-    params = c_fit if isinstance(c_fit, CyclicBoundParams) else CyclicBoundParams(c=float(c_fit))
     target = math.exp(-1.5) / k
     horizon = int(math.ceil(10.0 * n * math.log(n)))
-    last_value = cyclic_one_card_bound(horizon, n, params)
+    last_value = cyclic_one_card_bound(horizon, n, c)
     if last_value > target:
         raise HorizonError(
             f"bound never crossed {target:.3e} below horizon {horizon}",
@@ -513,13 +498,13 @@ def cyclic_mixing_upper(
     lo, t_star = 0, horizon
     while t_star - lo > 1:
         mid = (lo + t_star) // 2
-        if cyclic_one_card_bound(mid, n, params) <= target:
+        if cyclic_one_card_bound(mid, n, c) <= target:
             t_star = mid
         else:
             lo = mid
     logk = math.log(k)
-    c_direct = 1.5 + math.log(params.c)
-    ratio = target * k / params.c  # e^{-3/2} / c
+    c_direct = 1.5 + math.log(c)
+    ratio = target * k / c  # e^{-3/2} / c
     c_inv = -math.log(ratio - 1.0) if ratio > 1.0 else None
     coef_direct = (
         t_star / (n * (logk + c_direct)) if logk + c_direct > 0.0 else None
@@ -540,5 +525,5 @@ def cyclic_mixing_upper(
         constant_inverted=c_inv,
         coefficient_inverted=coef_inv,
         generic_bound=n * (logk + 1.5),
-        params=params,
+        c=c,
     )

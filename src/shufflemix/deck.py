@@ -46,7 +46,11 @@ class ShuffleRule:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError("deck size n must be at least 2")
-        kind = ShuffleKind(self.kind)
+        try:
+            kind = ShuffleKind(self.kind)
+        except ValueError:
+            kinds = ", ".join(k.value for k in ShuffleKind)
+            raise ParameterError(f"unknown rule kind {self.kind!r} (one of {kinds})") from None
         object.__setattr__(self, "kind", kind)
         if self.phase != 0 and kind is not ShuffleKind.CYCLIC_TO_RANDOM:
             raise ParameterError(f"phase needs the cyclic rule, got {kind.value}")
@@ -61,9 +65,9 @@ class ShuffleRule:
                         "custom distribution has wrong width "
                         f"({arr.shape} for n={self.n})"
                     )
-                if (arr < 0).any() or abs(arr.sum() - 1.0) > 1e-12:
+                if not np.isfinite(arr).all() or (arr < 0).any() or abs(arr.sum() - 1.0) > 1e-12:
                     raise ParameterError(
-                        "custom distribution must be non-negative and sum to 1"
+                        "custom distribution must be finite, non-negative and sum to 1"
                     )
                 arr.flags.writeable = False
                 rows.append(arr)

@@ -33,15 +33,6 @@ _SAMPLED_STARTS = 64
 _TARGET_CACHE_BUDGET = 40_000_000
 
 
-def tv_distance(p, q) -> float:
-    """Total variation distance, i.e. half the L1 distance."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ParameterError("distributions must have equal length")
-    return 0.5 * float(np.abs(p - q).sum())
-
-
 @dataclass
 class KTupleDistribution:
     """Probability vector over the indexer's ordered k-tuples."""
@@ -65,7 +56,7 @@ class KTupleDistribution:
         if (self.probs < -MASS_TOL).any():
             raise MassDriftError("negative probability mass")
         drift = abs(float(self.probs.sum()) - 1.0)
-        if drift > MASS_TOL:
+        if not drift <= MASS_TOL:  # NaN mass fails too
             raise MassDriftError(f"probability mass drifted by {drift:.3e}")
 
 
@@ -340,7 +331,7 @@ def _worst_tv_steps(evolver: LumpedEvolver, starts):
             for row in block:
                 row[:] = evolver.step(row, t)
         drift = float(np.abs(block.sum(axis=1) - 1.0).max())
-        if drift > MASS_TOL:
+        if not drift <= MASS_TOL:  # NaN mass fails too
             raise MassDriftError(f"probability mass drifted by {drift:.3e} at t={t}")
         yield t, float(0.5 * np.abs(block - uniform).sum(axis=1).max()), drift
 

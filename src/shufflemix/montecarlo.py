@@ -583,6 +583,13 @@ def survival_counts(times: np.ndarray, horizon: int) -> np.ndarray:
 # the (k+1)-deck coupling
 
 
+def _tracked_at(spec: np.ndarray, pos: np.ndarray):
+    """Per trial, whether one of deck 0's tracked cards sits at ``pos``,
+    and the index of the first that does (0 when none does)."""
+    eq = spec == pos[:, None]
+    return eq.any(axis=1), np.argmax(eq, axis=1)
+
+
 def _crossed_risk(S: np.ndarray, R: np.ndarray, idx: np.ndarray, own: np.ndarray):
     """Risk flag for the designated reference deck idx (one per trial):
     its right hand lands on another tracked card in its own deck, or some
@@ -667,45 +674,26 @@ def couple_k_decks(
             rows = np.arange(cur)
             left_arr = np.broadcast_to(np.asarray(left, dtype=dtype), (cur,))
             spec0 = S[:, 0, :]
-            l_eq = spec0 == left_arr[:, None]
-            l_any = l_eq.any(axis=1)
-            l_idx = np.argmax(l_eq, axis=1)
-            tails = coin >= p_heads
+            l_any, l_idx = _tracked_at(spec0, left_arr)
+            u_any, u_idx = _tracked_at(spec0, u_draw)
             # reference deck j's own card j
             own = R == np.diagonal(S[:, 1:, :], axis1=1, axis2=2)
             e_size = own.sum(axis=1)
             cum = np.cumsum(own, axis=1)
             target = np.floor(pick_draw * e_size).astype(np.int64) + 1
             pick = np.argmax((cum == target[:, None]) & own, axis=1)
-            u_eq = spec0 == u_draw[:, None]
-            u_any = u_eq.any(axis=1)
-            u_idx = np.argmax(u_eq, axis=1)
-            r0 = np.where(
-                l_any,
-                R[rows, l_idx],
-                np.where(
-                    tails,
-                    spec0[rows, tails_idx],
-                    np.where(
-                        u_any,
-                        R[rows, u_idx],
-                        np.where(e_size > 0, R[rows, pick], u_draw),
-                    ),
-                ),
+            # deck 0's branch, which is also its risk situation: 0 the left
+            # hand on a tracked card, 1 tails, 2 U on a tracked card, 3 U
+            # elsewhere (copy a deck of E, or keep U when E is empty)
+            case = np.select([l_any, coin >= p_heads, u_any], [0, 1, 2], 3)
+            idx = np.choose(case, (l_idx, tails_idx, u_idx, pick))
+            r0 = np.select(
+                [case == 1, (case == 3) & (e_size == 0)],
+                [spec0[rows, idx], u_draw],
+                R[rows, idx],
             )
-
-            # situations 1-3 are exclusive, so one crossed-risk pass over
-            # each trial's designated reference deck serves all three
-            idx = np.where(l_any, l_idx, np.where(tails, tails_idx, u_idx))
-            risk = _crossed_risk(S, R, idx, own)
-            sit1 = l_any & risk
-            sit2 = ~l_any & tails & risk
-            sit3 = ~l_any & ~tails & u_any & risk
-            sit4 = ~l_any & ~tails & ~u_any & (e_size > 1)
-            sits[run_rows[sit1], 0] += 1
-            sits[run_rows[sit2], 1] += 1
-            sits[run_rows[sit3], 2] += 1
-            sits[run_rows[sit4], 3] += 1
+            risk = np.where(case < 3, _crossed_risk(S, R, idx, own), e_size > 1)
+            sits[run_rows[risk], case[risk]] += 1
 
             hist += np.bincount(r0 - 1, minlength=n)
             nonspecial_hits += int(np.count_nonzero(r0 == extra))

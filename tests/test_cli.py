@@ -266,8 +266,16 @@ def test_cyclic_bound_fit(tmp_path):
     assert header == "t,bound"
     assert len(rows) == 90
     meta = json.loads((tmp_path / "cb.csv.meta.json").read_text())
-    assert meta["bound_params"]["c"] > 0.0
-    assert meta["bound_params"]["lam"] == 0.237
+    c = meta["bound_params"]["c"]
+    assert c > 0.0
+    assert meta["bound_params"] == {"c": c, "lam": 0.237, "rate": 0.693}
+
+
+def test_cyclic_bound_given_c_records_the_fixed_constants(tmp_path):
+    assert run(tmp_path, "cyclic-bound", "--n", "30", "--t-max", "5", "--c", "2.5",
+               "--out", "cb.csv") == 0
+    meta = json.loads((tmp_path / "cb.csv.meta.json").read_text())
+    assert meta["bound_params"] == {"c": 2.5, "lam": 0.237, "rate": 0.693}
 
 
 def test_cyclic_mix_record(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shufflemix.cyclic import (
-    CyclicBoundParams,
+    CYCLIC_BOUND_LAM,
     block_spectrum,
     cyclic_mixing_upper,
     cyclic_one_card_bound,
@@ -235,42 +235,33 @@ def test_scan_raw_eigenvalue_minimum_sits_wider():
 
 
 def test_bound_at_zero_steps():
-    params = CyclicBoundParams(c=2.0)
-    assert cyclic_one_card_bound(0, 100, params) == pytest.approx(2.0 * (1.0 + 0.01))
+    assert cyclic_one_card_bound(0, 100, 2.0) == pytest.approx(2.0 * (1.0 + 0.01))
 
 
 def test_bound_validation():
-    with pytest.raises(ParameterError):
-        CyclicBoundParams(c=-1.0)
-    with pytest.raises(ParameterError):
-        CyclicBoundParams(c=1.0, lam=1.5)
-    with pytest.raises(ParameterError):
-        CyclicBoundParams(c=1.0, rate=0.0)
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (-1.0, 0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):
-            CyclicBoundParams(c=bad)
+            cyclic_one_card_bound(5, 100, bad)
         with pytest.raises(ParameterError):
-            CyclicBoundParams(c=1.0, rate=bad)
+            cyclic_mixing_upper(100, 4, bad)
     with pytest.raises(ParameterError):
-        cyclic_one_card_bound(-1, 100, CyclicBoundParams(c=1.0))
+        cyclic_one_card_bound(-1, 100, 1.0)
     with pytest.raises(ParameterError):
-        cyclic_one_card_bound(5, 1, CyclicBoundParams(c=1.0))
+        cyclic_one_card_bound(5, 1, 1.0)
 
 
 def test_bound_over_an_array_matches_each_step():
-    params = CyclicBoundParams(c=0.7)
     for n in (10, 20, 60, 137):
         ts = np.arange(0, 10 * n + 1)
-        values = cyclic_one_card_bound(ts, n, params)
-        assert values.tolist() == [cyclic_one_card_bound(int(t), n, params) for t in ts]
+        values = cyclic_one_card_bound(ts, n, 0.7)
+        assert values.tolist() == [cyclic_one_card_bound(int(t), n, 0.7) for t in ts]
     with pytest.raises(ParameterError):
-        cyclic_one_card_bound(np.array([3, -1]), 10, params)
+        cyclic_one_card_bound(np.array([3, -1]), 10, 0.7)
 
 
 def test_fitted_constant_dominates_curve():
-    params = fit_cyclic_bound_constant(n=60)
-    assert 0.0 < params.c <= 10.0
-    assert params.fit_n == 60 and params.fit_t_max == 600
+    c = fit_cyclic_bound_constant(n=60)
+    assert type(c) is float and 0.0 < c <= 10.0
     # by construction the fitted bound touches the exact curve from above;
     # spot check it at a few times against a fresh evaluation
     from shufflemix.exact import worst_case_curve
@@ -278,17 +269,17 @@ def test_fitted_constant_dominates_curve():
 
     curve = worst_case_curve(make_rule("cyclic", 60), 1, [30, 120, 360])
     for t, tv in zip(curve.times, curve.values):
-        assert tv <= cyclic_one_card_bound(int(t), 60, params) + 1e-12
+        assert tv <= cyclic_one_card_bound(int(t), 60, c) + 1e-12
 
 
 def test_mixing_solver_matches_threshold():
-    params = CyclicBoundParams(c=0.5)
-    res = cyclic_mixing_upper(200, 4, params)
+    res = cyclic_mixing_upper(200, 4, 0.5)
     target = math.exp(-1.5) / 4
-    assert cyclic_one_card_bound(res.t, 200, params) <= target
-    assert cyclic_one_card_bound(res.t - 1, 200, params) > target
+    assert cyclic_one_card_bound(res.t, 200, 0.5) <= target
+    assert cyclic_one_card_bound(res.t - 1, 200, 0.5) > target
     assert res.threshold == pytest.approx(target)
     assert res.generic_bound == pytest.approx(200 * (math.log(4) + 1.5))
+    assert res.c == 0.5
 
 
 def test_mixing_solver_bisection_matches_full_scan():
@@ -300,18 +291,16 @@ def test_mixing_solver_bisection_matches_full_scan():
         ts = np.arange(1, horizon + 1)
         for k in (2, 3, 7, 50):
             for c in (0.01, 0.3, 1.0, 4.0, 1e3, 1e6):
-                for lam, rate in ((0.237, 0.693), (0.9, 0.2), (0.01, 2.0)):
-                    params = CyclicBoundParams(c=c, lam=lam, rate=rate)
-                    below = np.flatnonzero(
-                        cyclic_one_card_bound(ts, n, params) <= math.exp(-1.5) / k
-                    )
-                    if below.size:
-                        assert cyclic_mixing_upper(n, k, params).t == ts[below[0]]
-                        crossed += 1
-                    else:
-                        with pytest.raises(HorizonError):
-                            cyclic_mixing_upper(n, k, params)
-                        exhausted += 1
+                below = np.flatnonzero(
+                    cyclic_one_card_bound(ts, n, c) <= math.exp(-1.5) / k
+                )
+                if below.size:
+                    assert cyclic_mixing_upper(n, k, c).t == ts[below[0]]
+                    crossed += 1
+                else:
+                    with pytest.raises(HorizonError):
+                        cyclic_mixing_upper(n, k, c)
+                    exhausted += 1
     assert crossed and exhausted
 
 
@@ -323,10 +312,10 @@ def test_mixing_solver_scales_like_half_n_log_k():
     by at most log(1/lam) inside the bracket. Small k stays inside a 0.75
     shift; the stair-wide envelope holds for all k.
     """
-    params = fit_cyclic_bound_constant(n=60)
-    stair = math.log(1.0 / params.lam)
+    c = fit_cyclic_bound_constant(n=60)
+    stair = math.log(1.0 / CYCLIC_BOUND_LAM)
     for k in (2, 4, 8, 16, 32):
-        res = cyclic_mixing_upper(1000, k, params)
+        res = cyclic_mixing_upper(1000, k, c)
         cap = 0.5006 * 1000 * (math.log(k) + res.constant_direct + stair)
         assert res.t <= cap, k
         assert res.t >= 0.25 * 1000 * math.log(k)
@@ -335,7 +324,7 @@ def test_mixing_solver_scales_like_half_n_log_k():
             assert res.t <= tight, k
     t_prev = 0
     for k in (2, 3, 5, 9):
-        t_k = cyclic_mixing_upper(500, k, params).t
+        t_k = cyclic_mixing_upper(500, k, c).t
         assert t_k >= t_prev
         t_prev = t_k
 

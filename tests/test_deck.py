@@ -25,6 +25,8 @@ def test_rule_validation():
         ShuffleRule(kind=ShuffleKind.CUSTOM_SEQUENCE, n=4, custom=((0.5, 0.5, 0.5, -0.5),))
     with pytest.raises(ParameterError):
         ShuffleRule(kind=ShuffleKind.TOP_TO_RANDOM, n=4, custom=((0.25,) * 4,))
+    with pytest.raises(ParameterError, match="unknown rule kind 'bogus'"):
+        ShuffleRule(kind="bogus", n=5)
     with pytest.raises(ParameterError):
         make_rule("random", 4).left_positions(0, np.random.default_rng(0), 1)
 
@@ -66,3 +68,12 @@ def test_custom_rows_frozen():
     rule = make_rule("custom", 4)
     with pytest.raises(ValueError):
         rule.custom[0][0] = 0.9
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_custom_rows_must_be_finite(bad):
+    row = np.full(5, 0.2)
+    row[2] = bad
+    for rows in ([np.full(5, bad)], [row]):
+        with pytest.raises(ParameterError, match="finite"):
+            ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, 5, custom=rows)

@@ -18,7 +18,6 @@ from shufflemix.exact import (
     exact_tv_curve,
     partial_mixing_time,
     single_card_matrix,
-    tv_distance,
     worst_case_curve,
     write_csv,
     write_sidecar,
@@ -26,13 +25,6 @@ from shufflemix.exact import (
 from shufflemix.indexing import KTupleIndexer
 
 from conftest import ALL_KINDS, brute_force_marginals, make_rule, run_bounded
-
-
-def test_tv_distance_basics():
-    assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert tv_distance([0.7, 0.3], [0.5, 0.5]) == pytest.approx(0.2)
-    assert tv_distance([0.7, 0.3], [0.5, 0.5]) == tv_distance([0.5, 0.5], [0.7, 0.3])
 
 
 def test_uniform_is_fixed_point():
@@ -452,3 +444,16 @@ def test_mass_drift_caught_on_every_exact_path(leaky_kernel):
     if leaky_kernel == "step":
         with pytest.raises(MassDriftError):
             exact_tv_curve(rule, 2, (1, 2), [3])
+
+
+@pytest.mark.parametrize("kernel", ["step", "evolve_columns"])
+def test_nan_mass_is_drift(kernel, monkeypatch):
+    """NaN mass fails the drift checks instead of reading as zero drift."""
+    monkeypatch.setattr(LumpedEvolver, kernel, lambda self, p, t: np.full_like(p, np.nan))
+    rule = make_rule("top" if kernel == "step" else "cyclic", 6)
+    with pytest.raises(MassDriftError):
+        worst_case_curve(rule, 2, [3])
+    with pytest.raises(MassDriftError):
+        partial_mixing_time(rule, 2, 0.25)
+    with pytest.raises(MassDriftError):
+        KTupleDistribution(KTupleIndexer(6, 2), np.full(30, np.nan))
