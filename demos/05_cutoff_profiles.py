@@ -10,7 +10,6 @@ shrinking fraction of the mixing scale as k grows.
 import math
 
 from shufflemix import (
-    RandomStream,
     ShuffleKind,
     ShuffleRule,
     cutoff_profile,
@@ -43,7 +42,7 @@ def main():
             best = max(
                 tv_lower_bound_fixed_cards(
                     big, k, t=t, c_threshold=c, samples=30_000,
-                    rng=RandomStream(40 + k),
+                    seed=40 + k,
                 ).value
                 for c in (1, 2)
                 if c < k

@@ -19,7 +19,7 @@ from .errors import (
     ParameterError,
     ShuffleMixError,
 )
-from .rng import DEFAULT_SEED, RandomStream
+from .rng import DEFAULT_SEED
 from .deck import ShuffleKind, ShuffleRule
 from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
 from .exact import (

@@ -68,7 +68,7 @@ from .montecarlo import (
     survival_counts,
     tv_lower_bound_fixed_cards,
 )
-from .rng import DEFAULT_SEED, RandomStream
+from .rng import DEFAULT_SEED
 
 
 def _number_list(text: str, kind, what: str) -> list:
@@ -169,7 +169,7 @@ def _estimate_record(est, fitted=None) -> dict:
 
 
 def _mc_options(config) -> dict:
-    return {"rng": RandomStream(config["seed"]), "workers": config["threads"]}
+    return {"seed": config["seed"], "workers": config["threads"]}
 
 
 def _workers_used(config, trials: int) -> dict:

@@ -435,7 +435,9 @@ def fit_cyclic_bound_constant(n: int = 60, t_max: int | None = None) -> float:
     c is the max over t in [1, t_max] of exact TV divided by the bound
     shape; by construction the fitted bound touches the curve from above.
     Past the exhaustive start budget only a lower bound on that curve is
-    computable, which cannot bound c, so that raises ParameterError.
+    computable, which cannot bound c, so that raises ParameterError; so does
+    a curve that is 0 on the whole grid (n = 2, where one step mixes the
+    card), which no positive c fits.
     """
     if t_max is None:
         t_max = 10 * n
@@ -444,7 +446,10 @@ def fit_cyclic_bound_constant(n: int = 60, t_max: int | None = None) -> float:
         raise ParameterError(f"no exact worst-case curve to fit c to at n={n}")
     times = np.arange(1, t_max + 1)
     curve = worst_case_curve(rule, 1, times)
-    return float(np.max(curve.values / cyclic_one_card_bound(times, n, 1.0)))
+    c = float(np.max(curve.values / cyclic_one_card_bound(times, n, 1.0)))
+    if not c > 0.0:
+        raise ParameterError(f"the exact curve at n={n} is 0 on 1..{t_max}: no c > 0 fits")
+    return c
 
 
 @dataclass(frozen=True)

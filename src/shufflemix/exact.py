@@ -367,18 +367,19 @@ def _canonical_starts(rule: ShuffleRule, k: int) -> list[tuple]:
     return reps
 
 
-def _sampled_starts(n: int, k: int) -> list[tuple]:
-    """Structured starts (contiguous, shifted, spread) plus a seeded sample."""
+def _sampled_starts(rule: ShuffleRule, k: int) -> list[tuple]:
+    """Structured starts plus a seeded sample. The structured ones are the
+    contiguous, shifted and spread tuples, and the tail: the k positions
+    phase-k+1..phase (mod n) that the cyclic sweep reaches last."""
+    n, phase = rule.n, rule.phase
     cands = [tuple(range(1, k + 1))]
     if k < n:
         cands.append(tuple(range(2, k + 2)))
     shift = n // k  # shift * (k - 1) < n, so the spread is distinct
     cands.append(tuple(1 + j * shift for j in range(k)))
-    starts, seen = [], set()
-    for c in cands:
-        if c not in seen:
-            seen.add(c)
-            starts.append(c)
+    cands.append(tuple(sorted((phase - j - 1) % n + 1 for j in range(k))))
+    starts = list(dict.fromkeys(cands))
+    seen = set(starts)
     size = min(_SAMPLED_STARTS, tuple_count(n, k))
     rng = RandomStream(DEFAULT_SEED, 977).generator
     while len(starts) < size:
@@ -406,7 +407,7 @@ def _resolve_starts(
         return _canonical_starts(rule, k), "exact-canonical"
     if count * count <= _EXHAUSTIVE_BUDGET:
         return None, "exhaustive"
-    return _sampled_starts(rule.n, k), "sampled-lower-bound"
+    return _sampled_starts(rule, k), "sampled-lower-bound"
 
 
 def worst_case_curve(rule: ShuffleRule, k: int, times) -> TVCurve:

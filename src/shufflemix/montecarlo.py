@@ -3,11 +3,12 @@
 Everything here simulates only the positions of the tracked cards, never
 whole decks: a transposition at (left, right) moves a tracked card iff it
 sits at one of the two positions, so a size-k position vector is a faithful
-state. All routines draw from per-block substreams of one master stream:
-trials are processed in fixed blocks of ``_TRIAL_BLOCK``, block b using
-``stream.substream(b)`` (``_trial_blocks``), with a fixed draw schedule per
-step (``_hand_schedule``: left hand first, then right hand; the k-deck
-coupling draws its own hands after the left one).
+state. Every driver takes one int ``seed`` (default ``DEFAULT_SEED``) and
+records it in its result, so rerunning with the recorded seed replays the
+run. Trials are processed in fixed blocks of ``_TRIAL_BLOCK``, block b
+drawing from ``RandomStream(seed).substream(b)`` (``_trial_blocks``), with a
+fixed draw schedule per step (``_hand_schedule``: left hand first, then
+right hand; the k-deck coupling draws its own hands after the left one).
 
 Every driver reads n from its ``ShuffleRule``, and names the k tracked cards
 by the positions they start at (``cards``, default 1..k).
@@ -17,8 +18,8 @@ Each estimator and coupling runs one block function per block through
 caller to sum. The blocks run in up to ``workers`` forked worker processes
 (by default every CPU this process may use; ``block_workers`` says how
 many), but substreams are created in the calling process and merged in block
-order, so results depend only on (master seed, parameters), never on the
-worker count.
+order, so results depend only on (seed, parameters), never on the worker
+count.
 """
 
 from __future__ import annotations
@@ -133,21 +134,10 @@ class KDeckCouplingResult:
     details: dict = field(default_factory=dict)
 
 
-def _as_stream(rng) -> RandomStream:
-    """``rng`` as a stream: None (``DEFAULT_SEED``), a RandomStream, or an
-    integer seed."""
-    if rng is None:
-        return RandomStream(DEFAULT_SEED)
-    if isinstance(rng, RandomStream):
-        return rng
-    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
-        return RandomStream(int(rng))
-    raise ParameterError(f"rng must be None, a RandomStream or an int, got {rng!r}")
-
-
-def _trial_blocks(stream: RandomStream, trials: int):
+def _trial_blocks(seed: int, trials: int):
     """Yield (generator, size) for each block of at most ``_TRIAL_BLOCK``
-    trials; block b draws from ``stream.substream(b)``."""
+    trials; block b draws from ``RandomStream(seed).substream(b)``."""
+    stream = RandomStream(seed)
     for b, lo in enumerate(range(0, trials, _TRIAL_BLOCK)):
         yield stream.substream(b).generator, min(_TRIAL_BLOCK, trials - lo)
 
@@ -176,9 +166,9 @@ def _run_block(b: int):
     return block_fn(*blocks[b])
 
 
-def _map_blocks(block_fn, stream: RandomStream, trials: int, workers: int | None):
+def _map_blocks(block_fn, seed: int, trials: int, workers: int | None):
     """Yield ``block_fn(generator, size)`` for each block of
-    ``_trial_blocks(stream, trials)``, in block order.
+    ``_trial_blocks(seed, trials)``, in block order.
 
     One worker runs the blocks in this process. More fork a pool of
     ``block_workers(workers, trials)`` processes; the fork hands each worker
@@ -188,13 +178,13 @@ def _map_blocks(block_fn, stream: RandomStream, trials: int, workers: int | None
     """
     count = block_workers(workers, trials)
     if count == 1:
-        for gen, size in _trial_blocks(stream, trials):
+        for gen, size in _trial_blocks(seed, trials):
             yield block_fn(gen, size)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    blocks = list(_trial_blocks(stream, trials))
+    blocks = list(_trial_blocks(seed, trials))
     fork = multiprocessing.get_context("fork")
     task = (block_fn, blocks)
     with ProcessPoolExecutor(count, fork, _init_block_worker, task) as pool:
@@ -268,7 +258,7 @@ def mc_tv_plugin(
     t: int,
     samples: int,
     cards=None,
-    rng=None,
+    seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> MCEstimate:
     """Monte Carlo plug-in estimate of the k-card TV distance to uniform.
@@ -292,7 +282,6 @@ def mc_tv_plugin(
             f"{exc}; the frequency table is too large, use the "
             "statistic-based lower bound instead"
         ) from None
-    stream = _as_stream(rng)
     if samples < 100 * indexer.count:
         warnings.warn(
             f"samples={samples} is below 100x the state count "
@@ -307,7 +296,7 @@ def mc_tv_plugin(
         return pos
 
     counts = np.zeros(indexer.count, dtype=np.int64)
-    for pos in _map_blocks(block, stream, samples, workers):
+    for pos in _map_blocks(block, seed, samples, workers):
         codes = indexer.encode_many(pos - 1)
         counts += np.bincount(codes, minlength=indexer.count)
     tv, se = plugin_tv_from_counts(counts, samples)
@@ -321,7 +310,7 @@ def mc_tv_plugin(
         value=tv,
         std_error=se,
         samples=samples,
-        seed=stream.master_seed,
+        seed=seed,
         details=details,
     )
 
@@ -353,7 +342,7 @@ def tv_lower_bound_fixed_cards(
     t: int,
     c_threshold: int,
     samples: int,
-    rng=None,
+    seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> MCEstimate:
     """TV lower bound from the never-touched-cards statistic.
@@ -380,7 +369,6 @@ def tv_lower_bound_fixed_cards(
             stacklevel=2,
         )
     start_pos = np.arange(n - k + 1, n + 1, dtype=np.int64)
-    stream = _as_stream(rng)
 
     def block(gen, size):
         pos = np.tile(start_pos, (size, 1))
@@ -398,7 +386,7 @@ def tv_lower_bound_fixed_cards(
         )
 
     # float tallies are integer-valued, so their sums are exact in any order
-    blocks = _map_blocks(block, stream, samples, workers)
+    blocks = _map_blocks(block, seed, samples, workers)
     exceed, exceed_fixed, sum_x, sum_x2 = map(sum, zip(*blocks))
     p_hat = exceed / samples
     tail = uniform_fixed_point_tail(n, k, c_threshold)
@@ -418,7 +406,7 @@ def tv_lower_bound_fixed_cards(
         value=abs(p_hat - tail),
         std_error=se,
         samples=samples,
-        seed=stream.master_seed,
+        seed=seed,
         details=details,
     )
 
@@ -440,7 +428,7 @@ def _resolve_start_pair(start_pair, n: int):
     return x0, y0
 
 
-def _couple_two_decks(rule, start_pair, horizon, trials, rng, workers, mirror):
+def _couple_two_decks(rule, start_pair, horizon, trials, seed, workers, mirror):
     """Run a two-deck coupling of one tracked card under ``rule``.
 
     ``xy`` holds the card's position in deck one (column 0) and deck two
@@ -459,7 +447,6 @@ def _couple_two_decks(rule, start_pair, horizon, trials, rng, workers, mirror):
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
     x0, y0 = _resolve_start_pair(start_pair, n)
-    stream = _as_stream(rng)
 
     def block(gen, size):
         xy = np.empty((size, 2), dtype=np.int64)
@@ -478,7 +465,7 @@ def _couple_two_decks(rule, start_pair, horizon, trials, rng, workers, mirror):
             match[(match < 0) & (xy[:, 0] == xy[:, 1])] = s
         return match, None if fires is None else designed, xy, hist
 
-    blocks = _map_blocks(block, stream, trials, workers)
+    blocks = _map_blocks(block, seed, trials, workers)
     match_all, designed_all, finals, hists = zip(*blocks)
     match = np.concatenate(match_all)
     details = {
@@ -490,7 +477,7 @@ def _couple_two_decks(rule, start_pair, horizon, trials, rng, workers, mirror):
         n=n,
         trials=trials,
         horizon=horizon,
-        seed=stream.master_seed,
+        seed=seed,
         match_times=match,
         designed_times=designed,
         final_positions=np.concatenate(finals),
@@ -504,7 +491,7 @@ def couple_one_card(
     start_pair=None,
     horizon: int | None = None,
     trials: int = 100_000,
-    rng=None,
+    seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> CouplingResult:
     """Two decks, shared left hand, right hand mirrored across the pair.
@@ -525,7 +512,7 @@ def couple_one_card(
         return left, rights, right == xy[:, 1], (r_one, right)
 
     result, hist = _couple_two_decks(
-        rule, start_pair, horizon, trials, rng, workers, mirror
+        rule, start_pair, horizon, trials, seed, workers, mirror
     )
     result.details.update(
         chisq_p_deck_one=float(stats.chisquare(hist[0]).pvalue),
@@ -540,7 +527,7 @@ def couple_two_hands_random(
     start_pair=None,
     horizon: int | None = None,
     trials: int = 100_000,
-    rng=None,
+    seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> CouplingResult:
     """Both hands mirrored between two decks of the uniform-left rule.
@@ -560,7 +547,7 @@ def couple_two_hands_random(
                 np.stack([right, m_right], axis=1), None, (m_left, m_right))
 
     result, hist = _couple_two_decks(
-        rule, start_pair, horizon, trials, rng, workers, mirror
+        rule, start_pair, horizon, trials, seed, workers, mirror
     )
     result.details.update(
         chisq_p_mirrored_left=float(stats.chisquare(hist[0]).pvalue),
@@ -610,7 +597,7 @@ def couple_k_decks(
     trials: int,
     cards=None,
     horizon: int | None = None,
-    rng=None,
+    seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> KDeckCouplingResult:
     """Coupled deck versus k independent single-card reference decks.
@@ -650,7 +637,6 @@ def couple_k_decks(
     dtype = np.int32 if n < 2**31 - 1 else np.int64
     # the tracked non-special card for the uniformity spot-check
     extra_card = next(c for c in range(1, n + 1) if c not in set(cards.tolist()))
-    stream = _as_stream(rng)
 
     def block(gen, size):
         S = np.broadcast_to(cards.astype(dtype), (size, k + 1, k)).copy()
@@ -712,7 +698,7 @@ def couple_k_decks(
                 run_rows = run_rows[keep]
         return mismatch, sits, hist, nonspecial_hits, steps_tallied
 
-    blocks = _map_blocks(block, stream, trials, workers)
+    blocks = _map_blocks(block, seed, trials, workers)
     mismatch_all, sits_all, hists, hits, tallied = zip(*blocks)
     mismatch = np.concatenate(mismatch_all)
     sits = np.concatenate(sits_all, axis=0)
@@ -733,7 +719,7 @@ def couple_k_decks(
         params=params,
         cards=tuple(int(c) for c in cards),
         trials=trials,
-        seed=stream.master_seed,
+        seed=seed,
         mismatch_times=mismatch,
         situation_counts=sits,
         r0_histogram=hist,
@@ -777,7 +763,7 @@ def left_hand_hit_count(
     t: int,
     trials: int,
     cards=None,
-    rng=None,
+    seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> MCEstimate:
     """Mean number of times the left hand lands on one of k tracked cards,
@@ -789,7 +775,6 @@ def left_hand_hit_count(
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
     start_pos = _start_positions(cards, n, k)
-    stream = _as_stream(rng)
 
     def block(gen, size):
         pos = np.tile(start_pos, (size, 1))
@@ -799,7 +784,7 @@ def left_hand_hit_count(
             pos = _swap_positions(pos, left, right)
         return float(hits.sum()), float((hits.astype(np.float64) ** 2).sum())
 
-    blocks = _map_blocks(block, stream, trials, workers)
+    blocks = _map_blocks(block, seed, trials, workers)
     sum_hits, sum_hits2 = map(sum, zip(*blocks))
     mean = sum_hits / trials
     var = max(sum_hits2 / trials - mean * mean, 0.0)
@@ -814,6 +799,6 @@ def left_hand_hit_count(
         value=mean,
         std_error=se,
         samples=trials,
-        seed=stream.master_seed,
+        seed=seed,
         details=details,
     )

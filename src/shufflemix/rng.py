@@ -5,10 +5,12 @@ wrapper around numpy's Philox bit generator keyed by ``(master_seed,
 stream_id)``.  Two streams built from the same pair replay the same sequence;
 distinct stream ids give statistically independent streams (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11).  The Monte Carlo
-routines give each block of trials its own ``substream``, created in the
-calling process; blocks may then run in separate worker processes and are
-merged in block order, so every experiment is reproducible from a single
-64-bit seed and independent of the worker count.
+drivers take a plain int seed and give each block b of trials the stream
+``RandomStream(seed).substream(b)``, created in the calling process; blocks
+may then run in separate worker processes and are merged in block order, so
+every experiment is reproducible from the one 64-bit seed its result
+records, independent of the worker count.  ``RandomStream`` is the one place
+a seed is checked: it must be a non-bool int in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ class RandomStream:
     )
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) <= _MASK64:
-            raise ParameterError("master_seed must fit in an unsigned 64-bit int")
-        if not 0 <= int(self.stream_id) <= _MASK64:
-            raise ParameterError("stream_id must fit in an unsigned 64-bit int")
+        for name, value in (("seed", self.master_seed), ("stream_id", self.stream_id)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an int, got {value!r}")
+            if not 0 <= value <= _MASK64:
+                raise ParameterError(f"{name} must fit in an unsigned 64-bit int")
 
     @property
     def generator(self) -> np.random.Generator:

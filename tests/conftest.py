@@ -3,7 +3,8 @@ a time-bounded child interpreter.
 
 The oracle evolves the distribution over all n! arrangements directly and
 projects it onto the tracked k-tuple, so the lumped chain can be checked
-entrywise. Only usable for small n.
+entrywise. Only usable for small n. ``untouched_law`` is a closed-form
+envelope for the top and random worst-case curves at any n.
 """
 
 import itertools
@@ -91,6 +92,16 @@ def brute_force_marginals(rule, k, start, t_max):
         dist = new
         out[t] = np.bincount(proj, weights=dist, minlength=indexer.count)
     return out
+
+
+def untouched_law(kind, n, k, times):
+    """D(t) = 1 - (1 - u_t)^k with u_t = (1 - 1/n)^(r t), r = 1 for top and
+    2 for random: the chance that some tracked card is still untouched at t,
+    counting a card off position 1 for top. The exact worst-case k-card TV
+    lies in [D - k/n, D] (a touched card sits nearly uniformly)."""
+    r = {"top": 1, "random": 2}[kind]
+    untouched = (1.0 - 1.0 / n) ** (r * np.asarray(times, dtype=float))
+    return 1.0 - (1.0 - untouched) ** k
 
 
 def run_bounded(code: str) -> str:

@@ -28,7 +28,6 @@ from shufflemix.montecarlo import (
     tv_lower_bound_fixed_cards,
 )
 from shufflemix.exact import exact_tv_curve
-from shufflemix.rng import RandomStream
 
 from conftest import ALL_KINDS, brute_force_marginals, make_rule
 
@@ -141,12 +140,12 @@ def test_criterion_07_tau_hat_oracle():
 
 def test_criterion_08_coupling_marginal_integrity():
     n, trials = 30, 100_000
-    one = couple_one_card(make_rule("random", n), trials=trials, rng=RandomStream(101))
+    one = couple_one_card(make_rule("random", n), trials=trials, seed=101)
     with pytest.warns(UserWarning, match="not small"):
         # k^2 log(horizon) ~ 2n here; only marginal integrity is under test
         kd = couple_k_decks(
             make_rule("random", n), 3, cards=(1, 2, 3), trials=trials,
-            rng=RandomStream(102),
+            seed=102,
         )
     p_vals = (
         one.details["chisq_p_deck_one"],
@@ -171,7 +170,7 @@ def test_criterion_09_mismatch_bound_fit():
     started = time.perf_counter()
     res = couple_k_decks(
         make_rule("random", n), k, cards=(1, 2, 3), horizon=5000, trials=trials,
-        rng=RandomStream(103),
+        seed=103,
     )
     fit = fit_mismatch_bound(res, times=times)
     elapsed = time.perf_counter() - started
@@ -187,7 +186,7 @@ def test_criterion_10_coupon_collector_moments():
     n, k, t, trials = 100, 10, 200, 100_000
     est = tv_lower_bound_fixed_cards(
         make_rule("top", n), k, t=t, c_threshold=2, samples=trials,
-        rng=RandomStream(104),
+        seed=104,
     )
     mean, var = est.details["mean_statistic"], est.details["var_statistic"]
     target = k * (1.0 - 1.0 / n) ** t
@@ -240,7 +239,7 @@ def test_criterion_13_mc_agrees_with_exact():
     rows = []
     ok = True
     for t in (5, 20):
-        est = mc_tv_plugin(rule, k, t, samples, rng=RandomStream(105 + t))
+        est = mc_tv_plugin(rule, k, t, samples, seed=105 + t)
         gap = abs(est.value - exact.value_at(t))
         tol = 3.0 * est.std_error + 0.02
         ok = ok and gap <= tol
@@ -289,7 +288,7 @@ def test_cutoff_sharpening_report():
             for c in (1, 2):
                 est = tv_lower_bound_fixed_cards(
                     rule, k, t=t, c_threshold=c, samples=30_000,
-                    rng=RandomStream(200 + k),
+                    seed=200 + k,
                 )
                 assert 0.0 <= est.value <= 1.0
                 best = max(best, est.value)

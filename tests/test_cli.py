@@ -294,6 +294,13 @@ def test_cyclic_bound_fit_refuses_a_lower_bound(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "cyclic-bound.csv").exists()
 
 
+def test_cyclic_bound_fit_refuses_a_zero_curve(tmp_path, capsys):
+    """At n = 2 one step mixes the card: no positive c fits a zero curve."""
+    assert run(tmp_path, "cyclic-bound", "--n", "2", "--fit", "--t-max", "3") == 2
+    assert "no c > 0 fits" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def words(name):
     """The argv words that select a COMMAND_TABLE entry."""
     return ["couple", name[len("couple-"):]] if name.startswith("couple-") else [name]

@@ -259,6 +259,11 @@ def test_bound_over_an_array_matches_each_step():
         cyclic_one_card_bound(np.array([3, -1]), 10, 0.7)
 
 
+def test_fit_of_a_zero_curve_names_the_cause():
+    with pytest.raises(ParameterError, match="curve at n=2 is 0"):
+        fit_cyclic_bound_constant(n=2, t_max=3)
+
+
 def test_fitted_constant_dominates_curve():
     c = fit_cyclic_bound_constant(n=60)
     assert type(c) is float and 0.0 < c <= 10.0

@@ -12,6 +12,7 @@ from shufflemix.deck import ShuffleKind, ShuffleRule
 from shufflemix.errors import HorizonError, MassDriftError, ParameterError
 from shufflemix.exact import (
     MASS_TOL,
+    _sampled_starts,
     KTupleDistribution,
     LumpedEvolver,
     cutoff_profile,
@@ -24,7 +25,13 @@ from shufflemix.exact import (
 )
 from shufflemix.indexing import KTupleIndexer
 
-from conftest import ALL_KINDS, brute_force_marginals, make_rule, run_bounded
+from conftest import (
+    ALL_KINDS,
+    brute_force_marginals,
+    make_rule,
+    run_bounded,
+    untouched_law,
+)
 
 
 def test_uniform_is_fixed_point():
@@ -303,6 +310,21 @@ def test_worst_case_sampled_is_flagged(monkeypatch):
         assert curve.values[0] <= exhaustive.values[0] + 1e-15
 
 
+@pytest.mark.parametrize("kind", ("top", "random"))
+@pytest.mark.parametrize(
+    "n, k", ((10, 1), (10, 2), (10, 3), (40, 1), (40, 2), (30, 3), (8, 4), (12, 4))
+)
+def test_worst_case_within_k_over_n_below_untouched_law(kind, n, k):
+    """D - k/n <= d(t) <= D for 0 <= t <= n (log max(k, 2) + 6) / r; the
+    lower side is tight at t = 0 for k = 1."""
+    r = {"top": 1, "random": 2}[kind]
+    times = np.arange(int(n * (math.log(max(k, 2)) + 6) / r) + 1)
+    d = worst_case_curve(make_rule(kind, n), k, times).values
+    law = untouched_law(kind, n, k, times)
+    assert np.all(d <= law + 1e-12)
+    assert np.all(law - k / n <= d + 1e-12)
+
+
 def test_one_card_universal_bound_small():
     # worst-case one-card TV sits below e^{-t/n} for every rule
     n, times = 10, np.arange(1, 31)
@@ -415,6 +437,25 @@ def test_sampled_starts_clamped_to_tuple_count():
         "print(s.metadata['starts'], abs(s.values - e.values).max() < 1e-12)\n"
     )
     assert out == "56 True"
+
+
+@pytest.mark.parametrize("phase", (0, 5))
+def test_sampled_starts_hold_the_phase_tail(monkeypatch, phase):
+    """Past the budget the cyclic scan starts from the k positions the sweep
+    reaches last, phase-k+1..phase (mod n). At n=12, k=3 that brings it
+    within 1e-3 of the exhaustive worst case; without it the gap was 0.091."""
+    rule = make_rule("cyclic", 12, phase=phase)
+    times = np.arange(41)
+    exhaustive = worst_case_curve(rule, 3, times)
+    monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 0)
+    sampled = worst_case_curve(rule, 3, times)
+    assert exhaustive.metadata["start_strategy"] == "exhaustive"
+    assert sampled.metadata["start_strategy"] == "sampled-lower-bound"
+    assert sampled.metadata["starts"] == 64
+    tail = {0: (10, 11, 12), 5: (3, 4, 5)}[phase]
+    assert tail in _sampled_starts(rule, 3)
+    gap = exhaustive.values - sampled.values
+    assert gap.min() >= -1e-12 and gap.max() < 1e-3
 
 
 def test_exhaustive_budget_applies_to_mixing_time(monkeypatch):
