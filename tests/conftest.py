@@ -94,12 +94,11 @@ def brute_force_marginals(rule, k, start, t_max):
     return out
 
 
-def untouched_law(kind, n, k, times):
+def untouched_law(n, k, r, times):
     """D(t) = 1 - (1 - u_t)^k with u_t = (1 - 1/n)^(r t), r = 1 for top and
     2 for random: the chance that some tracked card is still untouched at t,
     counting a card off position 1 for top. The exact worst-case k-card TV
     lies in [D - k/n, D] (a touched card sits nearly uniformly)."""
-    r = {"top": 1, "random": 2}[kind]
     untouched = (1.0 - 1.0 / n) ** (r * np.asarray(times, dtype=float))
     return 1.0 - (1.0 - untouched) ** k
 

@@ -320,7 +320,7 @@ def test_worst_case_within_k_over_n_below_untouched_law(kind, n, k):
     r = {"top": 1, "random": 2}[kind]
     times = np.arange(int(n * (math.log(max(k, 2)) + 6) / r) + 1)
     d = worst_case_curve(make_rule(kind, n), k, times).values
-    law = untouched_law(kind, n, k, times)
+    law = untouched_law(n, k, r, times)
     assert np.all(d <= law + 1e-12)
     assert np.all(law - k / n <= d + 1e-12)
 
