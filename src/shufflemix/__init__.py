@@ -21,7 +21,7 @@ from .errors import (
 )
 from .rng import DEFAULT_SEED
 from .deck import ShuffleKind, ShuffleRule
-from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
+from .indexing import DEFAULT_STATE_CAP, KTupleIndexer
 from .exact import (
     CutoffProfile,
     KTupleDistribution,

@@ -141,15 +141,23 @@ def _run_exact_tv(config):
     return _curve_output("exact-tv", times, curve)
 
 
+def _note_lower_bound(strategy: str) -> None:
+    """Say on stderr when sampled starts make a worst case a lower bound."""
+    if strategy == "sampled-lower-bound":
+        print("note: sampled starts: this worst case is only a lower bound", file=sys.stderr)
+
+
 def _run_worst_tv(config):
     rule, k, times = _rule_from(config), config["k"], _times_from(config)
     curve = worst_case_curve(rule, k, times)
+    _note_lower_bound(curve.metadata["start_strategy"])
     return _curve_output("worst-tv", times, curve)
 
 
 def _run_mix_time(config):
     rule, horizon = _rule_from(config), config["horizon"]
     result = partial_mixing_time(rule, config["k"], config["epsilon"], horizon=horizon)
+    _note_lower_bound(result.strategy)
     fields = ("tv", "epsilon", "horizon", "strategy")
     record = {"t_mix": result.t, **_pick(result, *fields)}
     extras = _pick(result, "max_mass_drift")
@@ -159,6 +167,7 @@ def _run_mix_time(config):
 def _run_cutoff(config):
     alphas = config["alphas"] or [0.0, 0.5, 1.0, 1.5, 2.0]
     profile = cutoff_profile(_rule_from(config), config["k"], alphas)
+    _note_lower_bound(profile.metadata["start_strategy"])
     summary = f"cutoff: {len(alphas)} alphas"
     return ("alpha,t,tv,bound", profile.rows()), _with_drift(profile), summary
 

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from . import __version__ as _pkg_version
 from .deck import ShuffleKind, ShuffleRule
 from .errors import HorizonError, MassDriftError, ParameterError
-from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
+from .indexing import DEFAULT_STATE_CAP, KTupleIndexer
 from .rng import DEFAULT_SEED, RandomStream
 
 MASS_TOL = 1e-10
@@ -355,8 +355,9 @@ def _canonical_starts(rule: ShuffleRule, k: int) -> list[tuple]:
 
     With a uniform left hand all positions are exchangeable, so one start
     suffices. With the left hand pinned to the top, positions 2..n are
-    exchangeable and classes are distinguished only by which coordinate (if
-    any) sits at position 1; at k = n some coordinate always does.
+    exchangeable, so a start's class is whether a tracked card sits at
+    position 1 (at k = n one always does); the k starts putting one there
+    only relabel the cards, so they give the same curve.
     """
     if rule.kind is ShuffleKind.RANDOM_TO_RANDOM:
         return [tuple(range(1, k + 1))]
@@ -380,7 +381,7 @@ def _sampled_starts(rule: ShuffleRule, k: int) -> list[tuple]:
     cands.append(tuple(sorted((phase - j - 1) % n + 1 for j in range(k))))
     starts = list(dict.fromkeys(cands))
     seen = set(starts)
-    size = min(_SAMPLED_STARTS, tuple_count(n, k))
+    size = min(_SAMPLED_STARTS, math.perm(n, k))
     rng = RandomStream(DEFAULT_SEED, 977).generator
     while len(starts) < size:
         cand = tuple(int(x) + 1 for x in rng.choice(n, size=k, replace=False))

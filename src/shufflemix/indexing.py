@@ -10,6 +10,7 @@ The code order coincides with lexicographic order of the raw tuples.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,14 +18,6 @@ import numpy as np
 from .errors import CapExceededError, ParameterError
 
 DEFAULT_STATE_CAP = 10_000_000
-
-
-def tuple_count(n: int, k: int) -> int:
-    """n(n-1)...(n-k+1): the number of ordered distinct k-tuples."""
-    count = 1
-    for j in range(k):
-        count *= n - j
-    return count
 
 
 @dataclass
@@ -38,7 +31,7 @@ class KTupleIndexer:
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ParameterError("need 1 <= k <= n")
-        self.count = tuple_count(self.n, self.k)
+        self.count = math.perm(self.n, self.k)
         if self.count > DEFAULT_STATE_CAP:
             raise CapExceededError(
                 f"{self.count} ordered {self.k}-tuples on {self.n} positions "
@@ -46,7 +39,7 @@ class KTupleIndexer:
             )
         # Radix place values: digit j ranges over n-j values.
         self._bases = np.array(
-            [tuple_count(self.n - j - 1, self.k - j - 1) for j in range(self.k)],
+            [math.perm(self.n - j - 1, self.k - j - 1) for j in range(self.k)],
             dtype=np.int64,
         )
         self._all_pos0 = None

@@ -10,8 +10,10 @@ drawing from ``RandomStream(seed).substream(b)`` (``_trial_blocks``), with a
 fixed draw schedule per step (``_hand_schedule``: left hand first, then
 right hand; the k-deck coupling draws its own hands after the left one).
 
-Every driver reads n from its ``ShuffleRule``, and names the k tracked cards
-by the positions they start at (``cards``, default 1..k).
+Every driver but ``couple_two_hands_random``, which takes n, reads n from its
+``ShuffleRule``. ``cards`` names the k tracked cards by their start positions
+(default 1..k). The one-card couplings start the card at position 1 in deck
+one and at a uniform position in deck two.
 
 Each estimator and coupling runs one block function per block through
 ``_map_blocks``, which returns every block's tallies in block order for the
@@ -350,8 +352,10 @@ def tv_lower_bound_fixed_cards(
     Tracks k cards starting in the bottom k positions; X_t counts those
     never selected by either hand up to t (such a card still sits at its
     start position, so {X_t > C} implies {more than C of the k cards
-    fixed}). The bound is |Phat(X_t > C) - P_uniform(fixed count > C)|,
-    the uniform tail computed exactly. For C >= k it is 0, with a warning.
+    fixed}), so TV >= P_t(X_t > C) - P_uniform(fixed > C). The bound is
+    max(Phat(X_t > C) - tail, 0), the uniform tail computed exactly: once
+    every card has been touched it reads 0, not the tail. For C >= k it is
+    0, with a warning.
     """
     n = rule.n
     if t < 0:
@@ -403,7 +407,7 @@ def tv_lower_bound_fixed_cards(
         "start_positions": start_pos.tolist(),
     }
     return MCEstimate(
-        value=abs(p_hat - tail),
+        value=max(p_hat - tail, 0.0),
         std_error=se,
         samples=samples,
         seed=seed,
@@ -415,20 +419,7 @@ def tv_lower_bound_fixed_cards(
 # two-deck couplings for one tracked card
 
 
-def _resolve_start_pair(start_pair, n: int):
-    """The card's start in deck one (default 1) and in deck two (None: uniform)."""
-    if start_pair is None:
-        return 1, None
-    if len(start_pair) != 2 or start_pair[0] is None:
-        raise ParameterError("start_pair must be (deck one's start, deck two's)")
-    x0, y0 = (None if entry is None else int(entry) for entry in start_pair)
-    for value in (x0, y0):
-        if value is not None and not 1 <= value <= n:
-            raise ParameterError(f"start position {value} outside 1..{n}")
-    return x0, y0
-
-
-def _couple_two_decks(rule, start_pair, horizon, trials, seed, workers, mirror):
+def _couple_two_decks(rule, horizon, trials, seed, workers, mirror):
     """Run a two-deck coupling of one tracked card under ``rule``.
 
     ``xy`` holds the card's position in deck one (column 0) and deck two
@@ -446,12 +437,11 @@ def _couple_two_decks(rule, start_pair, horizon, trials, seed, workers, mirror):
         horizon = 20 * n
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
-    x0, y0 = _resolve_start_pair(start_pair, n)
 
     def block(gen, size):
         xy = np.empty((size, 2), dtype=np.int64)
-        xy[:, 0] = x0
-        xy[:, 1] = gen.integers(1, n + 1, size=size) if y0 is None else y0
+        xy[:, 0] = 1
+        xy[:, 1] = gen.integers(1, n + 1, size=size)
         match = np.where(xy[:, 0] == xy[:, 1], 0, -1)
         designed = np.full(size, -1, dtype=np.int64)
         hist = np.zeros((2, n), dtype=np.int64)
@@ -468,10 +458,7 @@ def _couple_two_decks(rule, start_pair, horizon, trials, seed, workers, mirror):
     blocks = _map_blocks(block, seed, trials, workers)
     match_all, designed_all, finals, hists = zip(*blocks)
     match = np.concatenate(match_all)
-    details = {
-        "censored_match": int(np.count_nonzero(match < 0)),
-        "start_pair": (x0, y0),
-    }
+    details = {"censored_match": int(np.count_nonzero(match < 0))}
     designed = None if designed_all[0] is None else np.concatenate(designed_all)
     result = CouplingResult(
         n=n,
@@ -488,7 +475,6 @@ def _couple_two_decks(rule, start_pair, horizon, trials, seed, workers, mirror):
 
 def couple_one_card(
     rule: ShuffleRule,
-    start_pair=None,
     horizon: int | None = None,
     trials: int = 100_000,
     seed: int = DEFAULT_SEED,
@@ -496,13 +482,14 @@ def couple_one_card(
 ) -> CouplingResult:
     """Two decks, shared left hand, right hand mirrored across the pair.
 
-    Deck two always selects position R; deck one selects R unless R hits
-    one of the two copies of the tracked card, in which case the choices
-    are swapped so the card is either chosen in both decks (R on deck
-    two's copy: the designed success event, Geometric(1/n)) or in neither.
-    Both realized co-location times and designed success times are
-    returned; each deck's right-hand choice stays uniform, which the
-    result's tallies verify.
+    The card starts at position 1 in deck one and uniform in deck two. Deck
+    two always selects position R; deck one selects R unless R hits one of
+    the two copies of the tracked card, in which case the choices are
+    swapped so the card is either chosen in both decks (R on deck two's
+    copy: the designed success event, Geometric(1/n)) or in neither. Both
+    realized co-location times and designed success times are returned;
+    each deck's right-hand choice stays uniform, which the result's tallies
+    verify.
     """
 
     def mirror(left, right, xy):
@@ -511,9 +498,7 @@ def couple_one_card(
         # tally the right hands of decks one and two
         return left, rights, right == xy[:, 1], (r_one, right)
 
-    result, hist = _couple_two_decks(
-        rule, start_pair, horizon, trials, seed, workers, mirror
-    )
+    result, hist = _couple_two_decks(rule, horizon, trials, seed, workers, mirror)
     result.details.update(
         chisq_p_deck_one=float(stats.chisquare(hist[0]).pvalue),
         chisq_p_deck_two=float(stats.chisquare(hist[1]).pvalue),
@@ -524,7 +509,6 @@ def couple_one_card(
 
 def couple_two_hands_random(
     n: int,
-    start_pair=None,
     horizon: int | None = None,
     trials: int = 100_000,
     seed: int = DEFAULT_SEED,
@@ -532,10 +516,11 @@ def couple_two_hands_random(
 ) -> CouplingResult:
     """Both hands mirrored between two decks of the uniform-left rule.
 
-    Deck two's hands are deck one's with the two copies' positions
-    swapped, so an unmatched pair matches exactly when one hand lands on
-    deck one's copy while the other hand misses both copies: probability
-    2(1 - 2/n)/n per step, twice the one-sided rate.
+    The card starts at position 1 in deck one and uniform in deck two. Deck
+    two's hands are deck one's with the two copies' positions swapped, so an
+    unmatched pair matches exactly when one hand lands on deck one's copy
+    while the other hand misses both copies: probability 2(1 - 2/n)/n per
+    step, twice the one-sided rate.
     """
     rule = ShuffleRule(ShuffleKind.RANDOM_TO_RANDOM, n)
 
@@ -546,9 +531,7 @@ def couple_two_hands_random(
         return (np.stack([left, m_left], axis=1),
                 np.stack([right, m_right], axis=1), None, (m_left, m_right))
 
-    result, hist = _couple_two_decks(
-        rule, start_pair, horizon, trials, seed, workers, mirror
-    )
+    result, hist = _couple_two_decks(rule, horizon, trials, seed, workers, mirror)
     result.details.update(
         chisq_p_mirrored_left=float(stats.chisquare(hist[0]).pvalue),
         chisq_p_mirrored_right=float(stats.chisquare(hist[1]).pvalue),

@@ -323,13 +323,31 @@ START_LABELS = {
 }
 
 
-def test_worst_tv_start_labels(tmp_path):
+LOWER_BOUND_NOTE = "only a lower bound"
+
+
+def test_worst_tv_start_labels(tmp_path, capsys):
     for argv, label in START_LABELS.items():
         assert run(tmp_path, "worst-tv", *argv.split(), "--t-max", "4",
                    "--out", "w.csv") == 0, argv
         meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
         assert meta["start_strategy"] == label, argv
-        assert meta["lower_bound_only"] == (label == "sampled-lower-bound")
+        sampled = label == "sampled-lower-bound"
+        assert meta["lower_bound_only"] == sampled
+        assert (LOWER_BOUND_NOTE in capsys.readouterr().err) == sampled, argv
+
+
+@pytest.mark.parametrize("argv, sampled", [
+    ("cutoff --rule cyclic --n 16 --k 3 --alphas 0", True),
+    ("cutoff --rule cyclic --n 6 --k 2 --alphas 0", False),
+    ("mix-time --rule cyclic --n 16 --k 3", True),
+    ("mix-time --rule top --n 8 --k 2", False),
+])
+def test_lower_bound_note_on_stderr(tmp_path, capsys, argv, sampled):
+    """Only a worst case over sampled starts says on stderr that it is a
+    lower bound."""
+    assert run(tmp_path, *argv.split(), "--out", "o.out") == 0
+    assert (LOWER_BOUND_NOTE in capsys.readouterr().err) == sampled
 
 
 @pytest.mark.parametrize("argv", [

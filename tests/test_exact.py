@@ -289,6 +289,25 @@ def test_worst_case_strategies_agree():
             assert not canon.metadata["lower_bound_only"]
 
 
+@pytest.mark.parametrize("n, k", [(5, 1), (8, 2), (10, 3), (12, 4), (30, 3)])
+def test_top_rule_worst_start_has_no_card_at_the_top(n, k):
+    """The top rule's worst case is the start (2, ..., k+1), which no left
+    hand touches: its curve is the worst-case curve, and it lies strictly
+    above every start with a tracked card at position 1 for t >= 1. Those
+    starts only relabel the cards, so their curves agree."""
+    rule = make_rule("top", n)
+    times = np.arange(0, 3 * n + 1)
+    worst = worst_case_curve(rule, k, times).values
+    untouched = exact_tv_curve(rule, k, tuple(range(2, k + 2)), times).values
+    assert np.abs(worst - untouched).max() <= 1e-15
+    pool = list(range(2, k + 1))
+    at_top = [exact_tv_curve(rule, k, tuple(pool[:j] + [1] + pool[j:]), times).values
+              for j in range(k)]
+    for other in at_top:
+        assert (untouched[1:] > other[1:]).all()
+        assert np.abs(other - at_top[0]).max() <= 1e-15
+
+
 def test_worst_case_auto_falls_back_to_exhaustive():
     rule = make_rule("cyclic", 6)
     curve = worst_case_curve(rule, 2, [1, 5, 10])

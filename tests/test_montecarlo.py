@@ -267,6 +267,18 @@ def test_lower_bound_start_positions_at_bottom():
         tv_lower_bound_fixed_cards(rule, 3, t=-1, c_threshold=1, samples=500, seed=5)
 
 
+def test_lower_bound_reads_zero_once_mixed():
+    """Every card is touched by t = 1000 at n = 4, so P̂(X_t > C) = 0 and the
+    one-sided bound is 0, not the uniform tail (0.2917 here)."""
+    rule = make_rule("random", 4)
+    est = tv_lower_bound_fixed_cards(
+        rule, 4, t=1000, c_threshold=1, samples=20_000, seed=1, workers=1
+    )
+    assert est.details["p_hat"] == 0.0
+    assert est.details["uniform_tail"] > 0.29
+    assert est.value == 0.0
+
+
 def test_lower_bound_warns_when_threshold_reaches_k():
     """X_t > C cannot hold once C >= k: the bound is 0, with a warning."""
     rule = make_rule("top", 10)
@@ -306,16 +318,11 @@ def test_one_card_realized_not_after_designed():
     assert res.details["chisq_p_deck_two"] > 0.001
 
 
-def test_one_card_matched_start_couples_at_zero():
-    res = couple_one_card(make_rule("top", 20), start_pair=(7, 7), trials=500, seed=1)
-    assert (res.match_times == 0).all()
-
-
 def test_one_card_final_marginal_matches_exact_chain():
     """Deck one's final position follows the exact one-card law."""
     n, horizon, trials = 15, 40, 30_000
     rule = make_rule("cyclic", n)
-    res = couple_one_card(rule, start_pair=(1, 4), horizon=horizon, trials=trials, seed=23)
+    res = couple_one_card(rule, horizon=horizon, trials=trials, seed=23)
     dist = np.zeros(n)
     dist[0] = 1.0
     for t in range(1, horizon + 1):
@@ -342,8 +349,6 @@ def test_one_card_replay():
 
 def test_one_card_validation():
     rule = make_rule("top", 10)
-    with pytest.raises(ParameterError):
-        couple_one_card(rule, start_pair=(0, 3), trials=10)
     with pytest.raises(ParameterError):
         couple_one_card(rule, trials=0)
     for horizon in (0, -2):
@@ -381,11 +386,6 @@ def test_two_hand_validation():
             couple_two_hands_random(10, horizon=horizon, trials=10)
     with pytest.raises(ParameterError):
         couple_two_hands_random(1, trials=10)
-
-
-def test_two_hand_matched_start_couples_at_zero():
-    res = couple_two_hands_random(20, start_pair=(5, 5), trials=500, seed=2)
-    assert (res.match_times == 0).all()
 
 
 # -- k-deck coupling --------------------------------------------------------------
