@@ -42,7 +42,7 @@ def main():
     big = 200
     big_rule = ShuffleRule(kind=ShuffleKind.RANDOM_TO_RANDOM, n=big)
     kd = couple_k_decks(
-        big_rule, 2, cards=(1, 2), horizon=10 * big, trials=20_000,
+        big_rule, 2, horizon=10 * big, trials=20_000,
         seed=9,
     )
     fit = fit_mismatch_bound(kd)

@@ -12,7 +12,8 @@ record the worker processes the trial blocks ran in (``workers``). Only
 --phase: a worst-case scan over every start is the same at every phase. The
 other subcommands still echo ``seed`` (as ``DEFAULT_SEED``) and, where they
 take --rule, ``phase`` (as 0). Only ``p0`` writes two formats, so only it
-takes --format. --times and --t-max are either-or, as are --fit and --c.
+takes --format. --times and --t-max are either-or, as are --fit and --c. A
+library ``UserWarning`` reaches stderr as one ``note:`` line.
 
 Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
 ``couple-<mode>``); the parser and ``dispatch`` are loops over it. The
@@ -31,6 +32,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -518,6 +520,22 @@ def dispatch(config: dict) -> int:
     return 0
 
 
+def _dispatch_with_notes(config: dict) -> int:
+    """``dispatch``, printing each ``UserWarning`` it raises as one stderr
+    ``note:`` line instead of a source trace, also when it raises."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            return dispatch(config)
+    finally:
+        for w in caught:
+            if issubclass(w.category, UserWarning):
+                print(f"note: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     words = [tok for tok in argv if not tok.startswith("-")]
@@ -540,7 +558,7 @@ def main(argv=None) -> int:
             return 1
     args = build_parser().parse_args(argv)
     try:
-        return dispatch(config_from_args(args))
+        return _dispatch_with_notes(config_from_args(args))
     except ShuffleMixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

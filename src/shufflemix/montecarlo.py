@@ -11,9 +11,10 @@ fixed draw schedule per step (``_hand_schedule``: left hand first, then
 right hand; the k-deck coupling draws its own hands after the left one).
 
 Every driver but ``couple_two_hands_random``, which takes n, reads n from its
-``ShuffleRule``. ``cards`` names the k tracked cards by their start positions
-(default 1..k). The one-card couplings start the card at position 1 in deck
-one and at a uniform position in deck two.
+``ShuffleRule``. Card labels never matter, so each driver fixes where its
+cards start: ``tv_lower_bound_fixed_cards`` at n-k+1..n, the other k-card
+drivers at 1..k, and the one-card couplings at position 1 in deck one and
+at a uniform position in deck two.
 
 Each estimator and coupling runs one block function per block through
 ``_map_blocks``, which returns every block's tallies in block order for the
@@ -127,7 +128,6 @@ class KDeckCouplingResult:
     """Mismatch statistics from the (k+1)-deck coupling simulation."""
 
     params: KDeckCouplingParams
-    cards: tuple
     trials: int
     seed: int
     mismatch_times: np.ndarray  # first step the matching breaks; -1 = never
@@ -221,23 +221,6 @@ def _swap_positions(pos: np.ndarray, left, right) -> np.ndarray:
     return np.where(pos == l, r, np.where(pos == r, l, pos))
 
 
-def _start_positions(cards, n: int, k: int) -> np.ndarray:
-    """The positions the k tracked cards start at: ``cards``, or 1..k when
-    ``cards`` is None."""
-    if cards is None:
-        cards = np.arange(1, k + 1)
-    cards = np.asarray(cards, dtype=np.int64)
-    if cards.ndim != 1 or cards.size == 0:
-        raise ParameterError("cards must be a non-empty 1-d sequence")
-    if cards.size != k:
-        raise ParameterError(f"expected {k} cards, got {cards.size}")
-    if np.unique(cards).size != k:
-        raise ParameterError("cards must be distinct")
-    if cards.min() < 1 or cards.max() > n:
-        raise ParameterError(f"cards must lie in 1..{n}")
-    return cards
-
-
 # ---------------------------------------------------------------------------
 # plug-in TV estimator
 
@@ -259,14 +242,13 @@ def mc_tv_plugin(
     k: int,
     t: int,
     samples: int,
-    cards=None,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> MCEstimate:
     """Monte Carlo plug-in estimate of the k-card TV distance to uniform.
 
     Simulates ``samples`` independent trajectories of the positions of k
-    tracked cards, started at ``cards`` (default 1..k), for t steps of
+    tracked cards, started at positions 1..k, for t steps of
     ``rule``, tabulates the final k-tuples, and returns
     (1/2) sum_s |f_s/M - 1/N|. The estimator is biased upward by roughly
     sqrt(N/(2 pi M)); the bias is reported, not corrected.
@@ -276,7 +258,6 @@ def mc_tv_plugin(
         raise ParameterError(f"t must be non-negative, got {t}")
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples}")
-    start_pos = _start_positions(cards, n, k)
     try:
         indexer = KTupleIndexer(n, k)
     except CapExceededError as exc:
@@ -292,7 +273,7 @@ def mc_tv_plugin(
         )
 
     def block(gen, size):
-        pos = np.tile(start_pos, (size, 1))
+        pos = np.tile(np.arange(1, k + 1, dtype=np.int64), (size, 1))
         for _, left, right in _hand_schedule(rule, t, gen, size):
             pos = _swap_positions(pos, left, right)
         return pos
@@ -578,22 +559,23 @@ def couple_k_decks(
     rule: ShuffleRule,
     k: int,
     trials: int,
-    cards=None,
     horizon: int | None = None,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> KDeckCouplingResult:
     """Coupled deck versus k independent single-card reference decks.
 
-    All k+1 decks share the left hand. Decks 1..k draw independent
-    uniform right hands R^1..R^k; deck 0's right hand is built from them:
-    if the left hand sits on one of deck 0's tracked cards, copy that
-    card's reference deck; otherwise flip a coin with heads probability
-    1/(k/n + (1-1/n)^k) - tails picks a tracked position of deck 0
-    uniformly, heads draws U uniform on all positions and either copies
-    the reference deck whose card U hit, redirects to a reference deck
-    that just hit its own card (the set E), or keeps U. Deck 0's right
-    hand stays uniform; a trial stops at its first position mismatch.
+    The k tracked cards start at positions 1..k in every deck; deck 0 also
+    tracks card k+1, whose right-hand hit rate must stay 1/n. All k+1 decks
+    share the left hand. Decks 1..k draw independent uniform right hands
+    R^1..R^k; deck 0's right hand is built from them: if the left hand sits
+    on one of deck 0's tracked cards, copy that card's reference deck;
+    otherwise flip a coin with heads probability 1/(k/n + (1-1/n)^k) - tails
+    picks a tracked position of deck 0 uniformly, heads draws U uniform on
+    all positions and either copies the reference deck whose card U hit,
+    redirects to a reference deck that just hit its own card (the set E), or
+    keeps U. Deck 0's right hand stays uniform; a trial stops at its first
+    position mismatch.
 
     Broken trials are dropped from the simulated set and consume no further
     draws, so the draw stream depends on the mismatch history; it is still a
@@ -608,7 +590,6 @@ def couple_k_decks(
     horizon = params.horizon
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    cards = _start_positions(cards, n, k)
     weight = k * k * math.log(max(horizon, 2))
     if weight >= n:
         warnings.warn(
@@ -618,11 +599,10 @@ def couple_k_decks(
         )
     p_heads = params.coin_p
     dtype = np.int32 if n < 2**31 - 1 else np.int64
-    # the tracked non-special card for the uniformity spot-check
-    extra_card = next(c for c in range(1, n + 1) if c not in set(cards.tolist()))
+    extra_card = k + 1  # tracked non-special card (n > k), see the docstring
 
     def block(gen, size):
-        S = np.broadcast_to(cards.astype(dtype), (size, k + 1, k)).copy()
+        S = np.broadcast_to(np.arange(1, k + 1, dtype=dtype), (size, k + 1, k)).copy()
         extra = np.full(size, extra_card, dtype=dtype)
         mismatch = np.full(size, -1, dtype=np.int64)
         sits = np.zeros((size, 4), dtype=np.int64)
@@ -700,7 +680,6 @@ def couple_k_decks(
     }
     return KDeckCouplingResult(
         params=params,
-        cards=tuple(int(c) for c in cards),
         trials=trials,
         seed=seed,
         mismatch_times=mismatch,
@@ -745,22 +724,22 @@ def left_hand_hit_count(
     k: int,
     t: int,
     trials: int,
-    cards=None,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> MCEstimate:
     """Mean number of times the left hand lands on one of k tracked cards,
-    started at ``cards`` (default 1..k), by t, with the implied constant
-    against the envelope k (t/n + log t)."""
+    started at positions 1..k, by t, with the implied constant against the
+    envelope k (t/n + log t)."""
     n = rule.n
     if t < 1:
         raise ParameterError(f"t must be at least 1, got {t}")
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    start_pos = _start_positions(cards, n, k)
+    if not 0 < k <= n:
+        raise ParameterError(f"need 0 < k <= n, got k={k}")
 
     def block(gen, size):
-        pos = np.tile(start_pos, (size, 1))
+        pos = np.tile(np.arange(1, k + 1, dtype=np.int64), (size, 1))
         hits = np.zeros(size, dtype=np.int64)
         for _, left, right in _hand_schedule(rule, t, gen, size):
             hits += (pos == _along_trials(left, pos)).sum(axis=1)

@@ -144,7 +144,7 @@ def test_criterion_08_coupling_marginal_integrity():
     with pytest.warns(UserWarning, match="not small"):
         # k^2 log(horizon) ~ 2n here; only marginal integrity is under test
         kd = couple_k_decks(
-            make_rule("random", n), 3, cards=(1, 2, 3), trials=trials,
+            make_rule("random", n), 3, trials=trials,
             seed=102,
         )
     p_vals = (
@@ -169,7 +169,7 @@ def test_criterion_09_mismatch_bound_fit():
     times = [200, 1000, 5000]
     started = time.perf_counter()
     res = couple_k_decks(
-        make_rule("random", n), k, cards=(1, 2, 3), horizon=5000, trials=trials,
+        make_rule("random", n), k, horizon=5000, trials=trials,
         seed=103,
     )
     fit = fit_mismatch_bound(res, times=times)

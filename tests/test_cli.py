@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from shufflemix.cli import (
     config_from_args,
     main,
 )
+from shufflemix.errors import ParameterError
 from shufflemix.exact import LumpedEvolver
 from shufflemix.indexing import DEFAULT_STATE_CAP
 from shufflemix.rng import DEFAULT_SEED
@@ -348,6 +350,31 @@ def test_lower_bound_note_on_stderr(tmp_path, capsys, argv, sampled):
     lower bound."""
     assert run(tmp_path, *argv.split(), "--out", "o.out") == 0
     assert (LOWER_BOUND_NOTE in capsys.readouterr().err) == sampled
+
+
+@pytest.mark.parametrize("argv, note", [
+    ("couple k-deck --rule random --n 12 --k 2 --trials 100 --horizon 30",
+     "note: k^2 log(max(horizon, 2)) = 13.6 is not small against n=12"),
+    ("mc-tv --rule random --n 12 --k 2 --t 3 --samples 100",
+     "note: samples=100 is below 100x the state count 132"),
+])
+def test_library_warning_is_one_note_line(tmp_path, capsys, argv, note):
+    """A library warning reaches stderr as one note line, not as a warning
+    trace that quotes the CLI's own source."""
+    assert run(tmp_path, *argv.split(), "--out", "w.out") == 0
+    err = capsys.readouterr().err
+    assert err.startswith(note) and err.count("\n") == 1
+    assert "cli.py" not in err and "UserWarning" not in err
+
+
+def test_library_warning_is_noted_when_the_run_fails(tmp_path, capsys, monkeypatch):
+    def warn_then_fail(config):
+        warnings.warn("weak regime")
+        raise ParameterError("bad input")
+
+    monkeypatch.setattr("shufflemix.cli.dispatch", warn_then_fail)
+    assert run(tmp_path, "hits", "--rule", "top", "--n", "8", "--t", "3") == 2
+    assert capsys.readouterr().err == "note: weak regime\nerror: bad input\n"
 
 
 @pytest.mark.parametrize("argv", [

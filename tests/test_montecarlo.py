@@ -130,7 +130,7 @@ def test_plugin_tv_on_uniform_counts():
 
 def test_mc_tv_plugin_matches_exact():
     rule = make_rule("top", 10)
-    est = mc_tv_plugin(rule, 1, t=5, samples=200_000, cards=(1,), seed=7)
+    est = mc_tv_plugin(rule, 1, t=5, samples=200_000, seed=7)
     exact = exact_tv_curve(rule, 1, (1,), times=[5]).values[0]
     assert abs(est.value - exact) <= 3.0 * est.std_error + est.details["bias_estimate"]
 
@@ -188,7 +188,7 @@ def test_mc_tv_plugin_at_zero_steps():
     # a point mass puts everything in one cell: TV is exactly 1 - 1/N
     rule = make_rule("top", 10)
     with pytest.warns(UserWarning):
-        est = mc_tv_plugin(rule, 2, t=0, samples=1000, cards=(1, 2), seed=7)
+        est = mc_tv_plugin(rule, 2, t=0, samples=1000, seed=7)
     assert est.value == pytest.approx(1.0 - 1.0 / 90, abs=1e-12)
     assert est.std_error == 0.0
     assert est.details["undersampled"]
@@ -198,13 +198,6 @@ def test_mc_tv_plugin_cap_redirects():
     rule = make_rule("random", 100)
     with pytest.raises(CapExceededError, match="lower bound"):
         mc_tv_plugin(rule, 5, t=1, samples=10, seed=0)
-
-
-def test_mc_tv_plugin_rejects_bad_start_positions():
-    rule = make_rule("top", 6)
-    for cards in ((0, 9), (1, 1), (2, 7), (1, 2, 3)):
-        with pytest.raises(ParameterError, match="cards"):
-            mc_tv_plugin(rule, 2, t=3, samples=100, cards=cards, seed=0)
 
 
 def test_mc_tv_plugin_replay():
@@ -426,13 +419,14 @@ def test_k_deck_nonspecial_card_stays_uniform():
     n, k = 30, 3
     with pytest.warns(UserWarning, match="not small"):
         # small-n regime on purpose, only the marginal is under test
-        res = couple_k_decks(make_rule("top", n), k, cards=(1, 2, 3), horizon=200,
+        res = couple_k_decks(make_rule("top", n), k, horizon=200,
                              trials=20_000, seed=43)
     rate = res.details["nonspecial_hit_rate"]
     se = res.details["nonspecial_hit_se"]
     assert abs(rate - 1.0 / n) <= 3.0 * se
     assert res.details["r0_chisq_p"] > 0.001
     assert res.details["coin_p"] == res.params.coin_p
+    assert res.details["nonspecial_card"] == k + 1
 
 
 def test_k_deck_situation_four_rate():
@@ -441,7 +435,7 @@ def test_k_deck_situation_four_rate():
     n, k, t, trials = 50, 3, 500, 4000
     with pytest.warns(UserWarning, match="not small"):
         res = couple_k_decks(
-            make_rule("random", n), k, cards=(1, 2, 3), horizon=t, trials=trials,
+            make_rule("random", n), k, horizon=t, trials=trials,
             seed=47,
         )
     q = 1.0 - 1.0 / n
@@ -453,8 +447,8 @@ def test_k_deck_situation_four_rate():
 
 def test_k_deck_mismatch_fit_and_replay():
     n, k = 60, 2
-    a = couple_k_decks(make_rule("random", n), k, cards=(1, 2), horizon=300, trials=20_000, seed=53)
-    b = couple_k_decks(make_rule("random", n), k, cards=(1, 2), horizon=300, trials=20_000, seed=53)
+    a = couple_k_decks(make_rule("random", n), k, horizon=300, trials=20_000, seed=53)
+    b = couple_k_decks(make_rule("random", n), k, horizon=300, trials=20_000, seed=53)
     assert np.array_equal(a.mismatch_times, b.mismatch_times)
     fit = fit_mismatch_bound(a)
     assert fit.constant > 0.0
@@ -471,7 +465,7 @@ def test_mismatch_fit_times_outside_the_horizon_are_parameter_errors():
 
 def test_k_deck_reports_every_trial():
     n, k, trials = 40, 2, 3000
-    res = couple_k_decks(make_rule("top", n), k, cards=(5, 9), horizon=100, trials=trials, seed=59)
+    res = couple_k_decks(make_rule("top", n), k, horizon=100, trials=trials, seed=59)
     assert res.situation_counts.shape == (trials, 4)
     assert res.mismatch_times.shape == (trials,)
 
@@ -494,7 +488,7 @@ def test_k_deck_golden_across_workers(workers):
     assert trials > _TRIAL_BLOCK
     for kind, golden in _K_DECK_GOLDEN.items():
         res = couple_k_decks(
-            make_rule(kind, n), 3, cards=(1, 2, 3), horizon=25, trials=trials,
+            make_rule(kind, n), 3, horizon=25, trials=trials,
             seed=7, workers=workers,
         )
         arrays = (res.mismatch_times, res.situation_counts, res.r0_histogram)
@@ -552,7 +546,7 @@ def test_map_blocks_dead_worker_raises():
 
 def test_k_deck_weak_regime_warns():
     with pytest.warns(UserWarning, match="not.*small"):
-        couple_k_decks(make_rule("top", 20), 4, cards=(1, 2, 3, 4), horizon=100, trials=64, seed=3)
+        couple_k_decks(make_rule("top", 20), 4, horizon=100, trials=64, seed=3)
 
 
 def test_survival_counts():
@@ -565,17 +559,28 @@ def test_survival_counts():
 # -- left-hand hit counting --------------------------------------------------------
 
 
-def test_hits_zero_below_top():
-    rule = make_rule("top", 20)
-    est = left_hand_hit_count(rule, 1, cards=(5,), t=1, trials=2000, seed=61)
-    assert est.value == 0.0
+def test_hits_at_step_one_follow_the_left_hand():
+    """Card 1 starts at position 1: the top rule's left hand lands on it at
+    step 1 in every trial, and the cyclic sweep at phase 4 (position 5)
+    never does."""
+    top = left_hand_hit_count(make_rule("top", 20), 1, t=1, trials=2000, seed=61)
+    assert (top.value, top.std_error) == (1.0, 0.0)
+    cyclic = left_hand_hit_count(make_rule("cyclic", 20, phase=4), 1, t=1,
+                                 trials=2000, seed=61)
+    assert cyclic.value == 0.0
+
+
+def test_hits_k_outside_one_to_n_is_parameter_error():
+    for k in (0, 21):
+        with pytest.raises(ParameterError, match="0 < k <= n"):
+            left_hand_hit_count(make_rule("top", 20), k, t=1, trials=10, seed=0)
 
 
 def test_hits_scale_linearly_in_k():
     n, t, trials = 200, 2000, 400
     rule = make_rule("cyclic", n)
-    one = left_hand_hit_count(rule, 1, cards=(1,), t=t, trials=trials, seed=67)
-    four = left_hand_hit_count(rule, 4, cards=(1, 2, 3, 4), t=t, trials=trials, seed=68)
+    one = left_hand_hit_count(rule, 1, t=t, trials=trials, seed=67)
+    four = left_hand_hit_count(rule, 4, t=t, trials=trials, seed=68)
     assert four.value == pytest.approx(4.0 * one.value, rel=0.10)
     assert one.details["fit_constant"] > 0.0
 
