@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__ as _pkg_version
 from .deck import ShuffleKind, ShuffleRule
@@ -187,6 +186,8 @@ class LumpedEvolver:
             src.append(keep)
             dst.append(self._target(i, q)[keep])
             val.append(w[keep])
+        import scipy.sparse as sp
+
         mat = sp.coo_matrix(
             (np.concatenate(val), (np.concatenate(dst), np.concatenate(src))),
             shape=(count, count),

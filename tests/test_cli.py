@@ -28,6 +28,8 @@ from shufflemix.exact import LumpedEvolver
 from shufflemix.indexing import DEFAULT_STATE_CAP
 from shufflemix.rng import DEFAULT_SEED
 
+from conftest import run_bounded
+
 
 def run(tmp_path, *argv):
     """Invoke the CLI in-process with outputs under tmp_path."""
@@ -577,6 +579,35 @@ def test_every_format_choice_writes_that_format(tmp_path, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
         assert run(tmp_path, *base) == 0, name
         _assert_format(name, tmp_path / f"{name}.{fmt}", fmt)
+
+
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import shufflemix
+import shufflemix.cli as cli
+seen = {"import": scipy_modules()}
+for name, argv in %r:
+    assert cli.main(argv) == 0, name
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_cli_start_loads_no_scipy():
+    """Importing the package loads no scipy module, nor do hits and mc-tv;
+    only the couplings' chi-square p-values load scipy.special, never
+    scipy.stats."""
+    calls = [(name, [*words(name), *TOY[name].split(), "--threads", "1"])
+             for name in ("hits", "mc-tv", "couple-one-card")]
+    # the CLI prints one line per file written; the probe prints last
+    seen = json.loads(run_bounded(_SCIPY_PROBE % calls).splitlines()[-1])
+    assert seen["import"] == seen["hits"] == seen["mc-tv"] == []
+    loaded = seen["couple-one-card"]
+    assert "scipy.special" in loaded and "scipy.stats" not in loaded
 
 
 # flags each couple mode ignored before it stopped offering them

@@ -22,6 +22,7 @@ from shufflemix.errors import CapExceededError, ParameterError
 from shufflemix.exact import exact_tv_curve, single_card_matrix
 from shufflemix.montecarlo import (
     _TRIAL_BLOCK,
+    _chisq_p,
     _hand_schedule,
     _map_blocks,
     _swap_positions,
@@ -281,6 +282,18 @@ def test_lower_bound_warns_when_threshold_reaches_k():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tv_lower_bound_fixed_cards(rule, 2, t=3, c_threshold=1, samples=200, seed=5)
+
+
+def test_chisq_p_is_scipy_chisquare_bit_for_bit():
+    """The sidecars' p-values are the floats scipy.stats.chisquare gives,
+    on histograms of 2..300 cells, some with empty cells."""
+    gen = np.random.default_rng(19)
+    sizes = [2, 3, 2, 3, *gen.integers(2, 301, size=400)]
+    for i, size in enumerate(sizes):
+        hist = gen.integers(0, [3, 40, 10**6][i % 3], size=size)
+        hist[gen.integers(size)] = 0
+        hist[gen.integers(size)] += 1  # never all zero
+        assert _chisq_p(hist) == float(stats.chisquare(hist).pvalue), hist
 
 
 # -- one-card coupling ---------------------------------------------------------
