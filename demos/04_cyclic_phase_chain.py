@@ -32,9 +32,9 @@ def main():
     print("        " + "".join(f"{s:>9s}" for s in STATES))
     for a in STATES:
         print(f"   {a}  " + "".join(f"{chain.entry(a, b):9.4f}" for b in STATES))
-    spec = block_spectrum(chain)
-    print(f"controlling eigenvalue: {spec.lam_max:.6f}"
-          f" (other block eigenvalue {spec.lam_min:.6f})")
+    lam_max, lam_min = block_spectrum(chain)
+    print(f"controlling eigenvalue: {lam_max:.6f}"
+          f" (other block eigenvalue {lam_min:.6f})")
 
     eps, lams = scan_epsilon()
     write_csv("eigenvalue_scan.csv", "epsilon,lambda2", zip(eps, lams))

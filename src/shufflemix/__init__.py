@@ -51,7 +51,6 @@ from .montecarlo import (
     uniform_fixed_point_tail,
 )
 from .cyclic import (
-    BlockSpectrum,
     CyclicMixingResult,
     EpsilonOptimum,
     PhaseChainMatrix,

@@ -10,9 +10,9 @@ builds the pieces of that structure:
 * the backward recursion for the probability that two coupled copies of
   the card, currently a cyclic distance s apart, are brought together
   during the window of the next sweep,
-* the three-state phase chain over (close, far, success) whose second
-  eigenvalue sets the geometric decay rate of the coupling failure
-  probability, together with its finite-n and limit transition matrices,
+* the three-state phase chain over (close, far, success), its finite-n and
+  limit transition matrices, and the larger eigenvalue of its transient
+  block, which sets the geometric decay rate of the coupling failure,
 * the window-width optimization that minimizes that eigenvalue, and
 * the resulting one-card failure bound c e^{-t/n} (lam^floor(rate t/n) + 1/n),
   whose lam and rate are module constants, so c is its one free number; a
@@ -31,6 +31,13 @@ from .deck import ShuffleKind, ShuffleRule
 from .errors import CapExceededError, DomainError, HorizonError, ParameterError
 from .exact import _resolve_starts, worst_case_curve
 from .indexing import DEFAULT_STATE_CAP
+
+
+def _check_n(n: int):
+    if n < 4:
+        raise ParameterError(f"the cyclic analysis needs n >= 4, got {n}")
+    if n > DEFAULT_STATE_CAP:
+        raise CapExceededError(f"n={n} exceeds the state cap {DEFAULT_STATE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +69,7 @@ def tau_hat_moments(n: int) -> TauHatMoments:
     r >= h collapses to h q^{h-1} (q = 1 - 1/n); the head r < h is summed
     explicitly.
     """
-    if n < 4:
-        raise ParameterError(f"waiting-time model needs n >= 4, got {n}")
-    if n > DEFAULT_STATE_CAP:
-        raise CapExceededError(f"n={n} exceeds the state cap {DEFAULT_STATE_CAP}")
+    _check_n(n)
     q = 1.0 - 1.0 / n
     r = np.arange(1, n + 1, dtype=np.float64)
     w = q ** (r - 1.0)
@@ -128,10 +132,7 @@ def p_recursion(epsilon: float, n: int) -> SweepSuccess:
     probability and raises ``DomainError``.
     """
     _check_epsilon(epsilon)
-    if n < 4:
-        raise ParameterError(f"recursion needs n >= 4, got {n}")
-    if n > DEFAULT_STATE_CAP:
-        raise CapExceededError(f"n={n} exceeds the state cap {DEFAULT_STATE_CAP}")
+    _check_n(n)
     m = int(math.floor(epsilon * n))
     if m < 1:
         raise ParameterError(
@@ -192,19 +193,15 @@ class PhaseChainMatrix:
     """Row-stochastic 3x3 transition matrix over phases (C, F, S).
 
     C: the two copies are close (within the window when the sweep arrives),
-    F: they are far, S: they have been brought together (absorbing).  The
-    finite-n form carries n; the limit form carries the slack xi instead.
+    F: they are far, S: they have been brought together (absorbing).
+    ``kind`` names the builder, "exact" (finite n) or "limit".
     """
 
     matrix: np.ndarray
-    epsilon: float
-    n: int | None = None
-    xi: float | None = None
+    kind: str
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (3, 3):
-            raise ParameterError(f"phase matrix must be 3x3, got {mat.shape}")
         for i in range(3):
             for j in range(3):
                 v = mat[i, j]
@@ -221,10 +218,6 @@ class PhaseChainMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def kind(self) -> str:
-        return "limit" if self.n is None else "exact"
-
     def entry(self, row: str, col: str) -> float:
         return float(self.matrix[PHASE_STATES.index(row), PHASE_STATES.index(col)])
 
@@ -240,8 +233,7 @@ def phase_matrix_exact(epsilon: float, n: int) -> PhaseChainMatrix:
     wherever it counts positions.
     """
     _check_epsilon(epsilon)
-    if n < 4:
-        raise ParameterError(f"exact phase matrix needs n >= 4, got {n}")
+    _check_n(n)
     m = int(math.floor(epsilon * n))
     g = 1.0 - 1.0 / n
     a = (m + 1.0) / (2.0 * (n - 1.0))
@@ -254,7 +246,7 @@ def phase_matrix_exact(epsilon: float, n: int) -> PhaseChainMatrix:
             [0.0, 0.0, 1.0],
         ]
     )
-    return PhaseChainMatrix(matrix=mat, epsilon=epsilon, n=n)
+    return PhaseChainMatrix(mat, "exact")
 
 
 def phase_matrix_limit(epsilon: float, xi: float = 0.0) -> PhaseChainMatrix:
@@ -276,35 +268,25 @@ def phase_matrix_limit(epsilon: float, xi: float = 0.0) -> PhaseChainMatrix:
             [0.0, 0.0, 1.0],
         ]
     )
-    return PhaseChainMatrix(matrix=mat, epsilon=epsilon, xi=xi)
+    return PhaseChainMatrix(mat, "limit")
 
 
 # ---------------------------------------------------------------------------
 # spectrum of the transient block
 
 
-@dataclass(frozen=True)
-class BlockSpectrum:
-    """Eigenvalues of the transient 2x2 block, by the quadratic formula."""
+def block_spectrum(chain: PhaseChainMatrix) -> tuple[float, float]:
+    """Eigenvalues (lam_max, lam_min) of the (C, F) block.
 
-    lam_max: float
-    lam_min: float
-    trace: float
-    det: float
-
-
-def block_spectrum(chain: PhaseChainMatrix) -> BlockSpectrum:
-    """Eigenvalues of the (C, F) block.
-
-    S is absorbing, so the full spectrum is {1} plus these two.  The
-    discriminant is (a - d)^2 + 4bc >= 0, since every entry lies in [0, 1];
-    the clamp only absorbs rounding.
+    S is absorbing, so the full spectrum is {1} plus these two, found here
+    by the quadratic formula.  The discriminant is (a - d)^2 + 4bc >= 0,
+    since every entry lies in [0, 1]; the clamp only absorbs rounding.
     """
     b = chain.block()
     tr = float(b[0, 0] + b[1, 1])
     det = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
     root = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    return BlockSpectrum(0.5 * (tr + root), 0.5 * (tr - root), tr, det)
+    return 0.5 * (tr + root), 0.5 * (tr - root)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +294,7 @@ def block_spectrum(chain: PhaseChainMatrix) -> BlockSpectrum:
 
 
 def lambda2_of_epsilon(epsilon: float, xi: float = 0.0) -> float:
-    return block_spectrum(phase_matrix_limit(epsilon, xi)).lam_max
+    return block_spectrum(phase_matrix_limit(epsilon, xi))[0]
 
 
 def per_step_rate(epsilon: float, xi: float = 0.0) -> float:
@@ -353,8 +335,7 @@ def _golden_section(f, lo: float, hi: float, tol: float):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -376,10 +357,9 @@ def optimize_epsilon(xi: float = 0.0) -> EpsilonOptimum:
 
     A 500-point grid on [0.01, 0.49] establishes unimodality first; only
     then is the bracket refined by golden section to 1e-6 in epsilon.
-    Otherwise the grid argmin is returned as-is.
+    Otherwise the grid argmin is returned as-is. A negative xi raises
+    ``ParameterError`` from ``phase_matrix_limit``.
     """
-    if xi < 0.0:
-        raise ParameterError(f"slack xi must be non-negative, got {xi!r}")
     eps, lams = scan_epsilon(xi)
     rates = lams ** (1.0 / (1.0 + eps))
     idx = int(np.argmin(rates))
@@ -391,9 +371,7 @@ def optimize_epsilon(xi: float = 0.0) -> EpsilonOptimum:
         return EpsilonOptimum(float(eps[idx]), float(lams[idx]), xi, False)
     lo = float(eps[max(idx - 1, 0)])
     hi = float(eps[min(idx + 1, eps.size - 1)])
-    best_eps, _ = _golden_section(
-        lambda e: per_step_rate(e, xi), lo, hi, 1e-6
-    )
+    best_eps = _golden_section(lambda e: per_step_rate(e, xi), lo, hi, 1e-6)
     return EpsilonOptimum(
         float(best_eps), lambda2_of_epsilon(best_eps, xi), xi, True
     )

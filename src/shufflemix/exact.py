@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -403,12 +404,13 @@ def _resolve_starts(
       returned as ``None`` and labelled ``exhaustive``;
     - past the budget: structured plus seeded random starts, labelled
       ``sampled-lower-bound`` because the max over them only bounds the
-      worst case from below.
+      worst case from below; a ``UserWarning`` says so.
     """
     if rule.kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.RANDOM_TO_RANDOM):
         return _canonical_starts(rule, k), "exact-canonical"
     if count * count <= _EXHAUSTIVE_BUDGET:
         return None, "exhaustive"
+    warnings.warn("sampled starts: this worst case is only a lower bound", stacklevel=3)
     return _sampled_starts(rule, k), "sampled-lower-bound"
 
 

@@ -235,11 +235,20 @@ def _chisq_p(hist) -> float:
 
 
 def plugin_tv_from_counts(counts: np.ndarray, samples: int):
-    """Plug-in TV to uniform from a frequency table, with delta-method SE."""
+    """Plug-in TV to uniform from a frequency table, with its standard error.
+
+    The SE is the delta method's sqrt((1 - g^2) / 4M), g = sum sign(p - 1/N) p.
+    With two or more cells observed and none below 1/N, g = 1 and that reads
+    0; there the SE is the Efron-Stein bound sqrt(1/(2M)), since moving one
+    of the M samples moves the plug-in TV by at most 1/M.
+    """
     n_states = counts.size
     p_hat = counts / samples
     diff = p_hat - 1.0 / n_states
     tv = 0.5 * float(np.abs(diff).sum())
+    seen = counts[counts > 0]
+    if seen.size >= 2 and (seen * n_states >= samples).all():
+        return tv, math.sqrt(0.5 / samples)
     sign = np.where(diff >= 0.0, 1.0, -1.0)
     g = float(np.sum(sign * p_hat))
     se = math.sqrt(max(1.0 - g * g, 0.0) / (4.0 * samples))

@@ -20,7 +20,8 @@ from shufflemix.cyclic import (
     scan_epsilon,
     tau_hat_moments,
 )
-from shufflemix.errors import DomainError, HorizonError, ParameterError
+from shufflemix.errors import CapExceededError, DomainError, HorizonError, ParameterError
+from shufflemix.indexing import DEFAULT_STATE_CAP
 from shufflemix.rng import RandomStream
 
 
@@ -71,6 +72,20 @@ def test_tau_hat_frozen_values():
 def test_tau_hat_validation():
     with pytest.raises(ParameterError):
         tau_hat_moments(3)
+
+
+@pytest.mark.parametrize("build", [
+    tau_hat_moments,
+    lambda n: p_recursion(0.442, n),
+    lambda n: phase_matrix_exact(0.442, n),
+])
+def test_every_finite_n_builder_checks_n_the_same_way(build):
+    """n below 4 is a parameter error and n above the state cap a resource
+    error, for the touch time, the recursion and the exact phase matrix."""
+    with pytest.raises(ParameterError, match="needs n >= 4, got 3"):
+        build(3)
+    with pytest.raises(CapExceededError, match="exceeds the state cap"):
+        build(DEFAULT_STATE_CAP + 1)
 
 
 # -- gap-closing recursion ---------------------------------------------------------
@@ -166,14 +181,13 @@ def test_exact_dominates_slack_limit_where_it_should():
 
 
 def test_block_spectrum_frozen_values():
-    sp = block_spectrum(phase_matrix_limit(0.442, 0.0))
-    assert sp.lam_max == pytest.approx(0.23679676770129393, abs=1e-12)
-    assert sp.lam_min == pytest.approx(0.0977029828268882, abs=1e-12)
-    assert sp.trace == pytest.approx(0.33449975052818215, abs=1e-12)
-    assert sp.det == pytest.approx(0.023135750528182158, abs=1e-12)
-    # quadratic-formula self consistency
-    assert sp.lam_max + sp.lam_min == pytest.approx(sp.trace, rel=1e-12)
-    assert sp.lam_max * sp.lam_min == pytest.approx(sp.det, rel=1e-12)
+    chain = phase_matrix_limit(0.442, 0.0)
+    lam_max, lam_min = block_spectrum(chain)
+    assert lam_max == pytest.approx(0.23679676770129393, abs=1e-12)
+    assert lam_min == pytest.approx(0.0977029828268882, abs=1e-12)
+    # the pair's sum and product are the block's trace and determinant
+    assert lam_max + lam_min == pytest.approx(np.trace(chain.block()), rel=1e-12)
+    assert lam_max * lam_min == pytest.approx(np.linalg.det(chain.block()), rel=1e-12)
 
 
 def test_dense_eigenvalues_agree_with_quadratic():
@@ -183,7 +197,7 @@ def test_dense_eigenvalues_agree_with_quadratic():
         xi = float(gen.uniform(0.0, 0.05))
         chain = phase_matrix_limit(eps, xi)
         dense = max(abs(np.linalg.eigvals(chain.block())))
-        assert abs(dense - block_spectrum(chain).lam_max) < 1e-10
+        assert abs(dense - block_spectrum(chain)[0]) < 1e-10
 
 
 def test_lambda2_near_one_for_narrow_window():
@@ -262,6 +276,15 @@ def test_bound_over_an_array_matches_each_step():
 def test_fit_of_a_zero_curve_names_the_cause():
     with pytest.raises(ParameterError, match="curve at n=2 is 0"):
         fit_cyclic_bound_constant(n=2, t_max=3)
+
+
+def test_fit_past_the_start_budget_warns_then_refuses(monkeypatch):
+    """Past the budget only a lower bound on the curve exists: the start
+    choice warns that it is one, and the fit refuses it."""
+    monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 63)
+    with pytest.warns(UserWarning, match="only a lower bound"):
+        with pytest.raises(ParameterError, match="no exact worst-case curve"):
+            fit_cyclic_bound_constant(n=8, t_max=10)
 
 
 def test_fitted_constant_dominates_curve():

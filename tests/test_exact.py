@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_worst_case_sampled_is_flagged(monkeypatch):
     for n in (6, 10):
         rule = make_rule("cyclic", n)
         exhaustive = worst_case_curve(rule, 2, [5])
-        with monkeypatch.context() as m:
+        with monkeypatch.context() as m, pytest.warns(UserWarning, match="only a lower bound"):
             m.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 100)
             curve = worst_case_curve(rule, 2, [5])
         assert curve.metadata["start_strategy"] == "sampled-lower-bound"
@@ -467,7 +468,8 @@ def test_sampled_starts_hold_the_phase_tail(monkeypatch, phase):
     times = np.arange(41)
     exhaustive = worst_case_curve(rule, 3, times)
     monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 0)
-    sampled = worst_case_curve(rule, 3, times)
+    with pytest.warns(UserWarning, match="only a lower bound"):
+        sampled = worst_case_curve(rule, 3, times)
     assert exhaustive.metadata["start_strategy"] == "exhaustive"
     assert sampled.metadata["start_strategy"] == "sampled-lower-bound"
     assert sampled.metadata["starts"] == 64
@@ -479,8 +481,35 @@ def test_sampled_starts_hold_the_phase_tail(monkeypatch, phase):
 
 def test_exhaustive_budget_applies_to_mixing_time(monkeypatch):
     monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 100)
-    res = partial_mixing_time(make_rule("cyclic", 6), 2, 0.25)
+    with pytest.warns(UserWarning, match="only a lower bound"):
+        res = partial_mixing_time(make_rule("cyclic", 6), 2, 0.25)
     assert res.strategy == "sampled-lower-bound" and res.tv < 0.25
+
+
+_SCANS = {
+    "worst_case_curve": lambda rule: worst_case_curve(rule, 2, [1, 5]),
+    "partial_mixing_time": lambda rule: partial_mixing_time(rule, 2, 0.25),
+    "cutoff_profile": lambda rule: cutoff_profile(rule, 2, [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+@pytest.mark.parametrize("budget, sampled", [(100, True), (900, False)])
+def test_sampled_scan_warns_once_from_the_library(monkeypatch, scan, budget, sampled):
+    """Each worst-case scan over sampled starts raises one UserWarning that
+    it is a lower bound; a scan within the budget (30 states, 30^2 = 900)
+    raises none."""
+    monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", budget)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _SCANS[scan](make_rule("cyclic", 6))
+    notes = [w for w in caught if issubclass(w.category, UserWarning)]
+    assert [str(w.message) for w in notes] == (
+        ["sampled starts: this worst case is only a lower bound"] if sampled else []
+    )
+    if sampled and scan != "cutoff_profile":
+        # attributed to the caller of the scan, not to the library
+        assert notes[0].filename == __file__
 
 
 @pytest.fixture(params=["step", "evolve_columns"])

@@ -129,6 +129,21 @@ def test_plugin_tv_on_uniform_counts():
     assert 0.0 <= se <= 1.0
 
 
+def test_plugin_se_when_no_observed_cell_lies_below_uniform():
+    """With two or more cells seen and none below 1/N the delta method reads
+    0; the SE is then the Efron-Stein bound sqrt(1/(2M)). A point mass still
+    reads 0, and a cell below 1/N keeps the delta method."""
+    spread = np.zeros(132, dtype=np.int64)
+    spread[:100] = 1
+    assert plugin_tv_from_counts(spread, 100)[1] == math.sqrt(1.0 / 200)
+    point = np.zeros(132, dtype=np.int64)
+    point[7] = 100
+    assert plugin_tv_from_counts(point, 100)[1] == 0.0
+    # N = 4, M = 8: the three cells at 1/8 lie below 1/4, g = 5/8 - 3/8
+    tv, se = plugin_tv_from_counts(np.array([5, 1, 1, 1]), 8)
+    assert tv == pytest.approx(0.375) and se == pytest.approx(math.sqrt((1 - 1 / 16) / 32))
+
+
 def test_mc_tv_plugin_matches_exact():
     rule = make_rule("top", 10)
     est = mc_tv_plugin(rule, 1, t=5, samples=200_000, seed=7)
