@@ -194,7 +194,7 @@ class PhaseChainMatrix:
 
     C: the two copies are close (within the window when the sweep arrives),
     F: they are far, S: they have been brought together (absorbing).
-    ``kind`` names the builder, "exact" (finite n) or "limit".
+    ``kind`` says how it was made: "exact" (finite n) or "limit".
     """
 
     matrix: np.ndarray

@@ -79,7 +79,7 @@ def test_tau_hat_validation():
     lambda n: p_recursion(0.442, n),
     lambda n: phase_matrix_exact(0.442, n),
 ])
-def test_every_finite_n_builder_checks_n_the_same_way(build):
+def test_every_finite_n_function_checks_n_the_same_way(build):
     """n below 4 is a parameter error and n above the state cap a resource
     error, for the touch time, the recursion and the exact phase matrix."""
     with pytest.raises(ParameterError, match="needs n >= 4, got 3"):
