@@ -307,13 +307,8 @@ def mc_tv_plugin(
         "bias_note": "plug-in TV is biased upward by O(sqrt(states/samples))",
         "undersampled": samples < 100 * indexer.count,
     }
-    return MCEstimate(
-        value=tv,
-        std_error=se,
-        samples=samples,
-        seed=seed,
-        details=details,
-    )
+    return MCEstimate(value=tv, std_error=se, samples=samples,
+                      seed=seed, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +400,8 @@ def tv_lower_bound_fixed_cards(
         "threshold": int(c_threshold),
         "start_positions": start_pos.tolist(),
     }
-    return MCEstimate(
-        value=max(p_hat - tail, 0.0),
-        std_error=se,
-        samples=samples,
-        seed=seed,
-        details=details,
-    )
+    return MCEstimate(value=max(p_hat - tail, 0.0), std_error=se, samples=samples,
+                      seed=seed, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +542,55 @@ def survival_counts(times: np.ndarray, horizon: int) -> np.ndarray:
 # the (k+1)-deck coupling
 
 
-def _tracked_at(spec: np.ndarray, pos: np.ndarray):
-    """Per trial, whether one of deck 0's tracked cards sits at ``pos``,
-    and the index of the first that does (0 when none does)."""
-    eq = spec == pos[:, None]
-    return eq.any(axis=1), np.argmax(eq, axis=1)
+def _k_deck_step(S, extra, left, R, coin, tails_idx, u_draw, pick_draw, p_heads):
+    """One step of ``couple_k_decks`` for the matched trials of a block.
 
+    Takes the state ``S[deck, card, trial]`` and ``extra`` and the step's
+    draws. Returns the new state, deck 0's right hand ``r0``, and the indices
+    of the ``special`` (not plain) trials with their case, risk and broken
+    flags."""
+    k = S.shape[1]
+    left = np.broadcast_to(np.asarray(left, dtype=S.dtype), coin.shape)
+    right = np.empty((k + 1, coin.size), dtype=S.dtype)
+    right[0], right[1:] = u_draw, R.T
+    spec0 = S[0]
+    own = right[1:] == spec0  # a matched trial has card j of deck j at S[0, j]
+    hit = own | (spec0 == left) | (spec0 == u_draw)
+    special = np.flatnonzero(hit.any(axis=0) | (coin >= p_heads))
 
-def _crossed_risk(S: np.ndarray, R: np.ndarray, idx: np.ndarray, own: np.ndarray):
-    """Risk flag for the designated reference deck idx (one per trial):
-    its right hand lands on another tracked card in its own deck, or some
-    other reference deck's right hand lands on that deck's own card."""
-    size, k = R.shape
-    rows = np.arange(size)
-    deck_positions = S[rows, 1 + idx, :]
-    eq = deck_positions == R[rows, idx][:, None]
-    eq[rows, idx] = False
-    other_position_hit = eq.any(axis=1)
-    other_own_hit = (own.sum(axis=1) - own[rows, idx]) > 0
-    return other_position_hit | other_own_hit
+    # deck 0's branch, which is also its risk situation: 0 the left hand on
+    # a tracked card, 1 tails, 2 U on a tracked card, 3 U elsewhere (copy a
+    # deck of E; a special trial there has E nonempty). Deck 0's positions
+    # are distinct, so at most one row of each equality matches.
+    cards = np.arange(k)[:, None]
+    spec0, own = spec0[:, special], own[:, special]
+    l_eq, u_eq = spec0 == left[special], spec0 == u_draw[special]
+    e_size = own.sum(axis=0)
+    target = np.floor(pick_draw[special] * e_size).astype(np.int64) + 1
+    pick = (((np.cumsum(own, axis=0) == target) & own) * cards).sum(axis=0)
+    case = np.where(l_eq.any(axis=0), 0, np.where(
+        coin[special] >= p_heads, 1, np.where(u_eq.any(axis=0), 2, 3)))
+    idx = np.choose(case, ((l_eq * cards).sum(axis=0), tails_idx[special],
+                           (u_eq * cards).sum(axis=0), pick))
+    cols = np.arange(special.size)
+    R_idx = R[special, idx]
+    # cases 0-2 risk that deck idx's right hand lands on another of its
+    # tracked cards, or another reference deck's on its own card
+    crossed = S[1 + idx, :, special] == R_idx[:, None]
+    crossed[cols, idx] = False
+    crossed = crossed.any(axis=1) | (e_size - own[idx, cols] > 0)
+    risk = np.where(case < 3, crossed, e_size > 1)
+
+    r0 = right[0]
+    r0[special] = np.where(case == 1, spec0[idx, cols], R_idx)
+    right = right[:, None, :]
+    to_right, to_left = S == left, S == right
+    S = S.copy()
+    np.copyto(S, right, where=to_right)
+    np.copyto(S, left, where=to_left)
+    after = S[:, :, special]
+    broken = (after[1 + cards[:, 0], cards[:, 0]] != after[0]).any(axis=0)
+    return S, _swap_positions(extra, left, r0), r0, special, case, risk, broken
 
 
 def couple_k_decks(
@@ -601,6 +621,13 @@ def couple_k_decks(
     uniformity tallies count every step a trial runs, the breaking step
     included.
 
+    The state ``S[deck, card, trial]`` keeps trials on the last axis, so the
+    per-step reductions run over the short deck and card axes. Most steps
+    are plain: neither the left hand nor U is on a tracked card of deck 0,
+    the coin shows heads and E is empty. Then r0 = U with no risk, and the
+    trial cannot break, since no card j moves in deck 0 or in deck j;
+    ``_k_deck_step`` resolves the branch only for the other trials.
+
     ``k`` and ``horizon`` (default 20 n) make the result's ``params``.
     """
     n = rule.n
@@ -620,7 +647,7 @@ def couple_k_decks(
     extra_card = k + 1  # tracked non-special card (n > k), see the docstring
 
     def block(gen, size):
-        S = np.broadcast_to(np.arange(1, k + 1, dtype=dtype), (size, k + 1, k)).copy()
+        S = np.tile(np.arange(1, k + 1, dtype=dtype)[:, None], (k + 1, 1, size))
         extra = np.full(size, extra_card, dtype=dtype)
         mismatch = np.full(size, -1, dtype=np.int64)
         sits = np.zeros((size, 4), dtype=np.int64)
@@ -638,43 +665,19 @@ def couple_k_decks(
             u_draw = gen.integers(1, n + 1, size=cur, dtype=dtype)
             pick_draw = gen.random(cur)
 
-            rows = np.arange(cur)
-            left_arr = np.broadcast_to(np.asarray(left, dtype=dtype), (cur,))
-            spec0 = S[:, 0, :]
-            l_any, l_idx = _tracked_at(spec0, left_arr)
-            u_any, u_idx = _tracked_at(spec0, u_draw)
-            # reference deck j's own card j
-            own = R == np.diagonal(S[:, 1:, :], axis1=1, axis2=2)
-            e_size = own.sum(axis=1)
-            cum = np.cumsum(own, axis=1)
-            target = np.floor(pick_draw * e_size).astype(np.int64) + 1
-            pick = np.argmax((cum == target[:, None]) & own, axis=1)
-            # deck 0's branch, which is also its risk situation: 0 the left
-            # hand on a tracked card, 1 tails, 2 U on a tracked card, 3 U
-            # elsewhere (copy a deck of E, or keep U when E is empty)
-            case = np.select([l_any, coin >= p_heads, u_any], [0, 1, 2], 3)
-            idx = np.choose(case, (l_idx, tails_idx, u_idx, pick))
-            r0 = np.select(
-                [case == 1, (case == 3) & (e_size == 0)],
-                [spec0[rows, idx], u_draw],
-                R[rows, idx],
+            S, new_extra, r0, special, case, risk, broken = _k_deck_step(
+                S, extra, left, R, coin, tails_idx, u_draw, pick_draw, p_heads
             )
-            risk = np.where(case < 3, _crossed_risk(S, R, idx, own), e_size > 1)
-            sits[run_rows[risk], case[risk]] += 1
-
+            sits[run_rows[special[risk]], case[risk]] += 1
             hist += np.bincount(r0 - 1, minlength=n)
             nonspecial_hits += int(np.count_nonzero(r0 == extra))
             steps_tallied += cur
-
-            S = _swap_positions(S, left_arr, np.concatenate([r0[:, None], R], axis=1))
-            extra = _swap_positions(extra, left_arr, r0)
-
-            ref_diag = np.diagonal(S[:, 1:, :], axis1=1, axis2=2)
-            broken = (ref_diag != S[:, 0, :]).any(axis=1)
-            mismatch[run_rows[broken]] = s
+            extra = new_extra
             if broken.any():
-                keep = ~broken
-                S = S[keep]
+                keep = np.ones(cur, dtype=bool)
+                keep[special[broken]] = False
+                mismatch[run_rows[~keep]] = s
+                S = np.compress(keep, S, axis=2)  # S[:, :, keep] is not C-ordered
                 extra = extra[keep]
                 run_rows = run_rows[keep]
         return mismatch, sits, hist, nonspecial_hits, steps_tallied
@@ -713,9 +716,7 @@ def fit_mismatch_bound(result: KDeckCouplingResult, times=None) -> BoundFit:
     params = result.params
     n, k = params.n, params.k
     if times is None:
-        times = np.unique(
-            np.linspace(1, params.horizon, 32, dtype=np.int64)
-        )
+        times = np.unique(np.linspace(1, params.horizon, 32, dtype=np.int64))
     times = np.asarray(times, dtype=np.int64)
     if times.size == 0:
         raise ParameterError("need at least one fit time")
@@ -758,10 +759,11 @@ def left_hand_hit_count(
 
     def block(gen, size):
         pos = np.tile(np.arange(1, k + 1, dtype=np.int64), (size, 1))
-        hits = np.zeros(size, dtype=np.int64)
+        hits = np.zeros((size, k), dtype=np.int64)
         for _, left, right in _hand_schedule(rule, t, gen, size):
-            hits += (pos == _along_trials(left, pos)).sum(axis=1)
+            hits += pos == _along_trials(left, pos)
             pos = _swap_positions(pos, left, right)
+        hits = hits.sum(axis=1)
         return float(hits.sum()), float((hits.astype(np.float64) ** 2).sum())
 
     blocks = _map_blocks(block, seed, trials, workers)
@@ -775,10 +777,5 @@ def left_hand_hit_count(
         "fit_shape": "k*(t/n + log(t))",
         "shape_value": shape,
     }
-    return MCEstimate(
-        value=mean,
-        std_error=se,
-        samples=trials,
-        seed=seed,
-        details=details,
-    )
+    return MCEstimate(value=mean, std_error=se, samples=trials,
+                      seed=seed, details=details)

@@ -26,6 +26,7 @@ from shufflemix.montecarlo import (
     _hand_schedule,
     _map_blocks,
     _swap_positions,
+    _trial_blocks,
     KDeckCouplingParams,
     MCEstimate,
     block_workers,
@@ -498,11 +499,10 @@ def test_k_deck_reports_every_trial():
     assert res.mismatch_times.shape == (trials,)
 
 
-# sha256 prefixes of (mismatch_times, situation_counts, r0_histogram) for
-# random n=40, k=3, horizon 25, 20,000 trials (two blocks), seed 7, recorded
-# before the blocks could run in worker processes
-# hashes of (mismatch_times, situation_counts, r0_histogram); top and cyclic
-# take the scalar left hand, random the per-trial one
+# sha256 prefixes of (mismatch_times, situation_counts, r0_histogram) at
+# n=40, k=3, horizon 25, 20,000 trials (two blocks), seed 7, recorded before
+# the blocks could run in worker processes; top and cyclic take the scalar
+# left hand, random the per-trial one
 _K_DECK_GOLDEN = {
     "random": ("d479df1cd3bcceea", "16e578f01c7cd79a", "98da692cf3b09a21"),
     "top": ("f0c526b86d2c955b", "8947b395e88c0669", "9a510f1cd8557f0a"),
@@ -522,6 +522,141 @@ def test_k_deck_golden_across_workers(workers):
         arrays = (res.mismatch_times, res.situation_counts, res.r0_histogram)
         got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
         assert got == golden, kind
+
+
+# Reference for couple_k_decks: its block with the state trial-first,
+# S[trial, deck, card], and every trial taking the general branch.
+# couple_k_decks must match it output for output.
+
+
+def _tracked_at(spec: np.ndarray, pos: np.ndarray):
+    """Per trial, whether one of deck 0's tracked cards sits at ``pos``,
+    and the index of the first that does (0 when none does)."""
+    eq = spec == pos[:, None]
+    return eq.any(axis=1), np.argmax(eq, axis=1)
+
+
+def _crossed_risk(S: np.ndarray, R: np.ndarray, idx: np.ndarray, own: np.ndarray):
+    """Risk flag for the designated reference deck idx (one per trial):
+    its right hand lands on another tracked card in its own deck, or some
+    other reference deck's right hand lands on that deck's own card."""
+    size, k = R.shape
+    rows = np.arange(size)
+    deck_positions = S[rows, 1 + idx, :]
+    eq = deck_positions == R[rows, idx][:, None]
+    eq[rows, idx] = False
+    other_position_hit = eq.any(axis=1)
+    other_own_hit = (own.sum(axis=1) - own[rows, idx]) > 0
+    return other_position_hit | other_own_hit
+
+
+def _reference_k_deck_block(rule, k, horizon, gen, size):
+    n = rule.n
+    p_heads = KDeckCouplingParams(n, k, horizon).coin_p
+    dtype = np.int32
+    extra_card = k + 1
+    S = np.broadcast_to(np.arange(1, k + 1, dtype=dtype), (size, k + 1, k)).copy()
+    extra = np.full(size, extra_card, dtype=dtype)
+    mismatch = np.full(size, -1, dtype=np.int64)
+    sits = np.zeros((size, 4), dtype=np.int64)
+    hist = np.zeros(n, dtype=np.int64)
+    nonspecial_hits = steps_tallied = 0
+    run_rows = np.arange(size)
+    for s in range(1, horizon + 1):
+        cur = run_rows.size
+        if cur == 0:
+            break
+        left = rule.left_positions(s, gen, cur)
+        R = gen.integers(1, n + 1, size=(cur, k), dtype=dtype)
+        coin = gen.random(cur)
+        tails_idx = gen.integers(0, k, size=cur)
+        u_draw = gen.integers(1, n + 1, size=cur, dtype=dtype)
+        pick_draw = gen.random(cur)
+
+        rows = np.arange(cur)
+        left_arr = np.broadcast_to(np.asarray(left, dtype=dtype), (cur,))
+        spec0 = S[:, 0, :]
+        l_any, l_idx = _tracked_at(spec0, left_arr)
+        u_any, u_idx = _tracked_at(spec0, u_draw)
+        # reference deck j's own card j
+        own = R == np.diagonal(S[:, 1:, :], axis1=1, axis2=2)
+        e_size = own.sum(axis=1)
+        cum = np.cumsum(own, axis=1)
+        target = np.floor(pick_draw * e_size).astype(np.int64) + 1
+        pick = np.argmax((cum == target[:, None]) & own, axis=1)
+        # deck 0's branch, which is also its risk situation: 0 the left
+        # hand on a tracked card, 1 tails, 2 U on a tracked card, 3 U
+        # elsewhere (copy a deck of E, or keep U when E is empty)
+        case = np.select([l_any, coin >= p_heads, u_any], [0, 1, 2], 3)
+        idx = np.choose(case, (l_idx, tails_idx, u_idx, pick))
+        r0 = np.select(
+            [case == 1, (case == 3) & (e_size == 0)],
+            [spec0[rows, idx], u_draw],
+            R[rows, idx],
+        )
+        risk = np.where(case < 3, _crossed_risk(S, R, idx, own), e_size > 1)
+        sits[run_rows[risk], case[risk]] += 1
+
+        hist += np.bincount(r0 - 1, minlength=n)
+        nonspecial_hits += int(np.count_nonzero(r0 == extra))
+        steps_tallied += cur
+
+        S = _swap_positions(S, left_arr, np.concatenate([r0[:, None], R], axis=1))
+        extra = _swap_positions(extra, left_arr, r0)
+
+        ref_diag = np.diagonal(S[:, 1:, :], axis1=1, axis2=2)
+        broken = (ref_diag != S[:, 0, :]).any(axis=1)
+        mismatch[run_rows[broken]] = s
+        if broken.any():
+            keep = ~broken
+            S = S[keep]
+            extra = extra[keep]
+            run_rows = run_rows[keep]
+    return mismatch, sits, hist, nonspecial_hits, steps_tallied
+
+
+def _reference_k_deck(rule, k, horizon, trials, seed):
+    """(mismatch_times, situation_counts, r0_histogram, steps_tallied,
+    nonspecial_hit_rate) of the reference blocks, run in this process."""
+    blocks = [_reference_k_deck_block(rule, k, horizon, gen, size)
+              for gen, size in _trial_blocks(seed, trials)]
+    mismatch, sits, hists, hits, tallied = zip(*blocks)
+    return (np.concatenate(mismatch), np.concatenate(sits, axis=0),
+            np.sum(hists, axis=0), sum(tallied), sum(hits) / sum(tallied))
+
+
+def _k_deck_outputs(res):
+    return (res.mismatch_times, res.situation_counts, res.r0_histogram,
+            res.details["steps_tallied"], res.details["nonspecial_hit_rate"])
+
+
+@pytest.mark.filterwarnings("ignore:k\\^2 log")
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_k_deck_matches_the_reference_block(kind):
+    """Every case, tails and breaks fire often at n <= 12; the custom rule
+    takes per-trial left hands from a non-uniform law, the cyclic one starts
+    its sweep at a nonzero phase."""
+    risky = np.zeros(4, dtype=np.int64)
+    for k in range(1, 6):
+        for n in range(k + 1, 13):
+            rule = make_rule(kind, n, phase=3 if kind == "cyclic" else 0)
+            seed = 100 * k + n
+            res = couple_k_decks(rule, k, trials=500, horizon=40, seed=seed, workers=1)
+            want = _reference_k_deck(rule, k, 40, 500, seed)
+            for got, ref in zip(_k_deck_outputs(res), want):
+                assert np.array_equal(got, ref), (kind, n, k)
+            risky += res.situation_counts.sum(axis=0)
+    assert (risky > 0).all()
+
+
+@pytest.mark.filterwarnings("ignore:k\\^2 log")
+@pytest.mark.parametrize("workers", (1, 2))
+def test_k_deck_matches_the_reference_block_over_two_blocks(workers):
+    rule, k, trials = make_rule("random", 12), 3, _TRIAL_BLOCK + 300
+    res = couple_k_decks(rule, k, trials=trials, horizon=20, seed=13, workers=workers)
+    want = _reference_k_deck(rule, k, 20, trials, 13)
+    for got, ref in zip(_k_deck_outputs(res), want):
+        assert np.array_equal(got, ref)
 
 
 def test_block_workers_clamp():
