@@ -23,6 +23,11 @@ caller to sum. The blocks run in up to ``workers`` forked worker processes
 many), but substreams are created in the calling process and merged in block
 order, so results depend only on (seed, parameters), never on the worker
 count. Sidecar chi-square p-values come from ``_chisq_p`` (scipy.special).
+
+Every walker keeps trials on the last axis of its state (``pos[card,
+trial]``, ``xy[deck, trial]``, ``S[deck, card, trial]``), so per-trial hands
+broadcast without reshaping, and each step's broadcasts and reductions run
+along the long, contiguous trial axis. One ``_swap_positions`` moves them all.
 """
 
 from __future__ import annotations
@@ -201,23 +206,17 @@ def _hand_schedule(rule: ShuffleRule, steps: int, gen, size: int):
         yield s, left, gen.integers(1, rule.n + 1, size=size)
 
 
-def _along_trials(hand, pos: np.ndarray) -> np.ndarray:
-    """``hand`` (a scalar, or an array whose leading axes match ``pos``'s)
-    with trailing unit axes, so it broadcasts against ``pos``."""
-    h = np.asarray(hand)
-    return h.reshape(h.shape + (1,) * (pos.ndim - h.ndim))
-
-
 def _swap_positions(pos: np.ndarray, left, right) -> np.ndarray:
     """Apply the transposition (left, right) to an array of positions.
 
-    ``pos`` has trials along axis 0; left/right are scalars, per-trial
-    vectors, or per-trial-and-deck arrays, and broadcast across the
-    remaining axes.
+    ``pos`` has trials on its last axis; left/right are scalars or arrays
+    that broadcast against it (per trial, or per deck and trial). Both masks
+    are taken from ``pos`` before either copy.
     """
-    l = _along_trials(left, pos)
-    r = _along_trials(right, pos)
-    return np.where(pos == l, r, np.where(pos == r, l, pos))
+    out = pos.copy()
+    np.copyto(out, right, where=pos == left)
+    np.copyto(out, left, where=pos == right)
+    return out
 
 
 def _chisq_p(hist) -> float:
@@ -291,14 +290,14 @@ def mc_tv_plugin(
         )
 
     def block(gen, size):
-        pos = np.tile(np.arange(1, k + 1, dtype=np.int64), (size, 1))
+        pos = np.tile(np.arange(1, k + 1, dtype=np.int64)[:, None], size)
         for _, left, right in _hand_schedule(rule, t, gen, size):
             pos = _swap_positions(pos, left, right)
         return pos
 
     counts = np.zeros(indexer.count, dtype=np.int64)
     for pos in _map_blocks(block, seed, samples, workers):
-        codes = indexer.encode_many(pos - 1)
+        codes = indexer.encode_many(pos.T - 1)  # F-ordered: columns are contiguous
         counts += np.bincount(codes, minlength=indexer.count)
     tv, se = plugin_tv_from_counts(counts, samples)
     details = {
@@ -369,13 +368,13 @@ def tv_lower_bound_fixed_cards(
     start_pos = np.arange(n - k + 1, n + 1, dtype=np.int64)
 
     def block(gen, size):
-        pos = np.tile(start_pos, (size, 1))
-        touched = np.zeros((size, k), dtype=bool)
+        pos = np.tile(start_pos[:, None], size)
+        touched = np.zeros((k, size), dtype=bool)
         for _, left, right in _hand_schedule(rule, t, gen, size):
-            touched |= (pos == _along_trials(left, pos)) | (pos == right[:, None])
+            touched |= (pos == left) | (pos == right)
             pos = _swap_positions(pos, left, right)
-        x = k - touched.sum(axis=1)
-        fixed = (pos == start_pos).sum(axis=1)
+        x = k - touched.sum(axis=0)
+        fixed = (pos == start_pos[:, None]).sum(axis=0)
         return (
             int(np.count_nonzero(x > c_threshold)),
             int(np.count_nonzero(fixed > c_threshold)),
@@ -411,8 +410,8 @@ def tv_lower_bound_fixed_cards(
 def _couple_two_decks(rule, horizon, trials, seed, workers, mirror):
     """Run a two-deck coupling of one tracked card under ``rule``.
 
-    ``xy`` holds the card's position in deck one (column 0) and deck two
-    (column 1). At each step ``mirror(left, right, xy)`` turns deck one's
+    ``xy`` holds the card's position in deck one (row 0) and deck two
+    (row 1). At each step ``mirror(left, right, xy)`` turns deck one's
     hands into both decks' hands, as arrays that broadcast against ``xy``;
     the mask of trials whose designed success event fires, or None for a
     construction without one (then ``designed_times`` is None); and two
@@ -428,10 +427,10 @@ def _couple_two_decks(rule, horizon, trials, seed, workers, mirror):
         raise ParameterError(f"horizon must be positive, got {horizon}")
 
     def block(gen, size):
-        xy = np.empty((size, 2), dtype=np.int64)
-        xy[:, 0] = 1
-        xy[:, 1] = gen.integers(1, n + 1, size=size)
-        match = np.where(xy[:, 0] == xy[:, 1], 0, -1)
+        xy = np.empty((2, size), dtype=np.int64)
+        xy[0] = 1
+        xy[1] = gen.integers(1, n + 1, size=size)
+        match = np.where(xy[0] == xy[1], 0, -1)
         designed = np.full(size, -1, dtype=np.int64)
         hist = np.zeros((2, n), dtype=np.int64)
         for s, left, right in _hand_schedule(rule, horizon, gen, size):
@@ -441,8 +440,8 @@ def _couple_two_decks(rule, horizon, trials, seed, workers, mirror):
             if fires is not None:
                 designed[(designed < 0) & fires] = s
             xy = _swap_positions(xy, lefts, rights)
-            match[(match < 0) & (xy[:, 0] == xy[:, 1])] = s
-        return match, None if fires is None else designed, xy, hist
+            match[(match < 0) & (xy[0] == xy[1])] = s
+        return match, None if fires is None else designed, xy.T, hist
 
     blocks = _map_blocks(block, seed, trials, workers)
     match_all, designed_all, finals, hists = zip(*blocks)
@@ -482,10 +481,9 @@ def couple_one_card(
     """
 
     def mirror(left, right, xy):
-        r_one = _swap_positions(right, xy[:, 0], xy[:, 1])
-        rights = np.stack([r_one, right], axis=1)
+        r_one = _swap_positions(right, xy[0], xy[1])
         # tally the right hands of decks one and two
-        return left, rights, right == xy[:, 1], (r_one, right)
+        return left, np.stack([r_one, right]), right == xy[1], (r_one, right)
 
     result, hist = _couple_two_decks(rule, horizon, trials, seed, workers, mirror)
     result.details.update(
@@ -514,11 +512,10 @@ def couple_two_hands_random(
     rule = ShuffleRule(ShuffleKind.RANDOM_TO_RANDOM, n)
 
     def mirror(left, right, xy):
-        x, y = xy[:, 0], xy[:, 1]
-        m_left, m_right = _swap_positions(left, x, y), _swap_positions(right, x, y)
+        m_left, m_right = _swap_positions(left, *xy), _swap_positions(right, *xy)
         # tally deck two's left and right hands
-        return (np.stack([left, m_left], axis=1),
-                np.stack([right, m_right], axis=1), None, (m_left, m_right))
+        return (np.stack([left, m_left]), np.stack([right, m_right]), None,
+                (m_left, m_right))
 
     result, hist = _couple_two_decks(rule, horizon, trials, seed, workers, mirror)
     result.details.update(
@@ -583,11 +580,7 @@ def _k_deck_step(S, extra, left, R, coin, tails_idx, u_draw, pick_draw, p_heads)
 
     r0 = right[0]
     r0[special] = np.where(case == 1, spec0[idx, cols], R_idx)
-    right = right[:, None, :]
-    to_right, to_left = S == left, S == right
-    S = S.copy()
-    np.copyto(S, right, where=to_right)
-    np.copyto(S, left, where=to_left)
+    S = _swap_positions(S, left, right[:, None, :])
     after = S[:, :, special]
     broken = (after[1 + cards[:, 0], cards[:, 0]] != after[0]).any(axis=0)
     return S, _swap_positions(extra, left, r0), r0, special, case, risk, broken
@@ -621,12 +614,11 @@ def couple_k_decks(
     uniformity tallies count every step a trial runs, the breaking step
     included.
 
-    The state ``S[deck, card, trial]`` keeps trials on the last axis, so the
-    per-step reductions run over the short deck and card axes. Most steps
-    are plain: neither the left hand nor U is on a tracked card of deck 0,
-    the coin shows heads and E is empty. Then r0 = U with no risk, and the
-    trial cannot break, since no card j moves in deck 0 or in deck j;
-    ``_k_deck_step`` resolves the branch only for the other trials.
+    The state is ``S[deck, card, trial]``. Most steps are plain: neither
+    the left hand nor U is on a tracked card of deck 0, the coin shows heads
+    and E is empty. Then r0 = U with no risk, and the trial cannot break,
+    since no card j moves in deck 0 or in deck j; ``_k_deck_step`` resolves
+    the branch only for the other trials.
 
     ``k`` and ``horizon`` (default 20 n) make the result's ``params``.
     """
@@ -758,12 +750,12 @@ def left_hand_hit_count(
         raise ParameterError(f"need 0 < k <= n, got k={k}")
 
     def block(gen, size):
-        pos = np.tile(np.arange(1, k + 1, dtype=np.int64), (size, 1))
-        hits = np.zeros((size, k), dtype=np.int64)
+        pos = np.tile(np.arange(1, k + 1, dtype=np.int64)[:, None], size)
+        hits = np.zeros((k, size), dtype=np.int64)
         for _, left, right in _hand_schedule(rule, t, gen, size):
-            hits += pos == _along_trials(left, pos)
+            hits += pos == left
             pos = _swap_positions(pos, left, right)
-        hits = hits.sum(axis=1)
+        hits = hits.sum(axis=0)
         return float(hits.sum()), float((hits.astype(np.float64) ** 2).sum())
 
     blocks = _map_blocks(block, seed, trials, workers)

@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from shufflemix.errors import CapExceededError, ParameterError
-from shufflemix.exact import exact_tv_curve, single_card_matrix
+from shufflemix.exact import LumpedEvolver, exact_tv_curve, single_card_matrix
+from shufflemix.indexing import KTupleIndexer
 from shufflemix.montecarlo import (
     _TRIAL_BLOCK,
     _chisq_p,
     _hand_schedule,
+    _k_deck_step,
     _map_blocks,
-    _swap_positions,
+    _swap_positions as _swap_trials_last,
     _trial_blocks,
     KDeckCouplingParams,
     MCEstimate,
@@ -81,8 +83,8 @@ def test_walk_matches_full_deck_oracle(kind):
             other_gen = RandomStream(100 * n + k, 1).generator
             cards = list(range(1, k + 1))
             start = gen.permutation(n)[:k] + 1
-            pos = np.tile(start, (trials, 1))
-            pos2 = np.tile(start, (trials, 2, 1))
+            pos = np.tile(start[:, None], trials)  # pos[card, trial]
+            pos2 = np.tile(start[:, None], (2, 1, trials))  # pos2[deck, card, trial]
             decks = np.tile(_deck_with(cards, start, n), (trials, 2, 1))
             for _, left, right in _hand_schedule(rule, 3 * n, gen, trials):
                 other = other_gen.integers(1, n + 1, size=trials)
@@ -90,11 +92,12 @@ def test_walk_matches_full_deck_oracle(kind):
                 for i in range(trials):
                     for deck, r in zip(decks[i], (right[i], other[i])):
                         deck[[lefts[i] - 1, r - 1]] = deck[[r - 1, lefts[i] - 1]]
-                pos = _swap_positions(pos, left, right)
-                pos2 = _swap_positions(pos2, left, np.stack([right, other], axis=1))
+                pos = _swap_trials_last(pos, left, right)
+                rights = np.stack([right, other])[:, None, :]
+                pos2 = _swap_trials_last(pos2, left, rights)
                 want = [[_positions_of(d, cards) for d in pair] for pair in decks]
-                assert pos.tolist() == [one for one, _ in want]
-                assert pos2.tolist() == want
+                assert pos.T.tolist() == [one for one, _ in want]
+                assert pos2.transpose(2, 0, 1).tolist() == want
 
 
 @settings(max_examples=40, deadline=2000, derandomize=True)
@@ -215,13 +218,6 @@ def test_mc_tv_plugin_cap_redirects():
     rule = make_rule("random", 100)
     with pytest.raises(CapExceededError, match="lower bound"):
         mc_tv_plugin(rule, 5, t=1, samples=10, seed=0)
-
-
-def test_mc_tv_plugin_replay():
-    rule = make_rule("cyclic", 12)
-    a = mc_tv_plugin(rule, 2, t=8, samples=30_000, seed=42)
-    b = mc_tv_plugin(rule, 2, t=8, samples=30_000, seed=42)
-    assert a.value == b.value
 
 
 # -- fixed-card statistic lower bound ------------------------------------------
@@ -362,13 +358,6 @@ def test_one_card_censoring_within_survival_bound():
     assert rate <= bound + 3.0 * math.sqrt(bound * (1 - bound) / trials)
 
 
-def test_one_card_replay():
-    a = couple_one_card(make_rule("top", 10), trials=5000, seed=31)
-    b = couple_one_card(make_rule("top", 10), trials=5000, seed=31)
-    assert np.array_equal(a.match_times, b.match_times)
-    assert np.array_equal(a.final_positions, b.final_positions)
-
-
 def test_one_card_validation():
     rule = make_rule("top", 10)
     with pytest.raises(ParameterError):
@@ -474,12 +463,10 @@ def test_k_deck_situation_four_rate():
     assert rate <= p_two + 3.0 * math.sqrt(p_two * (1.0 - p_two) / steps)
 
 
-def test_k_deck_mismatch_fit_and_replay():
+def test_k_deck_mismatch_fit():
     n, k = 60, 2
-    a = couple_k_decks(make_rule("random", n), k, horizon=300, trials=20_000, seed=53)
-    b = couple_k_decks(make_rule("random", n), k, horizon=300, trials=20_000, seed=53)
-    assert np.array_equal(a.mismatch_times, b.mismatch_times)
-    fit = fit_mismatch_bound(a)
+    res = couple_k_decks(make_rule("random", n), k, horizon=300, trials=20_000, seed=53)
+    fit = fit_mismatch_bound(res)
     assert fit.constant > 0.0
     assert (fit.residuals >= -1e-12).all()
 
@@ -526,7 +513,27 @@ def test_k_deck_golden_across_workers(workers):
 
 # Reference for couple_k_decks: its block with the state trial-first,
 # S[trial, deck, card], and every trial taking the general branch.
-# couple_k_decks must match it output for output.
+# couple_k_decks must match it output for output. It swaps with its own
+# trial-first _swap_positions.
+
+
+def _along_trials(hand, pos: np.ndarray) -> np.ndarray:
+    """``hand`` (a scalar, or an array whose leading axes match ``pos``'s)
+    with trailing unit axes, so it broadcasts against ``pos``."""
+    h = np.asarray(hand)
+    return h.reshape(h.shape + (1,) * (pos.ndim - h.ndim))
+
+
+def _swap_positions(pos: np.ndarray, left, right) -> np.ndarray:
+    """Apply the transposition (left, right) to an array of positions.
+
+    ``pos`` has trials along axis 0; left/right are scalars, per-trial
+    vectors, or per-trial-and-deck arrays, and broadcast across the
+    remaining axes.
+    """
+    l = _along_trials(left, pos)
+    r = _along_trials(right, pos)
+    return np.where(pos == l, r, np.where(pos == r, l, pos))
 
 
 def _tracked_at(spec: np.ndarray, pos: np.ndarray):
@@ -659,6 +666,67 @@ def test_k_deck_matches_the_reference_block_over_two_blocks(workers):
         assert np.array_equal(got, ref)
 
 
+def _k_deck_draw_grid(n, k, p_heads):
+    """Every draw combination of one k-deck step, one per trial, with its
+    probability: R over [n]^k, heads (coin 0, weight p) or tails (a coin just
+    below 1, weight 1 - p), tails_idx over k, U over [n], and pick_draw at the
+    midpoints of a grid of lcm(1..k), where floor(pick * |E|) is uniform."""
+    grid_size = math.lcm(*range(1, k + 1))
+    g = np.indices((n,) * k + (2, k, n, grid_size)).reshape(k + 4, -1)
+    heads = g[k] == 0
+    weight = np.where(heads, p_heads, 1.0 - p_heads) / (n**k * k * n * grid_size)
+    draws = ((g[:k].T + 1).astype(np.int32), np.where(heads, 0.0, 1.0 - 1e-10),
+             g[k + 1], (g[k + 2] + 1).astype(np.int32), (g[k + 3] + 0.5) / grid_size)
+    return draws, weight
+
+
+@pytest.mark.parametrize("kind, n", (("top", 5), ("random", 5), ("top", 6)))
+def test_k_deck_step_laws_are_exact(kind, n):
+    """From every matched state reachable from the start and each left hand
+    the rule can draw, the exact law of one step: r0 is uniform, and deck 0's
+    new tuple moves as the lumped chain does with the left hand fixed there.
+    A state is S[deck, card] and the extra card, coded in base n + 1; at k = 2
+    every matched state is reached, n (n-1)^3 (n-2) of them."""
+    k = 2
+    p_heads = KDeckCouplingParams(n, k).coin_p
+    lefts = np.flatnonzero(make_rule(kind, n).left_distribution(1)).astype(np.int32) + 1
+    draws, weight = _k_deck_draw_grid(n, k, p_heads)
+    combos, m = weight.size, lefts.size
+    indexer = KTupleIndexer(n, k)
+    evolver = LumpedEvolver(make_rule("custom", n, rows=tuple(np.eye(n))), k)
+    # moves[i, a] is the lumped chain's law one step from tuple a, left hand at lefts[i]
+    moves = np.array([[evolver.step(e, left) for e in np.eye(indexer.count)]
+                      for left in lefts])
+    dims = (n + 1,) * (k * (k + 1) + 1)
+    seen = frontier = np.array([np.ravel_multi_index([*range(1, k + 1)] * (k + 1)
+                                                     + [k + 1], dims)])
+    while frontier.size:
+        reached = []
+        for lo in range(0, frontier.size, 64):
+            states = np.array(np.unravel_index(frontier[lo:lo + 64], dims), dtype=np.int32)
+            groups = states.shape[1] * m  # one per (state, left hand)
+            S = np.repeat(states[:-1].reshape(k + 1, k, -1), m * combos, axis=2)
+            extra = np.repeat(states[-1], m * combos)
+            left = np.tile(np.repeat(lefts, combos), states.shape[1])
+            tiled = (np.tile(d, (groups,) + (1,) * (d.ndim - 1)) for d in draws)
+            S, extra, r0, special, _, _, broken = _k_deck_step(
+                S, extra, left, *tiled, p_heads)
+            group, w = np.repeat(np.arange(groups), combos), np.tile(weight, groups)
+            r0_law = np.bincount(group * n + r0 - 1, w, groups * n)
+            assert np.abs(r0_law - 1.0 / n).max() <= 1e-12
+            codes = indexer.encode_many(S[0].T - 1)
+            law = np.bincount(group * indexer.count + codes, w, groups * indexer.count)
+            want = moves[:, indexer.encode_many(states[:k].T - 1)].transpose(1, 0, 2)
+            assert np.abs(law - want.ravel()).max() <= 1e-12
+            keep = np.ones(S.shape[2], dtype=bool)
+            keep[special[broken]] = False
+            after = np.concatenate([S.reshape(k * (k + 1), -1), extra[None]])[:, keep]
+            reached.append(np.unique(np.ravel_multi_index(tuple(after), dims)))
+        frontier = np.setdiff1d(np.concatenate(reached), seen)
+        seen = np.union1d(seen, frontier)
+    assert seen.size == n * (n - 1) ** 3 * (n - 2)
+
+
 def test_block_workers_clamp():
     cpus = len(os.sched_getaffinity(0))
     assert block_workers(1, 10 * _TRIAL_BLOCK) == 1
@@ -746,10 +814,3 @@ def test_hits_scale_linearly_in_k():
     four = left_hand_hit_count(rule, 4, t=t, trials=trials, seed=68)
     assert four.value == pytest.approx(4.0 * one.value, rel=0.10)
     assert one.details["fit_constant"] > 0.0
-
-
-def test_hits_replay():
-    rule = make_rule("random", 30)
-    a = left_hand_hit_count(rule, 2, t=100, trials=1000, seed=71)
-    b = left_hand_hit_count(rule, 2, t=100, trials=1000, seed=71)
-    assert a.value == b.value
