@@ -16,9 +16,11 @@ takes --format. --times and --t-max are either-or, as are --fit and --c. A
 library ``UserWarning`` reaches stderr as one ``note:`` line.
 
 Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
-``couple-<mode>``); the parser and ``dispatch`` are loops over it. The
-parsed flags travel as one dict, the config, from ``config_from_args`` to
-the runner and into both files.
+``couple-<mode>``), a ``Command`` of four fields: its help line, its runner,
+every flag it offers but --out (which all offer), and the one format it
+writes (p0 lists its own --format flag). The parser is a loop over the
+table. The parsed flags travel as one dict, the config, from
+``config_from_args`` to the runner and into both files.
 
 Exit codes: 0 success; 1 no subcommand, an unknown subcommand or an unknown
 couple mode; 2 invalid parameter, including every argparse usage error and
@@ -29,6 +31,7 @@ tau-hat and p0, horizon, mass drift, or out of memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -321,7 +324,6 @@ _RULE = _opt("--rule", None, "top", choices=("top", "random", "cyclic"),
              help="left-hand rule (default top)")
 _N = _opt("--n", int, required=True, help="deck size")
 _K = _opt("--k", int, 1, help="tracked cards")
-_OUT = _opt("--out", help="output data file path")
 _PHASE = _opt("--phase", int, 0, help="cyclic sweep offset")
 # the flags of every subcommand that runs trials
 _TRIAL_FLAGS = (
@@ -340,77 +342,55 @@ _FIT = ("--fit", {"action": "store_true",
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: its runner, extra flags, formats and shared flags.
+    """One subcommand: its help line, runner, flags and data format.
 
-    ``run(config)`` returns (data, sidecar extras, summary line).
-    ``rule``, ``n`` and ``k`` say whether it takes --rule, --n, --k.
+    ``run(config)`` returns (data, sidecar extras, summary line). ``flags``
+    holds (flag, argparse keywords) of every flag it offers but --out, which
+    every subcommand offers. ``format`` is the one format it writes; p0 lists
+    its own --format flag, and its ``format`` is that flag's default.
     """
 
     help: str
     run: Callable
-    flags: tuple = ()
-    formats: tuple = ("csv",)  # default first
-    rule: bool = True
-    n: bool = True
-    k: bool = True
-
-    def arguments(self):
-        """(flag, argparse keywords) of every flag the subcommand offers."""
-        if self.rule:
-            yield _RULE
-        if self.n:
-            yield _N
-        if self.k:
-            yield _K
-        yield _OUT
-        if len(self.formats) > 1:
-            yield _opt("--format", None, self.formats[0], choices=self.formats)
-        yield from self.flags
+    flags: tuple
+    format: str = "csv"
 
 
-_JSON = ("json",)
 COMMAND_TABLE = {
     "exact-tv": Command("exact TV curve from a fixed start", _run_exact_tv,
-                        (_PHASE, _T_MAX, _TIMES)),
+                        (_RULE, _N, _K, _PHASE, _T_MAX, _TIMES)),
     "worst-tv": Command("exact worst-case TV curve", _run_worst_tv,
-                        (_T_MAX, _TIMES)),
+                        (_RULE, _N, _K, _T_MAX, _TIMES)),
     "mix-time": Command("smallest t with worst-case TV < eps", _run_mix_time,
-                        (_opt("--epsilon", float, 0.25), _HORIZON), _JSON),
+                        (_RULE, _N, _K, _opt("--epsilon", float, 0.25), _HORIZON), "json"),
     "cutoff": Command("worst-case TV at n log k + alpha n", _run_cutoff,
-                      (_opt("--alphas", _float_list),)),
+                      (_RULE, _N, _K, _opt("--alphas", _float_list))),
     "mc-tv": Command("plug-in Monte Carlo TV estimate", _run_mc_tv,
-                     (_PHASE, _T, _SAMPLES, *_TRIAL_FLAGS), _JSON),
+                     (_RULE, _N, _K, _PHASE, _T, _SAMPLES, *_TRIAL_FLAGS), "json"),
     "lower-bound": Command("TV lower bound from the never-touched statistic",
                            _run_lower_bound,
-                           (_PHASE, _T, _opt("--threshold", int, 1), _SAMPLES,
-                            *_TRIAL_FLAGS),
-                           _JSON),
-    "couple-one-card": Command("one tracked card, right hand mirrored",
-                               _run_couple_one_card,
-                               (_PHASE, _HORIZON, _TRIALS, *_TRIAL_FLAGS), k=False),
+                           (_RULE, _N, _K, _PHASE, _T, _opt("--threshold", int, 1),
+                            _SAMPLES, *_TRIAL_FLAGS), "json"),
+    "couple-one-card": Command("one tracked card, right hand mirrored", _run_couple_one_card,
+                               (_RULE, _N, _PHASE, _HORIZON, _TRIALS, *_TRIAL_FLAGS)),
     "couple-two-hand": Command("one tracked card, both hands mirrored (random rule)",
-                               _run_couple_two_hand, (_HORIZON, _TRIALS, *_TRIAL_FLAGS),
-                               rule=False, k=False),
-    "couple-k-deck": Command("(k+1)-deck coupling of k tracked cards",
-                             _run_couple_k_deck,
-                             (_PHASE, _HORIZON, _TRIALS, *_TRIAL_FLAGS)),
+                               _run_couple_two_hand, (_N, _HORIZON, _TRIALS, *_TRIAL_FLAGS)),
+    "couple-k-deck": Command("(k+1)-deck coupling of k tracked cards", _run_couple_k_deck,
+                             (_RULE, _N, _K, _PHASE, _HORIZON, _TRIALS, *_TRIAL_FLAGS)),
     "hits": Command("left-hand hit count on tracked cards", _run_hits,
-                    (_PHASE, _T, _TRIALS, *_TRIAL_FLAGS), _JSON),
-    "tau-hat": Command("moments of the touch waiting time", _run_tau_hat,
-                       (), _JSON, rule=False, k=False),
+                    (_RULE, _N, _K, _PHASE, _T, _TRIALS, *_TRIAL_FLAGS), "json"),
+    "tau-hat": Command("moments of the touch waiting time", _run_tau_hat, (_N,), "json"),
     "p0": Command("gap-closing probability recursion", _run_p0,
-                  (_opt("--epsilon", float, 0.442),), ("json", "csv"),
-                  rule=False, k=False),
+                  (_N, _opt("--format", None, "json", choices=("json", "csv")),
+                   _opt("--epsilon", float, 0.442)), "json"),
     "eig-scan": Command("second eigenvalue over an eps grid", _run_eig_scan,
                         (_XI, _opt("--lo", float, 0.01), _opt("--hi", float, 0.49),
-                         _opt("--num", int, 500)),
-                        rule=False, n=False, k=False),
-    "eig-opt": Command("eps minimizing the second eigenvalue", _run_eig_opt,
-                       (_XI,), _JSON, rule=False, n=False, k=False),
+                         _opt("--num", int, 500))),
+    "eig-opt": Command("eps minimizing the second eigenvalue", _run_eig_opt, (_XI,), "json"),
     "cyclic-bound": Command("one-card cyclic bound curve", _run_cyclic_bound,
-                            (_T_MAX, _opt("--c", float), _FIT), rule=False, k=False),
+                            (_N, _T_MAX, _opt("--c", float), _FIT)),
     "cyclic-mix": Command("k-card mixing bound, cyclic rule", _run_cyclic_mix,
-                          (_C,), _JSON, rule=False),
+                          (_N, _K, _C), "json"),
 }
 _COUPLE = "couple-"
 COMMANDS = tuple(
@@ -419,7 +399,9 @@ COMMANDS = tuple(
 COUPLE_MODES = tuple(c[len(_COUPLE):] for c in COMMAND_TABLE if c.startswith(_COUPLE))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; a new one per call grows memory."""
     parser = argparse.ArgumentParser(
         prog="shufflemix",
         description="exact and Monte Carlo analysis of semi-random "
@@ -435,15 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
                 couple = sub.add_parser("couple", help="run a coupling simulation")
                 modes = couple.add_subparsers(dest="mode", metavar="mode")
             p = modes.add_parser(name[len(_COUPLE):], help=spec.help)
-        for flag, kwargs in spec.arguments():
+        for flag, kwargs in spec.flags:
             p.add_argument(flag, **kwargs)
+        p.add_argument("--out", help="output data file path")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> dict:
     """The parsed flags as one dict, the config that runners read and both
     files echo: ``command`` names the ``COMMAND_TABLE`` entry (couple modes
-    as ``couple-<mode>``), ``format`` is the table's first format unless
+    as ``couple-<mode>``), ``format`` is the entry's format unless p0's
     --format chose another, and ``out`` defaults to ``<command>.<format>``.
     A subcommand that does not offer --seed or --phase echoes
     ``DEFAULT_SEED`` and, where it takes --rule, phase 0."""
@@ -454,9 +437,9 @@ def config_from_args(args: argparse.Namespace) -> dict:
     if args.command == "couple":
         config["command"] = f"{_COUPLE}{args.mode}"
     spec = COMMAND_TABLE[config["command"]]
-    config.setdefault("format", spec.formats[0])
+    config.setdefault("format", spec.format)
     config.setdefault("seed", DEFAULT_SEED)
-    if spec.rule:
+    if "rule" in config:
         config.setdefault("phase", 0)
     config["out"] = args.out or f"{config['command']}.{config['format']}"
     return config
@@ -496,7 +479,7 @@ def dispatch(config: dict) -> int:
     spec = COMMAND_TABLE.get(command)
     if spec is None:
         raise ParameterError(f"unknown command {command!r}")
-    if spec.k:
+    if "k" in config:
         _check_k(config)
     data, extras, summary = spec.run(config)
     if isinstance(data, dict):

@@ -398,7 +398,7 @@ def cyclic_one_card_bound(t, n: int, c: float):
     for a scalar t, else an array."""
     _check_c(c)
     ts = np.asarray(t, dtype=np.float64)
-    if (ts < 0).any():
+    if not (ts >= 0).all():  # NaN fails too
         raise ParameterError(f"time must be non-negative, got {t!r}")
     if n < 2:
         raise ParameterError(f"deck size must be at least 2, got {n}")
@@ -468,6 +468,8 @@ def cyclic_mixing_upper(n: int, k: int, c: float) -> CyclicMixingResult:
         raise ParameterError(f"need k >= 2 tracked cards, got {k}")
     if n < 2:
         raise ParameterError(f"deck size must be at least 2, got {n}")
+    if k > n:
+        raise ParameterError(f"k exceeds n (k={k}, n={n})")
     target = math.exp(-1.5) / k
     horizon = int(math.ceil(10.0 * n * math.log(n)))
     last_value = cyclic_one_card_bound(horizon, n, c)

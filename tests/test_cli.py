@@ -306,6 +306,11 @@ def test_cyclic_bound_fit_refuses_a_zero_curve(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _arguments(spec):
+    """(flag, argparse keywords) of every flag an entry offers, --out too."""
+    return (*spec.flags, ("--out", {}))
+
+
 def words(name):
     """The argv words that select a COMMAND_TABLE entry."""
     return ["couple", name[len("couple-"):]] if name.startswith("couple-") else [name]
@@ -509,6 +514,22 @@ def test_config_echo_roundtrip(tmp_path):
     assert echo["n"] == 9 and echo["k"] == 2
 
 
+def test_parser_is_built_once_and_reused_after_a_usage_error(tmp_path, capsys):
+    """Every call shares one parser; a usage error (exit 2) leaves nothing
+    behind in it, so the next parse gives the config it would alone."""
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "hits", "--n", "9", "--k", "2", "--t", "x")
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    echo = config_from_args(build_parser().parse_args(
+        ["hits", "--rule", "cyclic", "--n", "9", "--t", "5"]))
+    assert echo == config_from_args(argparse.Namespace(
+        command="hits", rule="cyclic", n=9, k=1, phase=0, t=5, trials=100_000,
+        seed=DEFAULT_SEED, threads=None, out=None))
+    assert echo["out"] == "hits.json" and echo["format"] == "json"
+
+
 def test_threads_below_one_is_parameter_error(tmp_path, capsys):
     for threads in ("0", "-2"):
         assert run(tmp_path, "mc-tv", "--n", "6", "--t", "3", "--threads", threads) == 2
@@ -562,7 +583,7 @@ def test_every_format_choice_writes_that_format(tmp_path, capsys):
     """Only p0 writes two formats, so only p0 offers --format; every other
     entry writes its table format by default and rejects the flag."""
     assert sorted(TOY) == sorted(COMMAND_TABLE)
-    assert [n for n, c in COMMAND_TABLE.items() if len(c.formats) > 1] == ["p0"]
+    assert [n for n, c in COMMAND_TABLE.items() if "--format" in dict(c.flags)] == ["p0"]
     assert _choices("p0", "--format") == ("json", "csv")
     for fmt in ("json", "csv"):
         out = tmp_path / f"p0.{fmt}"
@@ -572,7 +593,7 @@ def test_every_format_choice_writes_that_format(tmp_path, capsys):
     for name, argv in TOY.items():
         if name == "p0":
             continue
-        (fmt,) = COMMAND_TABLE[name].formats
+        fmt = COMMAND_TABLE[name].format
         base = [*words(name), *argv.split()]
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, *base, "--format", fmt)
@@ -631,7 +652,7 @@ def _offers_only_the_flags_it_reads(tmp_path, capsys, name, base, ignored):
         assert "unrecognized arguments" in capsys.readouterr().err
     assert run(tmp_path, *base, "--out", "c.out") == 0
     config = json.loads((tmp_path / "c.out.meta.json").read_text())["config"]
-    offered = {flag for flag, _ in COMMAND_TABLE[name].arguments()}
+    offered = {flag for flag, _ in _arguments(COMMAND_TABLE[name])}
     for flag, _ in ignored:
         assert flag not in offered and flag[2:] not in config
 
@@ -646,7 +667,7 @@ def test_couple_mode_offers_only_the_flags_it_reads(tmp_path, capsys, mode):
 
 def test_threads_offered_by_the_six_monte_carlo_subcommands():
     threaded = {name for name, spec in COMMAND_TABLE.items()
-                if "--threads" in dict(spec.arguments())}
+                if "--threads" in dict(spec.flags)}
     assert len(threaded) == 6
     assert threaded == set(COMMAND_TABLE) - set(NO_TRIALS)
 
@@ -659,7 +680,7 @@ def test_threads_only_where_trials_run(tmp_path, capsys, name):
 
 def _offering(flag):
     return {name for name, spec in COMMAND_TABLE.items()
-            if flag in dict(spec.arguments())}
+            if flag in dict(spec.flags)}
 
 
 # the Monte Carlo subcommands that take --rule, and so --phase
@@ -670,8 +691,8 @@ def test_seed_and_phase_offered_only_where_they_change_the_answer():
     assert _offering("--seed") == _offering("--threads")
     assert _offering("--phase") == {"exact-tv", *PHASED}
     assert {name for name in _offering("--threads")
-            if COMMAND_TABLE[name].rule} == set(PHASED)
-    assert sum(len(list(spec.arguments())) for spec in COMMAND_TABLE.values()) == 97
+            if "--rule" in dict(COMMAND_TABLE[name].flags)} == set(PHASED)
+    assert sum(len(_arguments(spec)) for spec in COMMAND_TABLE.values()) == 97
 
 
 @pytest.mark.parametrize("name", sorted(set(COMMAND_TABLE) - set(PHASED)))
@@ -680,7 +701,7 @@ def test_seed_and_phase_rejected_but_echoed_as_defaults(tmp_path, capsys, name):
     that is not exact-tv or a Monte Carlo one with --rule rejects --phase;
     the echo keeps both keys at their default values."""
     base = [*words(name), *TOY[name].split()]
-    offered = dict(COMMAND_TABLE[name].arguments())
+    offered = dict(COMMAND_TABLE[name].flags)
     for flag, value in (("--seed", "5"), ("--phase", "1")):
         if flag in offered:
             continue
@@ -691,7 +712,7 @@ def test_seed_and_phase_rejected_but_echoed_as_defaults(tmp_path, capsys, name):
     assert run(tmp_path, *base, "--out", "c.out") == 0
     config = json.loads((tmp_path / "c.out.meta.json").read_text())["config"]
     assert config["seed"] == DEFAULT_SEED
-    assert ("phase" in config) == COMMAND_TABLE[name].rule
+    assert ("phase" in config) == ("--rule" in offered)
     assert config.get("phase", 0) == 0
 
 
@@ -739,7 +760,7 @@ def _value(flag, kwargs):
 def invocations(draw, name):
     """A random valid argv for one table entry, and the values it set."""
     argv, given_values = words(name), {}
-    for flag, kwargs in COMMAND_TABLE[name].arguments():
+    for flag, kwargs in _arguments(COMMAND_TABLE[name]):
         if kwargs.get("required") or draw(st.booleans()):
             text, value = draw(_value(flag, kwargs))
             argv += [flag] if text is None else [flag, text]
@@ -760,13 +781,13 @@ def test_config_roundtrip_property(name, data):
     spec = COMMAND_TABLE[name]
     echo = config_from_args(build_parser().parse_args(argv))
     assert echo["command"] == name
-    assert echo["format"] == given_values.get("--format", spec.formats[0])
+    assert echo["format"] == given_values.get("--format", spec.format)
     defaults = {
-        "--format": spec.formats[0],
+        "--format": spec.format,
         "--out": f"{name}.{echo['format']}",
         "--seed": DEFAULT_SEED,
     }
-    for flag, kwargs in spec.arguments():
+    for flag, kwargs in _arguments(spec):
         want = given_values.get(flag, defaults.get(flag, kwargs.get("default", False)))
         assert echo[flag[2:].replace("-", "_")] == want, (argv, flag)
 

@@ -264,6 +264,14 @@ def test_bound_validation():
         cyclic_one_card_bound(5, 1, 1.0)
 
 
+def test_bound_rejects_a_nan_time():
+    """NaN is not below 0 either, so the check asks for t >= 0."""
+    with pytest.raises(ParameterError, match="non-negative"):
+        cyclic_one_card_bound(math.nan, 100, 1.0)
+    with pytest.raises(ParameterError, match="non-negative"):
+        cyclic_one_card_bound(np.array([3.0, math.nan]), 10, 0.7)
+
+
 def test_bound_over_an_array_matches_each_step():
     for n in (10, 20, 60, 137):
         ts = np.arange(0, 10 * n + 1)
@@ -317,7 +325,7 @@ def test_mixing_solver_bisection_matches_full_scan():
     for n in (2, 3, 5, 8, 13):
         horizon = int(math.ceil(10.0 * n * math.log(n)))
         ts = np.arange(1, horizon + 1)
-        for k in (2, 3, 7, 50):
+        for k in range(2, n + 1):
             for c in (0.01, 0.3, 1.0, 4.0, 1e3, 1e6):
                 below = np.flatnonzero(
                     cyclic_one_card_bound(ts, n, c) <= math.exp(-1.5) / k
@@ -362,3 +370,7 @@ def test_mixing_solver_validation():
         cyclic_mixing_upper(100, 1, 1.0)
     with pytest.raises(ParameterError):
         cyclic_mixing_upper(1, 4, 1.0)
+    # k cards cannot be tracked in a deck of fewer
+    with pytest.raises(ParameterError, match="k exceeds n"):
+        cyclic_mixing_upper(10, 50, 0.5)
+    assert cyclic_mixing_upper(10, 10, 0.5).k == 10

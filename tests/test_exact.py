@@ -216,11 +216,15 @@ def test_curves_record_the_largest_mass_drift(monkeypatch):
 
 @st.composite
 def _custom_rules(draw):
-    """A custom rule with n <= 7: 1-3 rows of random non-negative weights."""
+    """A custom rule with n <= 7 and 1-3 rows, each the top's point mass at
+    position 1, a point mass elsewhere, or random non-negative weights."""
     n = draw(st.integers(2, 7))
+    top = np.eye(n)[0]
+    point = st.integers(1, n - 1).map(lambda j: np.eye(n)[j])
     weights = st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any)
-    rows = [np.array(w, dtype=float) for w in draw(st.lists(weights, min_size=1, max_size=3))]
-    return ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, n, custom=[r / r.sum() for r in rows])
+    spread = weights.map(lambda w: np.array(w, dtype=float) / sum(w))
+    rows = draw(st.lists(st.one_of(st.just(top), point, spread), min_size=1, max_size=3))
+    return ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, n, custom=rows)
 
 
 @settings(max_examples=60, deadline=2000, derandomize=True)
@@ -343,6 +347,23 @@ def test_worst_case_within_k_over_n_below_untouched_law(kind, n, k):
     law = untouched_law(n, k, r, times)
     assert np.all(d <= law + 1e-12)
     assert np.all(law - k / n <= d + 1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rule=st.one_of(_custom_rules(), st.integers(2, 7).map(lambda n: make_rule("top", n))),
+       data=st.data())
+def test_worst_case_below_the_untouched_envelope_for_any_schedule(rule, data):
+    """d(t) <= B(t) = 1 - (1 - (1 - 1/n)^t)^k for every left-hand schedule,
+    t <= n (log max(k, 2) + 5): the right hand touches each tracked card
+    with chance 1/n a step, whatever the left hand does. The right-hand
+    coupling proves it at k = 1; at k >= 2 this test is the only check.
+    Custom rules step the cached kernel over every start; the named top
+    rule steps its canonical starts one at a time."""
+    n = rule.n
+    k = data.draw(st.integers(1, min(3, n)), label="k")
+    times = np.arange(int(n * (math.log(max(k, 2)) + 5)) + 1)
+    d = worst_case_curve(rule, k, times).values
+    assert np.all(d <= untouched_law(n, k, 1, times) + 1e-12)
 
 
 def test_one_card_universal_bound_small():
