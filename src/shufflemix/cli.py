@@ -22,10 +22,11 @@ writes (p0 lists its own --format flag). The parser is a loop over the
 table. The parsed flags travel as one dict, the config, from
 ``config_from_args`` to the runner and into both files.
 
-Exit codes: 0 success; 1 no subcommand, an unknown subcommand or an unknown
-couple mode; 2 invalid parameter, including every argparse usage error and
-both flags of an either-or pair; 3 resource limit (state cap, n above it for
-tau-hat and p0, horizon, mass drift, or out of memory).
+Exit codes: 0 success; 2 invalid parameter, any argparse usage error (no
+subcommand, an unknown subcommand or couple mode too) or both flags of an
+either-or pair; 3 resource limit (state cap, n above it for tau-hat and p0,
+horizon, mass drift, or out of memory). Exit 1 only ever means an uncaught
+exception: report it as a bug.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .cyclic import (
 )
 from .deck import ShuffleKind, ShuffleRule
 from .errors import CapExceededError, ParameterError, ShuffleMixError
+from .errors import check_array_length, check_int64
 from .exact import (
     cutoff_profile,
     exact_tv_curve,
@@ -107,14 +109,15 @@ def _t_max_from(config: dict) -> int:
         return 10 * config["n"]
     if t_max < 1:
         raise ParameterError(f"--t-max must be at least 1, got {t_max}")
-    return t_max
+    return check_array_length("--t-max", check_int64("--t-max", t_max))
 
 
 def _times_from(config: dict) -> np.ndarray:
     if config["times"] is not None:
         if config["t_max"] is not None:
             raise ParameterError("give --times or --t-max, not both")
-        return np.asarray(sorted(set(config["times"])), dtype=np.int64)
+        times = [check_int64("--times", t) for t in sorted(set(config["times"]))]
+        return np.asarray(times, dtype=np.int64)
     return np.arange(1, _t_max_from(config) + 1, dtype=np.int64)
 
 
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact and Monte Carlo analysis of semi-random "
         "transposition shuffles",
     )
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    sub = parser.add_subparsers(dest="command", required=True)
     modes = None
     for name, spec in COMMAND_TABLE.items():
         if not name.startswith(_COUPLE):
@@ -415,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             if modes is None:
                 couple = sub.add_parser("couple", help="run a coupling simulation")
-                modes = couple.add_subparsers(dest="mode", metavar="mode")
+                modes = couple.add_subparsers(dest="mode", required=True)
             p = modes.add_parser(name[len(_COUPLE):], help=spec.help)
         for flag, kwargs in spec.flags:
             p.add_argument(flag, **kwargs)
@@ -511,25 +514,6 @@ def _dispatch_with_notes(config: dict) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    words = [tok for tok in argv if not tok.startswith("-")]
-    asks_help = any(tok in ("-h", "--help") for tok in argv)
-    if not words and not asks_help:
-        build_parser().print_usage(sys.stderr)
-        return 1
-    if words and words[0] not in COMMANDS:
-        print(f"unknown subcommand: {words[0]}", file=sys.stderr)
-        build_parser().print_usage(sys.stderr)
-        return 1
-    # `couple --help` with no mode goes to argparse, which lists the modes
-    if words[:1] == ["couple"] and (len(words) > 1 or not asks_help):
-        mode = words[1] if len(words) > 1 else None
-        if mode not in COUPLE_MODES:
-            if mode is not None:
-                print(f"unknown couple mode: {mode}", file=sys.stderr)
-            modes = ",".join(COUPLE_MODES)
-            print(f"usage: shufflemix couple {{{modes}}} ...", file=sys.stderr)
-            return 1
     args = build_parser().parse_args(argv)
     try:
         return _dispatch_with_notes(config_from_args(args))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int64
 
 
 class ShuffleKind(str, enum.Enum):
@@ -46,6 +46,7 @@ class ShuffleRule:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError("deck size n must be at least 2")
+        check_int64("deck size n", self.n)
         try:
             kind = ShuffleKind(self.kind)
         except ValueError:

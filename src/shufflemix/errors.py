@@ -1,7 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks that raise
+them for numbers numpy cannot hold.
 
 Each error carries the process exit code the command line layer maps it to.
 """
+
+import sys
 
 
 class ShuffleMixError(Exception):
@@ -40,3 +43,21 @@ class MassDriftError(ShuffleMixError):
     """Probability mass drifted beyond tolerance during exact evolution."""
 
     exit_code = 3
+
+
+def check_int64(name: str, value: int) -> int:
+    """``value``, or ParameterError when it does not fit in int64, the type
+    numpy holds every count, time and position in."""
+    if not -(2**63) <= value < 2**63:
+        raise ParameterError(f"{name} must fit in 64 bits, got {value}")
+    return value
+
+
+def check_array_length(name: str, length: int, bytes_each: int = 8) -> int:
+    """``length``, or CapExceededError when an array of ``length`` items of
+    ``bytes_each`` bytes is larger than numpy can address. Past that size
+    numpy raises ValueError or IndexError, or returns an empty array, where a
+    smaller allocation it cannot make raises MemoryError."""
+    if length * bytes_each > sys.maxsize:
+        raise CapExceededError(f"{name} = {length} needs an array larger than numpy can hold")
+    return length

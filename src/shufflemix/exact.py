@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .deck import ShuffleKind, ShuffleRule
-from .errors import HorizonError, MassDriftError, ParameterError
+from .errors import HorizonError, MassDriftError, ParameterError, check_int64
 from .indexing import DEFAULT_STATE_CAP, KTupleIndexer
 from .rng import DEFAULT_SEED, RandomStream
 
@@ -523,7 +523,8 @@ def cutoff_profile(
     else:
         center = 0.5006 * n * math.log(k) if k > 1 else 0.0
         bound_fn = lambda a, t: min(1.0, k * math.exp(-t / n))
-    times = np.array([math.floor(center + a * n) for a in alphas], dtype=np.int64)
+    times = [check_int64("center + alpha*n", math.floor(center + a * n)) for a in alphas]
+    times = np.array(times, dtype=np.int64)
     if (times < 0).any():
         raise ParameterError("center + alpha*n must be non-negative after rounding")
     grid = np.unique(times)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deck import ShuffleKind, ShuffleRule
-from .errors import CapExceededError, ParameterError
+from .errors import CapExceededError, ParameterError, check_array_length, check_int64
 from .indexing import KTupleIndexer
 from .rng import DEFAULT_SEED, RandomStream
 
@@ -97,6 +97,8 @@ class KDeckCouplingParams:
             object.__setattr__(self, "horizon", 20 * self.n)
         if self.horizon < 1:
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        # survival_counts tallies steps 0..horizon
+        check_array_length("horizon + 1", check_int64("horizon", self.horizon) + 1)
 
     @property
     def coin_p(self) -> float:
@@ -421,10 +423,12 @@ def _couple_two_decks(rule, horizon, trials, seed, workers, mirror):
     n = rule.n
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
+    check_array_length("n", n, bytes_each=16)  # the (2, n) hand tally
     if horizon is None:
         horizon = 20 * n
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
+    check_array_length("horizon + 1", check_int64("horizon", horizon) + 1)
 
     def block(gen, size):
         xy = np.empty((2, size), dtype=np.int64)
@@ -623,6 +627,7 @@ def couple_k_decks(
     ``k`` and ``horizon`` (default 20 n) make the result's ``params``.
     """
     n = rule.n
+    check_array_length("n", n)  # the tally of deck 0's right hand
     params = KDeckCouplingParams(n, k, horizon)
     horizon = params.horizon
     if trials < 1:

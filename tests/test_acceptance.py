@@ -285,7 +285,7 @@ def test_cutoff_sharpening_report():
         for r in (0.75, 1.0, 1.25):
             t = int(round(r * n * math.log(k)))
             best = 0.0
-            for c in (1, 2):
+            for c in range(1, min(k, 3)):
                 est = tv_lower_bound_fixed_cards(
                     rule, k, t=t, c_threshold=c, samples=30_000,
                     seed=200 + k,

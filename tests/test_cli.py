@@ -96,19 +96,27 @@ def test_k_larger_than_n_is_parameter_error(tmp_path, capsys):
     assert "k exceeds n (k=3, n=2)" in capsys.readouterr().err
 
 
+def exits_2_listing(tmp_path, capsys, argv, choices):
+    """argparse rejects argv: exit 2, its usage and the valid choices on
+    stderr, and no file."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and all(choice in err for choice in choices)
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_subcommand(tmp_path, capsys):
-    assert run(tmp_path, "frobnicate", "--n", "5") == 1
-    assert "unknown subcommand" in capsys.readouterr().err
+    exits_2_listing(tmp_path, capsys, ("frobnicate", "--n", "5"), COMMANDS)
 
 
 def test_no_subcommand(tmp_path, capsys):
-    assert run(tmp_path) == 1
-    assert "usage" in capsys.readouterr().err
+    exits_2_listing(tmp_path, capsys, (), COMMANDS)
 
 
 def test_unknown_couple_mode(tmp_path, capsys):
-    assert run(tmp_path, "couple", "sideways", "--n", "10") == 1
-    assert "unknown couple mode" in capsys.readouterr().err
+    exits_2_listing(tmp_path, capsys, ("couple", "sideways", "--n", "10"), COUPLE_MODES)
 
 
 def test_couple_help_lists_the_modes(tmp_path, capsys):
@@ -120,9 +128,7 @@ def test_couple_help_lists_the_modes(tmp_path, capsys):
 
 
 def test_couple_without_mode_prints_usage(tmp_path, capsys):
-    assert run(tmp_path, "couple", "--n", "10") == 1
-    err = capsys.readouterr().err
-    assert "usage" in err and all(mode in err for mode in COUPLE_MODES)
+    exits_2_listing(tmp_path, capsys, ("couple", "--n", "10"), COUPLE_MODES)
 
 
 @pytest.mark.parametrize("argv", [
@@ -143,6 +149,32 @@ def test_couple_without_mode_prints_usage(tmp_path, capsys):
 ])
 def test_out_of_range_step_counts_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv.split()) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_ABOVE_INT64, _INT64_MAX = "99999999999999999999", "9223372036854775807"
+
+
+@pytest.mark.parametrize("code, argv", [
+    (2, "cutoff --n 6 --k 2 --alphas=1e300"),
+    (2, f"cutoff --n {_ABOVE_INT64} --k 2"),
+    (2, f"worst-tv --n 5 --k 2 --times {_ABOVE_INT64}"),
+    (2, f"exact-tv --n 5 --t-max {_ABOVE_INT64}"),
+    (2, f"worst-tv --n 5 --t-max {_ABOVE_INT64}"),
+    (2, f"cyclic-bound --n 6 --t-max {_ABOVE_INT64}"),
+    (2, f"eig-scan --num {_ABOVE_INT64}"),
+    (3, f"eig-scan --num {_INT64_MAX}"),
+    (2, f"hits --n {_ABOVE_INT64} --t 5 --threads 1"),
+    (2, f"lower-bound --n {_ABOVE_INT64} --t 5 --threads 1"),
+    *((2, f"couple {mode} --n {_ABOVE_INT64} --threads 1") for mode in COUPLE_MODES),
+    *((3, f"couple {mode} --n {_INT64_MAX} --threads 1") for mode in COUPLE_MODES),
+    (2, f"couple k-deck --n 6 --k 2 --trials 100 --horizon {_ABOVE_INT64} --threads 1"),
+])
+def test_numbers_numpy_cannot_hold_exit_2_or_3(tmp_path, capsys, code, argv):
+    """A value past int64 is an invalid parameter (2); an array longer than
+    numpy can address is a resource limit (3), as running out of memory is."""
+    assert run(tmp_path, *argv.split()) == code
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 

@@ -73,7 +73,10 @@ def run_case(argv: str, data_file) -> dict:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
                 io.StringIO()
             ):
-                code = main(tokens)
+                try:
+                    code = main(tokens)
+                except SystemExit as exc:  # argparse rejects arguments this way
+                    code = exc.code
             out = {"exit": code}
             if data_file is not None:
                 out["sha256"] = hashlib.sha256(Path(data_file).read_bytes()).hexdigest()
