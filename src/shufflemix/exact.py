@@ -75,6 +75,10 @@ class LumpedEvolver:
     is a point mass, a held card's n moves are encoded as one q-major batch
     and scattered by one ``np.add.at``. That adds in index order, so every
     sum is the one a loop over q gives, bit for bit.
+
+    Transposed tuples are built coordinate-major, as the indexer's table is:
+    a (k, q, rows) block filled one coordinate at a time, whose (q * rows, k)
+    transpose ``encode_many`` reads column by column, rows q-major.
     """
 
     def __init__(self, rule: ShuffleRule, k: int):
@@ -94,13 +98,14 @@ class LumpedEvolver:
         (p_i, q) for each q of ``qs`` (one position or an array), q-major:
         card i moves to q, and a tracked card at q takes p_i."""
         qs = np.atleast_1d(qs)[:, None]
-        moved = np.empty((qs.shape[0], *rows.shape), dtype=rows.dtype)
-        moved[:] = rows
-        for j in range(self.k):
-            if j != i:
-                np.copyto(moved[:, :, j], rows[:, i], where=moved[:, :, j] == qs)
-        moved[:, :, i] = qs
-        return self.indexer.encode_many(moved.reshape(-1, self.k))
+        block = np.empty((self.k, qs.shape[0], rows.shape[0]), dtype=rows.dtype)
+        for j, moved in enumerate(block):
+            if j == i:
+                moved[:] = qs
+            else:
+                moved[:] = rows[:, j]
+                np.copyto(moved, rows[:, i], where=moved == qs)
+        return self.indexer.encode_many(block.reshape(self.k, -1).T)
 
     def _target(self, i: int, q: int) -> np.ndarray:
         """State index after transposing (p_i, q), vectorized over states."""
@@ -119,6 +124,17 @@ class LumpedEvolver:
         for col in self._pos0.T[1:]:
             free &= col != q
         return free
+
+    def _left_on_tracked(self, lvec: np.ndarray) -> np.ndarray:
+        """Per state: the left hand's mass l(T) on the tracked positions.
+
+        The gather is made C-ordered so each state's k terms are summed along
+        a contiguous row, which numpy does pairwise from 8 terms on. Summed
+        column by column instead, the uniform rule's l(T) at n = 9, k = 8
+        reads 0.8888888888888891 rather than 0.8888888888888888, and the
+        step changes in the last bits.
+        """
+        return np.ascontiguousarray(lvec[self._pos0]).sum(axis=1)
 
     def _moves(self, lvec: np.ndarray):
         """Yield (weight per state, i, q) for every move of tracked card i to
@@ -158,8 +174,7 @@ class LumpedEvolver:
 
     def _step_general(self, probs: np.ndarray, lvec: np.ndarray) -> np.ndarray:
         n, k, count = self.n, self.k, self.indexer.count
-        left_on_tracked = lvec[self._pos0].sum(axis=1)
-        new = probs * (1.0 - left_on_tracked) * ((n - k) / n)
+        new = probs * (1.0 - self._left_on_tracked(lvec)) * ((n - k) / n)
         for weight, i, q in self._moves(lvec):
             w = probs * weight
             new += np.bincount(self._target(i, q), weights=w, minlength=count)
@@ -181,7 +196,7 @@ class LumpedEvolver:
         lvec = self.rule.left_distribution(t)
         src = [np.arange(count, dtype=np.int64)]
         dst = [np.arange(count, dtype=np.int64)]
-        val = [(1.0 - lvec[self._pos0].sum(axis=1)) * ((n - k) / n)]
+        val = [(1.0 - self._left_on_tracked(lvec)) * ((n - k) / n)]
         for w, i, q in self._moves(lvec):
             keep = np.flatnonzero(w)
             src.append(keep)

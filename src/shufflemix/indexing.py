@@ -5,11 +5,17 @@ k-tuple of distinct positions; there are n(n-1)...(n-k+1) of them. The
 indexer maps tuples to 0..count-1 and back via a falling-factorial
 mixed-radix code, so exact distributions can live in flat numpy arrays.
 The code order coincides with lexicographic order of the raw tuples.
+
+The table of all tuples is stored coordinate-major: a (k, count) int32
+block whose transpose is handed out, so each coordinate is one contiguous
+column and the per-coordinate loops of ``encode_many`` and the exact step
+stream through memory. Codes are computed with int32 digits: every digit
+times its place value, and every partial sum of them, is at most
+count - 1, and count never exceeds ``DEFAULT_STATE_CAP`` < 2**31.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,12 +37,16 @@ class KTupleIndexer:
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ParameterError("need 1 <= k <= n")
-        self.count = math.perm(self.n, self.k)
-        if self.count > DEFAULT_STATE_CAP:
-            raise CapExceededError(
-                f"{self.count} ordered {self.k}-tuples on {self.n} positions "
-                f"exceed the state cap {DEFAULT_STATE_CAP}"
-            )
+        # the falling factorial, stopped as soon as it passes the cap: at
+        # huge n and k the full product is slow to form and too long to print
+        self.count = 1
+        for j in range(self.k):
+            self.count *= self.n - j
+            if self.count > DEFAULT_STATE_CAP:
+                raise CapExceededError(
+                    f"ordered {self.k}-tuples on {self.n} positions "
+                    f"exceed the state cap {DEFAULT_STATE_CAP}"
+                )
         # Radix place values: digit j ranges over n-j values.
         self._bases = np.array(
             [math.perm(self.n - j - 1, self.k - j - 1) for j in range(self.k)],
@@ -75,30 +85,42 @@ class KTupleIndexer:
         return tuple(p + 1 for p in pos)
 
     def encode_many(self, pos0: np.ndarray) -> np.ndarray:
-        """Vectorized index of 0-based position rows, shape (m, k) -> (m,).
+        """Vectorized index of 0-based position rows, shape (m, k) -> (m,) int64.
 
         Digit j is the rank of pos0[:, j] among the slots not taken by the
         earlier coordinates, i.e. pos0[:, j] minus the earlier entries below it.
+        Any layout works; F-ordered rows read contiguous columns.
         """
-        codes = np.zeros(pos0.shape[0], dtype=np.int64)
-        for j in range(self.k):
-            digit = pos0[:, j].astype(np.int64)
-            for i in range(j):
-                digit -= pos0[:, i] < pos0[:, j]
-            codes += digit * self._bases[j]
-        return codes
+        cols = [pos0[:, j] for j in range(self.k)]
+        codes = np.zeros(pos0.shape[0], dtype=np.int32)
+        for j, col in enumerate(cols):
+            digit = col.astype(np.int32)
+            for earlier in cols[:j]:
+                digit -= earlier < col
+            digit *= int(self._bases[j])
+            codes += digit
+        return codes.astype(np.int64)
 
     def all_positions0(self) -> np.ndarray:
-        """(count, k) int32 array of 0-based tuples, row i decoding index i."""
+        """(count, k) int32 array of 0-based tuples, row i decoding index i.
+
+        Built one coordinate at a time from the sorted free slots of every
+        prefix: coordinate j of the tuples is the free slots of the length-j
+        prefixes in order, each repeated once per completion. The array is the
+        transpose of a C-ordered (k, count) block, so its columns are
+        contiguous; it is read-only and cached.
+        """
         if self._all_pos0 is None:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.permutations(range(self.n), self.k)
-                ),
-                dtype=np.int32,
-                count=self.count * self.k,
-            )
-            arr = flat.reshape(self.count, self.k)
-            arr.flags.writeable = False
-            self._all_pos0 = arr
+            n, k = self.n, self.k
+            block = np.empty((k, self.count), dtype=np.int32)
+            free = np.arange(n, dtype=np.int32)[None, :]  # the empty prefix
+            for j in range(k):
+                block[j] = np.repeat(free.ravel(), int(self._bases[j]))
+                if j + 1 < k:
+                    # choosing free slot c leaves the others, still sorted
+                    m = np.arange(n - j - 1)
+                    others = m + (m >= np.arange(n - j)[:, None])
+                    free = free[:, others].reshape(-1, n - j - 1)
+            block.flags.writeable = False
+            self._all_pos0 = block.T
         return self._all_pos0

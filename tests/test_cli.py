@@ -170,6 +170,10 @@ _ABOVE_INT64, _INT64_MAX = "99999999999999999999", "9223372036854775807"
     *((2, f"couple {mode} --n {_ABOVE_INT64} --threads 1") for mode in COUPLE_MODES),
     *((3, f"couple {mode} --n {_INT64_MAX} --threads 1") for mode in COUPLE_MODES),
     (2, f"couple k-deck --n 6 --k 2 --trials 100 --horizon {_ABOVE_INT64} --threads 1"),
+    # state counts with thousands of digits pass the cap at once
+    (3, "worst-tv --rule random --n 20000 --k 10000 --t-max 1"),
+    (3, "mc-tv --rule random --n 20000 --k 10000 --t 1 --samples 10 --threads 1"),
+    (3, f"exact-tv --rule top --n {_INT64_MAX} --k 200000 --t-max 1"),
 ])
 def test_numbers_numpy_cannot_hold_exit_2_or_3(tmp_path, capsys, code, argv):
     """A value past int64 is an invalid parameter (2); an array longer than

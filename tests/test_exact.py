@@ -1,5 +1,6 @@
 """Exact lumped-chain evolution, curves, and mixing times."""
 
+import itertools
 import json
 import math
 import warnings
@@ -90,7 +91,9 @@ def _reference_transposed(indexer, rows, i, q):
 def _reference_step(evolver, probs, t):
     rule, indexer, k = evolver.rule, evolver.indexer, evolver.k
     n, count = rule.n, indexer.count
-    pos = indexer.all_positions0()
+    # a C-ordered table of its own, so l(T) sums each state's k terms along a
+    # contiguous row: numpy adds 8 or more such terms pairwise
+    pos = np.array(list(itertools.permutations(range(n), k))).reshape(count, k)
     lvec = rule.left_distribution(t)
     if np.count_nonzero(lvec) == 1 and lvec.max() == 1.0:
         left0 = int(np.flatnonzero(lvec)[0])
@@ -130,6 +133,23 @@ def test_step_matches_per_move_reference_bit_for_bit(n, k):
             want = _reference_step(evolver, want, t)
             got = evolver.step(got, t)
             assert np.array_equal(got, want), (rule.kind.value, rule.phase, t)
+
+
+@pytest.mark.parametrize("kind,n,steps", [
+    ("top", 8, 3), ("random", 8, 3), ("cyclic", 8, 3), ("random", 9, 1),
+])
+def test_step_matches_per_move_reference_at_eight_tracked_cards(kind, n, steps):
+    """k = 8: each state's code sums 8 digits, and each l(T) sums 8 terms,
+    past the point where numpy sums a contiguous row pairwise. At n = 9 the
+    self-loop weight (n - k)/n is not 0, and the uniform rule's 1/9 terms
+    round differently when summed one by one."""
+    evolver = LumpedEvolver(make_rule(kind, n), 8)
+    probs = np.random.default_rng(88).random(evolver.indexer.count)
+    want = got = probs / probs.sum()
+    for t in range(1, steps + 1):
+        want = _reference_step(evolver, want, t)
+        got = evolver.step(got, t)
+        assert np.array_equal(got, want), (kind, t)
 
 
 def _point_mass_pairs(n):

@@ -65,6 +65,50 @@ def test_all_positions0_shape_and_dtype():
     assert rows.dtype == np.int32
     assert not rows.flags.writeable
     assert rows is idx.all_positions0()  # cached
+    # coordinate-major: every column is one contiguous run
+    assert all(rows[:, j].flags.c_contiguous for j in range(idx.k))
+
+
+_TABLE_SIZES = [(n, k) for n in range(1, 10) for k in range(1, min(n, 4) + 1)]
+_TABLE_SIZES += [(n, n) for n in range(5, 8)]
+
+
+@pytest.mark.parametrize("n,k", _TABLE_SIZES)
+def test_all_positions0_is_permutations_order(n, k):
+    idx = KTupleIndexer(n, k)
+    want = np.array(list(itertools.permutations(range(n), k)), dtype=np.int32)
+    rows = idx.all_positions0()
+    assert rows.dtype == np.int32 and not rows.flags.writeable
+    assert np.array_equal(rows, want.reshape(idx.count, k))
+    assert rows is idx.all_positions0()
+    assert all(rows[:, j].flags.c_contiguous for j in range(k))
+
+
+def test_encode_many_ignores_layout_and_dtype():
+    idx = KTupleIndexer(7, 4)
+    want = np.arange(idx.count)
+    rows = idx.all_positions0()
+    for dtype in (np.int32, np.int64):
+        for order in ("C", "F"):
+            codes = idx.encode_many(np.asarray(rows, dtype=dtype, order=order))
+            assert codes.dtype == np.int64
+            assert np.array_equal(codes, want), (dtype, order)
+    # a strided view of a larger block encodes the same
+    block = np.zeros((2 * idx.count, idx.k + 1), dtype=np.int64)
+    block[::2, 1:] = rows
+    assert np.array_equal(idx.encode_many(block[::2, 1:]), want)
+
+
+def test_int32_digits_cannot_overflow_below_the_cap():
+    """The largest code under the cap fits int32; the table is never built."""
+    assert DEFAULT_STATE_CAP < 2**31
+    idx = KTupleIndexer(215, 3)
+    assert idx.count == 215 * 214 * 213 <= DEFAULT_STATE_CAP
+    last = np.array([[214, 213, 212]])
+    assert idx.encode_many(last).tolist() == [idx.count - 1]
+    assert idx.encode_many(last.astype(np.int32)).tolist() == [idx.count - 1]
+    assert idx.decode(idx.count - 1) == (215, 214, 213)
+    assert idx._all_pos0 is None
 
 
 def test_validation():
@@ -89,3 +133,15 @@ def test_state_cap():
         KTupleIndexer(100, 5)
     # a raised cap admits the same size
     KTupleIndexer(100, 2)
+
+
+@pytest.mark.parametrize("n,k", [(20_000, 10_000), (2**63 - 1, 200_000), (10**400, 10**399)])
+def test_state_cap_stops_the_count_early(n, k):
+    """The count is multiplied only until it passes the cap, so huge n and k
+    raise at once, and the message names n, k and the cap, not the count."""
+    with pytest.raises(CapExceededError) as info:
+        KTupleIndexer(n, k)
+    message = str(info.value)
+    assert str(n) in message and str(k) in message
+    assert str(DEFAULT_STATE_CAP) in message
+    assert len(message) < 2 * len(str(n)) + 100
