@@ -9,9 +9,10 @@ The code order coincides with lexicographic order of the raw tuples.
 The table of all tuples is stored coordinate-major: a (k, count) int32
 block whose transpose is handed out, so each coordinate is one contiguous
 column and the per-coordinate loops of ``encode_many`` and the exact step
-stream through memory. Codes are computed with int32 digits: every digit
-times its place value, and every partial sum of them, is at most
-count - 1, and count never exceeds ``DEFAULT_STATE_CAP`` < 2**31.
+stream through memory. ``encode_many`` forms each digit times its place
+value in int32, which cannot overflow: that product is at most count - 1,
+and count never exceeds ``DEFAULT_STATE_CAP`` < 2**31. The codes are
+summed and returned in int64.
 """
 
 from __future__ import annotations
@@ -91,15 +92,20 @@ class KTupleIndexer:
         earlier coordinates, i.e. pos0[:, j] minus the earlier entries below it.
         Any layout works; F-ordered rows read contiguous columns.
         """
+        m = pos0.shape[0]
         cols = [pos0[:, j] for j in range(self.k)]
-        codes = np.zeros(pos0.shape[0], dtype=np.int32)
+        digit = np.empty(m, dtype=np.int32)
+        below = np.empty(m, dtype=bool)
         for j, col in enumerate(cols):
-            digit = col.astype(np.int32)
+            np.copyto(digit, col, casting="unsafe")
             for earlier in cols[:j]:
-                digit -= earlier < col
+                digit -= np.less(earlier, col, out=below)
             digit *= int(self._bases[j])
-            codes += digit
-        return codes.astype(np.int64)
+            if j == 0:
+                codes = digit.astype(np.int64)
+            else:
+                codes += digit
+        return codes
 
     def all_positions0(self) -> np.ndarray:
         """(count, k) int32 array of 0-based tuples, row i decoding index i.
