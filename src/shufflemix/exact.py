@@ -279,7 +279,7 @@ def write_sidecar(path, metadata: dict):
 
 
 def _check_times(times) -> np.ndarray:
-    arr = np.asarray(list(times), dtype=np.int64)
+    arr = np.asarray(times, dtype=np.int64)
     if arr.size == 0:
         raise ParameterError("need at least one time point")
     if (arr < 0).any():
@@ -297,11 +297,11 @@ def exact_tv_curve(
 ) -> TVCurve:
     """Exact TV-to-uniform of the k tracked cards from one start tuple.
 
-    ``start`` is the 1-based tuple of the tracked cards' initial positions;
-    ``times`` the (strictly increasing) step counts to record.
+    ``start`` is the tracked cards' 1-based initial positions, any sequence
+    of k; ``times`` the (strictly increasing) step counts to record.
     """
+    evolver = LumpedEvolver(rule, k)  # the state-cap check, before the grid
     times = _check_times(times)
-    evolver = LumpedEvolver(rule, k)
     values, drift = _values_at(_worst_tv_steps(evolver, [start]), times)
     meta = _curve_metadata(rule, k, evolver, "single-start")
     meta["start"] = list(map(int, start))
@@ -446,8 +446,8 @@ def worst_case_curve(rule: ShuffleRule, k: int, times) -> TVCurve:
     plus seeded random start set is used and the curve is only a lower bound
     on the true worst case (flagged in metadata). See ``_resolve_starts``.
     """
+    evolver = LumpedEvolver(rule, k)  # the state-cap check, before the grid
     times = _check_times(times)
-    evolver = LumpedEvolver(rule, k)
     starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
     values, drift = _values_at(_worst_tv_steps(evolver, starts), times)
     meta = _curve_metadata(rule, k, evolver, strategy)

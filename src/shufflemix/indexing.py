@@ -36,8 +36,10 @@ class KTupleIndexer:
     count: int = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ParameterError("need 1 <= k <= n")
+        if self.k > self.n:
+            raise ParameterError(f"k exceeds n (k={self.k}, n={self.n})")
+        if self.k < 1:
+            raise ParameterError(f"k must be at least 1, got {self.k}")
         # the falling factorial, stopped as soon as it passes the cap: at
         # huge n and k the full product is slow to form and too long to print
         self.count = 1

@@ -78,6 +78,17 @@ class BoundFit:
     residuals: np.ndarray
 
 
+def _horizon(n: int, horizon: int | None) -> int:
+    """A coupling's horizon, 20 n by default. It must be positive, and
+    survival_counts must be able to tally steps 0..horizon."""
+    if horizon is None:
+        horizon = 20 * n
+    if horizon < 1:
+        raise ParameterError(f"horizon must be positive, got {horizon}")
+    check_array_length("horizon + 1", check_int64("horizon", horizon) + 1)
+    return horizon
+
+
 @dataclass(frozen=True)
 class KDeckCouplingParams:
     """Sizes and coin bias for the k-deck coupling simulator."""
@@ -93,12 +104,7 @@ class KDeckCouplingParams:
             raise ParameterError(
                 f"need n > k (a non-special card must exist), got n={self.n}, k={self.k}"
             )
-        if self.horizon is None:
-            object.__setattr__(self, "horizon", 20 * self.n)
-        if self.horizon < 1:
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        # survival_counts tallies steps 0..horizon
-        check_array_length("horizon + 1", check_int64("horizon", self.horizon) + 1)
+        object.__setattr__(self, "horizon", _horizon(self.n, self.horizon))
 
     @property
     def coin_p(self) -> float:
@@ -424,11 +430,7 @@ def _couple_two_decks(rule, horizon, trials, seed, workers, mirror):
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
     check_array_length("n", n, bytes_each=16)  # the (2, n) hand tally
-    if horizon is None:
-        horizon = 20 * n
-    if horizon < 1:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
-    check_array_length("horizon + 1", check_int64("horizon", horizon) + 1)
+    horizon = _horizon(n, horizon)
 
     def block(gen, size):
         xy = np.empty((2, size), dtype=np.int64)
@@ -709,11 +711,14 @@ def couple_k_decks(
 
 def fit_mismatch_bound(result: KDeckCouplingResult, times=None) -> BoundFit:
     """Fit the constant in front of t k^2/n^2 + k^2 log(t)/n so the bound
-    dominates the empirical mismatch probability on the given time grid."""
+    dominates the empirical mismatch probability on the given time grid. The
+    default grid starts at t = 2 (t = 1 only at horizon 1): log 1 = 0, so at
+    t = 1 the few trials that break at step 1 would set the constant."""
     params = result.params
     n, k = params.n, params.k
     if times is None:
-        times = np.unique(np.linspace(1, params.horizon, 32, dtype=np.int64))
+        h = params.horizon
+        times = np.unique(np.linspace(min(2, h), h, 32, dtype=np.int64))
     times = np.asarray(times, dtype=np.int64)
     if times.size == 0:
         raise ParameterError("need at least one fit time")

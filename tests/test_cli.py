@@ -5,6 +5,10 @@ import json
 import math
 import os
 import re
+import resource
+import subprocess
+import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -203,6 +207,36 @@ def test_cap_exceeded_is_exit_3(tmp_path, capsys):
         assert run(tmp_path, *argv.split()) == 3, argv
         assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _limit_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+
+
+@pytest.mark.parametrize("argv", [
+    "exact-tv --n 1000000000 --k 100000000 --t-max 1",
+    "worst-tv --n 10000001 --k 1",
+    "worst-tv --rule random --n 3000 --k 3 --t-max 100000000",
+])
+def test_state_cap_is_checked_before_the_start_and_the_grid(tmp_path, argv):
+    """Under a 2 GiB address-space limit these end at the state cap, before
+    a start tuple of 10^8 positions or a copy of a grid of 10^8 times runs
+    out of memory."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH", "")])))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "shufflemix.cli", *argv.split()], cwd=tmp_path, env=env,
+        preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 3, proc.stderr
+    assert "state cap" in proc.stderr and proc.stderr.count("error:") == 1
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+    assert elapsed < 2.0, elapsed
 
 
 def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):

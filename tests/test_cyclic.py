@@ -7,6 +7,7 @@ import pytest
 
 from shufflemix.cyclic import (
     CYCLIC_BOUND_LAM,
+    PhaseChainMatrix,
     block_spectrum,
     cyclic_mixing_upper,
     cyclic_one_card_bound,
@@ -374,3 +375,13 @@ def test_mixing_solver_validation():
     with pytest.raises(ParameterError, match="k exceeds n"):
         cyclic_mixing_upper(10, 50, 0.5)
     assert cyclic_mixing_upper(10, 10, 0.5).k == 10
+
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 0.4, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[0.5, 0.5, 0.0], [0.3, 0.3, 0.5], [0.0, 0.0, 1.0]],
+], ids=["row-below-1", "row-above-1"])
+def test_phase_matrix_rows_must_sum_to_one(rows):
+    with pytest.raises(DomainError, match="sum to 1"):
+        PhaseChainMatrix(np.array(rows), "exact")

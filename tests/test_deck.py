@@ -77,3 +77,14 @@ def test_custom_rows_must_be_finite(bad):
     for rows in ([np.full(5, bad)], [row]):
         with pytest.raises(ParameterError, match="finite"):
             ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, 5, custom=rows)
+
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, 4, custom=((1 / 3,) * 3,)),
+     "wrong width"),
+    (lambda: make_rule("top", 4).left_distribution(0), "starts at 1"),
+], ids=["custom-row-width", "left-distribution-at-0"])
+def test_rule_arguments_out_of_domain_are_parameter_errors(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()

@@ -17,6 +17,7 @@ from shufflemix.exact import (
     _sampled_starts,
     KTupleDistribution,
     LumpedEvolver,
+    TVCurve,
     cutoff_profile,
     exact_tv_curve,
     partial_mixing_time,
@@ -133,6 +134,31 @@ def test_step_matches_per_move_reference_bit_for_bit(n, k):
             want = _reference_step(evolver, want, t)
             got = evolver.step(got, t)
             assert np.array_equal(got, want), (rule.kind.value, rule.phase, t)
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (8, 3)])
+def test_uncached_targets_step_like_cached_ones(monkeypatch, n, k):
+    """Past the target cache budget, as at exact-wide's n = 100, k = 3, every
+    step recomputes its targets: that steps bit for bit like the cache, over
+    2n steps from a dense start, and builds the same kernels."""
+    row = np.random.default_rng(n).random(n)
+    rules = [make_rule(kind, n) for kind in ("top", "random")]
+    rules += [make_rule("cyclic", n, phase=phase) for phase in range(n)]
+    rules.append(make_rule("custom", n, rows=(row / row.sum(), np.full(n, 1.0 / n))))
+    for rule in rules:
+        cached = LumpedEvolver(rule, k)
+        with monkeypatch.context() as patch:
+            patch.setattr("shufflemix.exact._TARGET_CACHE_BUDGET", 0)
+            uncached = LumpedEvolver(rule, k)
+        assert cached._cache_targets and not uncached._cache_targets
+        probs = np.random.default_rng(n * 10 + k).random(cached.indexer.count)
+        got = want = probs / probs.sum()
+        for t in range(1, 2 * n + 1):
+            got, want = uncached.step(got, t), cached.step(want, t)
+            assert np.array_equal(got, want), (rule.kind.value, rule.phase, t)
+            differ = uncached.step_matrix_T(t) != cached.step_matrix_T(t)
+            assert differ.nnz == 0, (rule.kind.value, rule.phase, t)
+        assert not uncached._targets
 
 
 @pytest.mark.parametrize("kind,n,steps", [
@@ -283,6 +309,21 @@ def test_exact_tv_curve_start_and_zero():
     assert curve.metadata["start"] == [1, 2]
     with pytest.raises(ParameterError):
         curve.value_at(99)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: KTupleDistribution(KTupleIndexer(4, 2), np.full(11, 1 / 11)),
+     ParameterError, "wrong length"),
+    (lambda: KTupleDistribution(KTupleIndexer(4, 2), [-0.5, 1.5] + [0.0] * 10),
+     MassDriftError, "negative probability mass"),
+    (lambda: TVCurve([1, 2, 3], [0.5, 0.4]), ParameterError, "must align"),
+    (lambda: cutoff_profile(make_rule("top", 6), 2, []), ParameterError,
+     "at least one alpha"),
+], ids=["distribution-length", "distribution-negative", "curve-misaligned",
+        "cutoff-no-alphas"])
+def test_exact_arguments_out_of_domain_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_times_grid_validation():

@@ -479,6 +479,23 @@ def test_mismatch_fit_times_outside_the_horizon_are_parameter_errors():
     assert fit_mismatch_bound(res, times=[1, 20]).residuals.shape == (2,)
 
 
+def test_mismatch_fit_grid_starts_at_two():
+    """log 1 = 0, so at t = 1 the few trials that break at step 1 would set
+    the constant: the default grid starts at t = 2 unless the horizon is 1."""
+    rule = make_rule("random", 12)
+    with pytest.warns(UserWarning, match="mismatch bound will be weak"):
+        res = couple_k_decks(rule, 2, horizon=30, trials=1000, seed=5)
+    fit, from_two = fit_mismatch_bound(res), fit_mismatch_bound(res, times=range(2, 31))
+    assert fit.constant == from_two.constant
+    assert np.array_equal(fit.residuals, from_two.residuals)
+    assert fit.constant == pytest.approx(0.458, abs=5e-4)
+    assert fit_mismatch_bound(res, times=range(1, 31)).constant > 2.0
+    short = couple_k_decks(rule, 2, horizon=1, trials=1000, seed=5)
+    one = fit_mismatch_bound(short)
+    assert one.constant == fit_mismatch_bound(short, times=[1]).constant
+    assert one.residuals.shape == (1,)
+
+
 def test_k_deck_reports_every_trial():
     n, k, trials = 40, 2, 3000
     res = couple_k_decks(make_rule("top", n), k, horizon=100, trials=trials, seed=59)
@@ -814,3 +831,27 @@ def test_hits_scale_linearly_in_k():
     four = left_hand_hit_count(rule, 4, t=t, trials=trials, seed=68)
     assert four.value == pytest.approx(4.0 * one.value, rel=0.10)
     assert one.details["fit_constant"] > 0.0
+
+
+
+_RULE6 = make_rule("top", 6)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: mc_tv_plugin(_RULE6, 2, -1, 100), "t must be non-negative"),
+    (lambda: mc_tv_plugin(_RULE6, 2, 5, 0), "samples must be positive"),
+    (lambda: uniform_fixed_point_tail(6, 0, 1), "0 < k <= n"),
+    (lambda: uniform_fixed_point_tail(6, 7, 1), "0 < k <= n"),
+    (lambda: tv_lower_bound_fixed_cards(_RULE6, 2, 5, 1, 0), "samples must be positive"),
+    (lambda: tv_lower_bound_fixed_cards(_RULE6, 0, 5, 1, 100), "0 < k <= n"),
+    (lambda: tv_lower_bound_fixed_cards(_RULE6, 7, 5, 1, 100), "0 < k <= n"),
+    (lambda: couple_k_decks(_RULE6, 2, trials=0), "trials must be positive"),
+    (lambda: left_hand_hit_count(_RULE6, 2, 0, 100), "t must be at least 1"),
+    (lambda: left_hand_hit_count(_RULE6, 2, 5, 0), "trials must be positive"),
+], ids=[
+    "mc-tv-t", "mc-tv-samples", "tail-k-0", "tail-k-above-n", "lower-bound-samples",
+    "lower-bound-k-0", "lower-bound-k-above-n", "k-deck-trials", "hits-t", "hits-trials",
+])
+def test_driver_arguments_out_of_domain_are_parameter_errors(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
