@@ -25,7 +25,8 @@ table. The parsed flags travel as one dict, the config, from
 The CLI checks only what no library function checks before work starts,
 so that the error names the flag: the either-or pairs, --t-max >= 1, int64
 --times and --threads >= 1. The library checks every other input, k among
-them, before it builds anything sized by it.
+them, before it builds anything sized by it; exact-tv and worst-tv hand it
+their time grid as a list or range for it to convert after its checks.
 
 Exit codes: 0 success; 2 invalid parameter, any argparse usage error (no
 subcommand, an unknown subcommand or couple mode too) or both flags of an
@@ -117,13 +118,14 @@ def _t_max_from(config: dict) -> int:
     return check_array_length("--t-max", check_int64("--t-max", t_max))
 
 
-def _times_from(config: dict) -> np.ndarray:
+def _times_from(config: dict):
+    """--times as a sorted list, or 1..--t-max as a range: the library makes
+    the array only after its k and state-cap check."""
     if config["times"] is not None:
         if config["t_max"] is not None:
             raise ParameterError("give --times or --t-max, not both")
-        times = [check_int64("--times", t) for t in sorted(set(config["times"]))]
-        return np.asarray(times, dtype=np.int64)
-    return np.arange(1, _t_max_from(config) + 1, dtype=np.int64)
+        return [check_int64("--times", t) for t in sorted(set(config["times"]))]
+    return range(1, _t_max_from(config) + 1)
 
 
 def _pick(obj, *names) -> dict:
@@ -142,22 +144,22 @@ def _with_drift(curve) -> dict:
     return {**curve.metadata, "max_mass_drift": curve.max_mass_drift}
 
 
-def _curve_output(command, times, curve):
+def _curve_output(command, curve):
     rows = zip(curve.times.tolist(), curve.values.tolist())
-    summary = f"{command}: {times.size} rows, final tv {curve.values[-1]:.6g}"
+    summary = f"{command}: {curve.times.size} rows, final tv {curve.values[-1]:.6g}"
     return ("t,tv", rows), _with_drift(curve), summary
 
 
 def _run_exact_tv(config):
     k, times = config["k"], _times_from(config)
     curve = exact_tv_curve(_rule_from(config), k, range(1, k + 1), times)
-    return _curve_output("exact-tv", times, curve)
+    return _curve_output("exact-tv", curve)
 
 
 def _run_worst_tv(config):
     rule, k, times = _rule_from(config), config["k"], _times_from(config)
     curve = worst_case_curve(rule, k, times)
-    return _curve_output("worst-tv", times, curve)
+    return _curve_output("worst-tv", curve)
 
 
 def _run_mix_time(config):

@@ -85,8 +85,7 @@ class LumpedEvolver:
         self.rule = rule
         self.n = rule.n
         self.k = k
-        self.indexer = KTupleIndexer(self.n, k)
-        self._pos0 = self.indexer.all_positions0()
+        self.indexer = KTupleIndexer(self.n, k)  # its tuple table is built at first use
         self._cache_targets = self.indexer.count * k * self.n <= _TARGET_CACHE_BUDGET
         self._targets: dict = {}
         self._step_matrices: dict = {}
@@ -113,15 +112,16 @@ class LumpedEvolver:
         cached = self._targets.get(key)
         if cached is not None:
             return cached
-        tgt = self._transposed(self._pos0, i, q)
+        tgt = self._transposed(self.indexer.all_positions0(), i, q)
         if self._cache_targets:
             self._targets[key] = tgt
         return tgt
 
     def _untracked(self, q: int) -> np.ndarray:
         """Per state: True when no tracked card sits at position q."""
-        free = self._pos0[:, 0] != q
-        for col in self._pos0.T[1:]:
+        pos = self.indexer.all_positions0()
+        free = pos[:, 0] != q
+        for col in pos.T[1:]:
             free &= col != q
         return free
 
@@ -134,13 +134,13 @@ class LumpedEvolver:
         reads 0.8888888888888891 rather than 0.8888888888888888, and the
         step changes in the last bits.
         """
-        return np.ascontiguousarray(lvec[self._pos0]).sum(axis=1)
+        return np.ascontiguousarray(lvec[self.indexer.all_positions0()]).sum(axis=1)
 
     def _moves(self, lvec: np.ndarray):
         """Yield (weight per state, i, q) for every move of tracked card i to
         position q: its own position drawn by the left hand, or q drawn by the
         left hand while untracked, each with the uniform right hand's 1/n."""
-        pos = self._pos0
+        pos = self.indexer.all_positions0()
         left_at = [lvec[pos[:, i]] for i in range(self.k)]
         for q in range(self.n):
             lq = lvec[q] * self._untracked(q)
@@ -158,7 +158,7 @@ class LumpedEvolver:
 
     def _step_point_mass(self, probs: np.ndarray, left0: int) -> np.ndarray:
         n, k, count = self.n, self.k, self.indexer.count
-        pos = self._pos0
+        pos = self.indexer.all_positions0()
         miss = self._untracked(left0)
         new = probs * (miss * ((n - k) / n))
         w_miss = probs * miss / n

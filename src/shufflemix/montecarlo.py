@@ -711,14 +711,11 @@ def couple_k_decks(
 
 def fit_mismatch_bound(result: KDeckCouplingResult, times=None) -> BoundFit:
     """Fit the constant in front of t k^2/n^2 + k^2 log(t)/n so the bound
-    dominates the empirical mismatch probability on the given time grid. The
-    default grid starts at t = 2 (t = 1 only at horizon 1): log 1 = 0, so at
-    t = 1 the few trials that break at step 1 would set the constant."""
+    dominates the empirical mismatch probability on the given time grid."""
     params = result.params
     n, k = params.n, params.k
     if times is None:
-        h = params.horizon
-        times = np.unique(np.linspace(min(2, h), h, 32, dtype=np.int64))
+        times = np.unique(np.linspace(1, params.horizon, 32, dtype=np.int64))
     times = np.asarray(times, dtype=np.int64)
     if times.size == 0:
         raise ParameterError("need at least one fit time")

@@ -326,6 +326,25 @@ def test_exact_arguments_out_of_domain_raise(call, error, match):
         call()
 
 
+@pytest.mark.parametrize("curve", [
+    lambda rule, times: exact_tv_curve(rule, 3, (1, 2, 3), times),
+    lambda rule, times: worst_case_curve(rule, 3, times),
+], ids=["exact-tv", "worst-tv"])
+@pytest.mark.parametrize("times, match", [
+    ([], "at least one time point"),
+    ([-1], "must be non-negative"),
+], ids=["empty", "negative"])
+def test_bad_grid_is_rejected_before_the_tuple_table(monkeypatch, curve, times, match):
+    """At n = 215, k = 3 (9,800,130 states, just below the cap) a bad grid
+    ends before the (count, k) table of tuples is built."""
+    def unbuilt(self):
+        raise AssertionError("the tuple table was built")
+
+    monkeypatch.setattr(KTupleIndexer, "all_positions0", unbuilt)
+    with pytest.raises(ParameterError, match=match):
+        curve(make_rule("random", 215), times)
+
+
 def test_times_grid_validation():
     rule = make_rule("top", 5)
     with pytest.raises(ParameterError):

@@ -479,21 +479,19 @@ def test_mismatch_fit_times_outside_the_horizon_are_parameter_errors():
     assert fit_mismatch_bound(res, times=[1, 20]).residuals.shape == (2,)
 
 
-def test_mismatch_fit_grid_starts_at_two():
-    """log 1 = 0, so at t = 1 the few trials that break at step 1 would set
-    the constant: the default grid starts at t = 2 unless the horizon is 1."""
+def test_mismatch_fit_default_grid_keeps_step_one():
+    """At t = 1 the shape is only k^2/n^2, so the trials that break at step
+    1 set the constant; the default grid keeps t = 1 so the fitted bound
+    covers them too."""
     rule = make_rule("random", 12)
     with pytest.warns(UserWarning, match="mismatch bound will be weak"):
         res = couple_k_decks(rule, 2, horizon=30, trials=1000, seed=5)
-    fit, from_two = fit_mismatch_bound(res), fit_mismatch_bound(res, times=range(2, 31))
-    assert fit.constant == from_two.constant
-    assert np.array_equal(fit.residuals, from_two.residuals)
-    assert fit.constant == pytest.approx(0.458, abs=5e-4)
-    assert fit_mismatch_bound(res, times=range(1, 31)).constant > 2.0
-    short = couple_k_decks(rule, 2, horizon=1, trials=1000, seed=5)
-    one = fit_mismatch_bound(short)
-    assert one.constant == fit_mismatch_bound(short, times=[1]).constant
-    assert one.residuals.shape == (1,)
+    fit, from_one = fit_mismatch_bound(res), fit_mismatch_bound(res, times=range(1, 31))
+    assert fit.constant == from_one.constant
+    assert np.array_equal(fit.residuals, from_one.residuals)
+    assert fit.constant == pytest.approx(2.052, abs=5e-4)
+    assert fit.residuals[0] == pytest.approx(0.0, abs=1e-12)  # t = 1 sets it
+    assert fit_mismatch_bound(res, times=range(2, 31)).constant < 0.5
 
 
 def test_k_deck_reports_every_trial():
