@@ -119,8 +119,7 @@ def _t_max_from(config: dict) -> int:
 
 
 def _times_from(config: dict):
-    """--times as a sorted list, or 1..--t-max as a range: the library makes
-    the array only after its k and state-cap check."""
+    """--times as a sorted list, or 1..--t-max as a range, for the library."""
     if config["times"] is not None:
         if config["t_max"] is not None:
             raise ParameterError("give --times or --t-max, not both")

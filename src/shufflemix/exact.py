@@ -279,6 +279,8 @@ def write_sidecar(path, metadata: dict):
 
 
 def _check_times(times) -> np.ndarray:
+    if isinstance(times, range):  # np.asarray would list every time as an int first
+        times = np.arange(times.start, times.stop, times.step, dtype=np.int64)
     arr = np.asarray(times, dtype=np.int64)
     if arr.size == 0:
         raise ParameterError("need at least one time point")
