@@ -22,11 +22,10 @@ writes (p0 lists its own --format flag). The parser is a loop over the
 table. The parsed flags travel as one dict, the config, from
 ``config_from_args`` to the runner and into both files.
 
-The CLI checks only what no library function checks before work starts,
-so that the error names the flag: the either-or pairs, --t-max >= 1, int64
+The CLI checks only what no library function checks before work starts, so
+that the error names the flag: the either-or pairs, --t-max >= 1, int64
 --times and --threads >= 1. The library checks every other input, k among
-them, before it builds anything sized by it; exact-tv and worst-tv hand it
-their time grid as a list or range for it to convert after its checks.
+them, before it builds anything sized by it, the time grid included.
 
 Exit codes: 0 success; 2 invalid parameter, any argparse usage error (no
 subcommand, an unknown subcommand or couple mode too) or both flags of an

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .deck import ShuffleKind, ShuffleRule
 from .errors import HorizonError, MassDriftError, ParameterError, check_int64
-from .indexing import DEFAULT_STATE_CAP, KTupleIndexer
+from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
 from .rng import DEFAULT_SEED, RandomStream
 
 MASS_TOL = 1e-10
@@ -85,7 +85,8 @@ class LumpedEvolver:
         self.rule = rule
         self.n = rule.n
         self.k = k
-        self.indexer = KTupleIndexer(self.n, k)  # its tuple table is built at first use
+        self.indexer = KTupleIndexer(self.n, k)
+        self._pos0 = self.indexer.all_positions0()
         self._cache_targets = self.indexer.count * k * self.n <= _TARGET_CACHE_BUDGET
         self._targets: dict = {}
         self._step_matrices: dict = {}
@@ -112,16 +113,15 @@ class LumpedEvolver:
         cached = self._targets.get(key)
         if cached is not None:
             return cached
-        tgt = self._transposed(self.indexer.all_positions0(), i, q)
+        tgt = self._transposed(self._pos0, i, q)
         if self._cache_targets:
             self._targets[key] = tgt
         return tgt
 
     def _untracked(self, q: int) -> np.ndarray:
         """Per state: True when no tracked card sits at position q."""
-        pos = self.indexer.all_positions0()
-        free = pos[:, 0] != q
-        for col in pos.T[1:]:
+        free = self._pos0[:, 0] != q
+        for col in self._pos0.T[1:]:
             free &= col != q
         return free
 
@@ -134,13 +134,13 @@ class LumpedEvolver:
         reads 0.8888888888888891 rather than 0.8888888888888888, and the
         step changes in the last bits.
         """
-        return np.ascontiguousarray(lvec[self.indexer.all_positions0()]).sum(axis=1)
+        return np.ascontiguousarray(lvec[self._pos0]).sum(axis=1)
 
     def _moves(self, lvec: np.ndarray):
         """Yield (weight per state, i, q) for every move of tracked card i to
         position q: its own position drawn by the left hand, or q drawn by the
         left hand while untracked, each with the uniform right hand's 1/n."""
-        pos = self.indexer.all_positions0()
+        pos = self._pos0
         left_at = [lvec[pos[:, i]] for i in range(self.k)]
         for q in range(self.n):
             lq = lvec[q] * self._untracked(q)
@@ -158,7 +158,7 @@ class LumpedEvolver:
 
     def _step_point_mass(self, probs: np.ndarray, left0: int) -> np.ndarray:
         n, k, count = self.n, self.k, self.indexer.count
-        pos = self.indexer.all_positions0()
+        pos = self._pos0
         miss = self._untracked(left0)
         new = probs * (miss * ((n - k) / n))
         w_miss = probs * miss / n
@@ -302,8 +302,9 @@ def exact_tv_curve(
     ``start`` is the tracked cards' 1-based initial positions, any sequence
     of k; ``times`` the (strictly increasing) step counts to record.
     """
-    evolver = LumpedEvolver(rule, k)  # the state-cap check, before the grid
+    tuple_count(rule.n, k)  # k and the state cap, before the grid
     times = _check_times(times)
+    evolver = LumpedEvolver(rule, k)
     values, drift = _values_at(_worst_tv_steps(evolver, [start]), times)
     meta = _curve_metadata(rule, k, evolver, "single-start")
     meta["start"] = list(map(int, start))
@@ -448,8 +449,9 @@ def worst_case_curve(rule: ShuffleRule, k: int, times) -> TVCurve:
     plus seeded random start set is used and the curve is only a lower bound
     on the true worst case (flagged in metadata). See ``_resolve_starts``.
     """
-    evolver = LumpedEvolver(rule, k)  # the state-cap check, before the grid
+    tuple_count(rule.n, k)  # k and the state cap, before the grid
     times = _check_times(times)
+    evolver = LumpedEvolver(rule, k)
     starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
     values, drift = _values_at(_worst_tv_steps(evolver, starts), times)
     meta = _curve_metadata(rule, k, evolver, strategy)

@@ -27,6 +27,23 @@ from .errors import CapExceededError, ParameterError
 DEFAULT_STATE_CAP = 10_000_000
 
 
+def tuple_count(n: int, k: int) -> int:
+    """n (n - 1) ... (n - k + 1) ordered k-tuples, once 1 <= k <= n. The product
+    stops as soon as it passes the state cap: at huge n and k it is slow to form."""
+    if k > n:
+        raise ParameterError(f"k exceeds n (k={k}, n={n})")
+    if k < 1:
+        raise ParameterError(f"k must be at least 1, got {k}")
+    count = 1
+    for j in range(k):
+        count *= n - j
+        if count > DEFAULT_STATE_CAP:
+            raise CapExceededError(
+                f"ordered {k}-tuples on {n} positions exceed the state cap {DEFAULT_STATE_CAP}"
+            )
+    return count
+
+
 @dataclass
 class KTupleIndexer:
     """Bijection between ordered distinct k-tuples on {1..n} and 0..count-1."""
@@ -36,20 +53,7 @@ class KTupleIndexer:
     count: int = field(init=False)
 
     def __post_init__(self):
-        if self.k > self.n:
-            raise ParameterError(f"k exceeds n (k={self.k}, n={self.n})")
-        if self.k < 1:
-            raise ParameterError(f"k must be at least 1, got {self.k}")
-        # the falling factorial, stopped as soon as it passes the cap: at
-        # huge n and k the full product is slow to form and too long to print
-        self.count = 1
-        for j in range(self.k):
-            self.count *= self.n - j
-            if self.count > DEFAULT_STATE_CAP:
-                raise CapExceededError(
-                    f"ordered {self.k}-tuples on {self.n} positions "
-                    f"exceed the state cap {DEFAULT_STATE_CAP}"
-                )
+        self.count = tuple_count(self.n, self.k)
         # Radix place values: digit j ranges over n-j values.
         self._bases = np.array(
             [math.perm(self.n - j - 1, self.k - j - 1) for j in range(self.k)],

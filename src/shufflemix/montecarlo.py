@@ -79,8 +79,7 @@ class BoundFit:
 
 
 def _horizon(n: int, horizon: int | None) -> int:
-    """A coupling's horizon, 20 n by default. It must be positive, and
-    survival_counts must be able to tally steps 0..horizon."""
+    """A coupling's horizon: 20 n by default, positive, and tallyable by survival_counts."""
     if horizon is None:
         horizon = 20 * n
     if horizon < 1:
