@@ -28,8 +28,8 @@ DEFAULT_STATE_CAP = 10_000_000
 
 
 def tuple_count(n: int, k: int) -> int:
-    """n (n - 1) ... (n - k + 1) ordered k-tuples, once 1 <= k <= n. The product
-    stops as soon as it passes the state cap: at huge n and k it is slow to form."""
+    """The n (n - 1) ... (n - k + 1) ordered k-tuples, after checking 1 <= k <= n.
+    Past the state cap it raises at once: at huge n and k the product is slow to form."""
     if k > n:
         raise ParameterError(f"k exceeds n (k={k}, n={n})")
     if k < 1:
