@@ -407,6 +407,20 @@ COMMANDS = tuple(
 COUPLE_MODES = tuple(c[len(_COUPLE):] for c in COMMAND_TABLE if c.startswith(_COUPLE))
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. One that takes modes (``couple``) reports a flag
+    where the mode belongs, as in ``couple --n 10``, as a missing mode rather
+    than reading the flag's value as an invalid mode."""
+
+    modes: tuple = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        flag = args[0] if self.modes and args else ""
+        if flag.startswith("-") and flag not in ("-h", "--help"):
+            self.error(f"missing couple mode: put one of {', '.join(self.modes)} before {flag}")
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; a new one per call grows memory."""
@@ -415,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact and Monte Carlo analysis of semi-random "
         "transposition shuffles",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     modes = None
     for name, spec in COMMAND_TABLE.items():
         if not name.startswith(_COUPLE):
@@ -423,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             if modes is None:
                 couple = sub.add_parser("couple", help="run a coupling simulation")
+                couple.modes = COUPLE_MODES
                 modes = couple.add_subparsers(dest="mode", required=True)
             p = modes.add_parser(name[len(_COUPLE):], help=spec.help)
         for flag, kwargs in spec.flags:

@@ -31,6 +31,8 @@ _EXHAUSTIVE_BUDGET = 9_000_000
 # Starts in the lower-bound scan of rules over that budget.
 _SAMPLED_STARTS = 64
 _TARGET_CACHE_BUDGET = 40_000_000
+# Most transposed tuples built and encoded at once; see LumpedEvolver._transposed.
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass
@@ -73,12 +75,17 @@ class LumpedEvolver:
 
     One step depends only on the left hand's law at step t. When that law
     is a point mass, a held card's n moves are encoded as one q-major batch
-    and scattered by one ``np.add.at``. That adds in index order, so every
-    sum is the one a loop over q gives, bit for bit.
+    and scattered piece by piece with ``np.add.at``. That adds in index
+    order, so every sum is the one a loop over q gives, bit for bit.
 
     Transposed tuples are built coordinate-major, as the indexer's table is:
     a (k, q, rows) block filled one coordinate at a time, whose (q * rows, k)
-    transpose ``encode_many`` reads column by column, rows q-major.
+    transpose ``encode_many`` reads column by column, rows q-major. The
+    block is built and encoded in pieces of at most ``_CHUNK_ROWS`` = 2^16
+    rows, runs of whole q blocks or row ranges within one q, sized so that a
+    piece stays in a 2 MiB L2 cache (``_transposed`` gives the rule). No
+    step holds a block or code array the length of a whole batch unless it
+    returns one.
     """
 
     def __init__(self, rule: ShuffleRule, k: int):
@@ -96,16 +103,49 @@ class LumpedEvolver:
     def _transposed(self, rows: np.ndarray, i: int, qs) -> np.ndarray:
         """State indices of the 0-based tuples ``rows`` after transposing
         (p_i, q) for each q of ``qs`` (one position or an array), q-major:
-        card i moves to q, and a tracked card at q takes p_i."""
-        qs = np.atleast_1d(qs)[:, None]
-        block = np.empty((self.k, qs.shape[0], rows.shape[0]), dtype=rows.dtype)
-        for j, moved in enumerate(block):
-            if j == i:
-                moved[:] = qs
-            else:
-                moved[:] = rows[:, j]
-                np.copyto(moved, rows[:, i], where=moved == qs)
-        return self.indexer.encode_many(block.reshape(self.k, -1).T)
+        card i moves to q, and a tracked card at q takes p_i.
+
+        The output is built and encoded in consecutive pieces of at most
+        ``_CHUNK_ROWS`` = 2^16 rows: a run of whole q blocks, or a row range
+        within one q when the rows alone are more. At k = 3 a piece's int32
+        block and int64 codes take 1.25 MiB, inside a 2 MiB L2 cache, so
+        ``encode_many`` reads what was just written; pieces of 2^15 to 2^17
+        rows measured alike. The pieces are copied into one int64 array,
+        except that a single piece covering the whole call is returned as is."""
+        qs = np.atleast_1d(qs)
+        pieces = self._pieces(rows, i, qs)
+        m = rows.shape[0]
+        if qs.size * m <= _CHUNK_ROWS:
+            return next(pieces)[2]
+        codes = np.empty(qs.size * m, dtype=np.int64)
+        for q_run, row_run, piece in pieces:
+            start = q_run.start * m + row_run.start
+            codes[start:start + piece.size] = piece
+        return codes
+
+    def _pieces(self, rows: np.ndarray, i: int, qs: np.ndarray):
+        """Yield ``_transposed``'s pieces in output order, each as (q slice,
+        row slice, codes): the codes of ``qs[q slice]`` over ``rows[row slice]``."""
+        m, nq = rows.shape[0], qs.size
+        if m <= _CHUNK_ROWS:
+            per = _CHUNK_ROWS // max(m, 1)
+            runs = [(slice(q, min(q + per, nq)), slice(0, m)) for q in range(0, nq, per)]
+        else:
+            runs = [
+                (slice(q, q + 1), slice(r, min(r + _CHUNK_ROWS, m)))
+                for q in range(nq)
+                for r in range(0, m, _CHUNK_ROWS)
+            ]
+        for q_run, row_run in runs:
+            part, q = rows[row_run], qs[q_run, None]
+            block = np.empty((self.k, q.shape[0], part.shape[0]), dtype=rows.dtype)
+            for j, moved in enumerate(block):
+                if j == i:
+                    moved[:] = q
+                else:
+                    moved[:] = part[:, j]
+                    np.copyto(moved, part[:, i], where=moved == q)
+            yield q_run, row_run, self.indexer.encode_many(block.reshape(self.k, -1).T)
 
     def _target(self, i: int, q: int) -> np.ndarray:
         """State index after transposing (p_i, q), vectorized over states."""
@@ -160,16 +200,21 @@ class LumpedEvolver:
         n, k, count = self.n, self.k, self.indexer.count
         pos = self._pos0
         miss = self._untracked(left0)
-        new = probs * (miss * ((n - k) / n))
-        w_miss = probs * miss / n
+        new = miss * ((n - k) / n)
+        new *= probs
+        w_miss = probs * miss
+        w_miss /= n
         for j in range(k):
             # right hand lands on tracked card j, which moves to the left slot
             new += np.bincount(self._target(j, left0), weights=w_miss, minlength=count)
+        qs = np.arange(n)
         for i in range(k):
             # left hand holds card i: it moves to the uniform right position
             idx = np.flatnonzero(pos[:, i] == left0)
-            moved = self._transposed(pos[idx], i, np.arange(n))
-            np.add.at(new, moved, np.tile(probs[idx] / n, n))
+            held = probs[idx] / n
+            for q_run, row_run, moved in self._pieces(pos[idx], i, qs):
+                # full-size values: np.add.at mis-adds values it broadcasts
+                np.add.at(new, moved, np.tile(held[row_run], q_run.stop - q_run.start))
         return new
 
     def _step_general(self, probs: np.ndarray, lvec: np.ndarray) -> np.ndarray:

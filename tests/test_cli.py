@@ -133,6 +133,19 @@ def test_couple_without_mode_prints_usage(tmp_path, capsys):
     exits_2_listing(tmp_path, capsys, ("couple", "--n", "10"), COUPLE_MODES)
 
 
+def test_couple_flag_before_the_mode_names_the_missing_mode(tmp_path, capsys):
+    """``couple --n 10`` is one usage error naming the missing mode, not
+    argparse's ``invalid choice: '10'``."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "couple", "--n", "10")
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "missing couple mode" in errors[0]
+    assert "invalid choice" not in errors[0] and "before --n" in errors[0]
+    assert all(mode in errors[0] for mode in COUPLE_MODES)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     "lower-bound --n 10 --k 2 --t -5",
     "couple one-card --n 10 --horizon 0",

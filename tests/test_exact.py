@@ -3,13 +3,16 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shufflemix import exact
 from shufflemix.deck import ShuffleKind, ShuffleRule
 from shufflemix.errors import HorizonError, MassDriftError, ParameterError
 from shufflemix.exact import (
@@ -120,10 +123,29 @@ def _reference_step(evolver, probs, t):
     return new
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 3), (5, 2), (7, 1), (8, 3)])
+_REFERENCE_SIZES = [(2, 1), (2, 2), (3, 3), (5, 2), (7, 1), (8, 3)]
+
+
+@pytest.mark.parametrize("n,k", _REFERENCE_SIZES)
 def test_step_matches_per_move_reference_bit_for_bit(n, k):
     """Top, random, custom and the cyclic rule at every phase, over 2n steps
     from a dense start: equal arrays, not equal within a tolerance."""
+    _step_like_the_reference(n, k)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("n,k", _REFERENCE_SIZES)
+def test_pieced_step_matches_per_move_reference_bit_for_bit(monkeypatch, chunk, n, k):
+    """The same with transposed tuples encoded in pieces of 1, 5 or 64 rows:
+    runs of whole q blocks, row ranges within one q for the held card and
+    the targets, and single pieces all occur. At the default piece size no
+    test here splits a piece; exact-wide's held card is a q run, and a
+    held card is split from n = 43 at k = 4."""
+    monkeypatch.setattr("shufflemix.exact._CHUNK_ROWS", chunk)
+    _step_like_the_reference(n, k)
+
+
+def _step_like_the_reference(n, k):
     rules = [make_rule(kind, n) for kind in ("top", "random", "custom")]
     rules += [make_rule("cyclic", n, phase=phase) for phase in range(n)]
     for rule in rules:
@@ -221,7 +243,8 @@ def test_step_matrix_cached_once_per_left_hand_law(kind, kernels):
 @given(data=st.data())
 def test_transposed_batch_stacks_the_scalar_calls(data):
     """One call over an array of q is the per-q calls stacked in q order, and
-    each per-q call matches the reference transposition."""
+    each per-q call matches the reference transposition, whole or encoded in
+    pieces of 1, 5 or 64 rows; no rows at all is drawn too."""
     n = data.draw(st.integers(2, 12))
     k = data.draw(st.integers(1, min(4, n)))
     evolver = LumpedEvolver(make_rule("top", n), k)
@@ -230,11 +253,33 @@ def test_transposed_batch_stacks_the_scalar_calls(data):
     rows = pos[np.array(picks, dtype=np.intp)]
     i = data.draw(st.integers(0, k - 1))
     qs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
-    single = [evolver._transposed(rows, i, q) for q in qs]
-    batch = evolver._transposed(rows, i, np.array(qs))
-    assert np.array_equal(batch, np.concatenate(single))
-    for q, got in zip(qs, single):
-        assert np.array_equal(got, _reference_transposed(evolver.indexer, rows, i, q))
+    for chunk in (exact._CHUNK_ROWS, 1, 5, 64):  # whole calls, q runs, row ranges
+        with mock.patch.object(exact, "_CHUNK_ROWS", chunk):
+            single = [evolver._transposed(rows, i, q) for q in qs]
+            batch = evolver._transposed(rows, i, np.array(qs))
+        assert batch.dtype == np.int64
+        assert np.array_equal(batch, np.concatenate(single)), chunk
+        for q, got in zip(qs, single):
+            assert np.array_equal(got, _reference_transposed(evolver.indexer, rows, i, q))
+
+
+def test_point_mass_step_holds_pieces_not_whole_batches(monkeypatch):
+    """One warm top step at n = 40, k = 3 (59,280 states), in pieces of 4,096
+    rows, peaks at 1,483,048 traced bytes: about three state vectors (the
+    output, the missed card's weights and one bincount) plus a piece. This
+    bounds it 10% above that. Building each held card's 59,280 moves as one
+    block, with their codes and tiled mass, peaked at 3,063,376 bytes."""
+    monkeypatch.setattr("shufflemix.exact._CHUNK_ROWS", 4096)
+    evolver = LumpedEvolver(make_rule("top", 40), 3)
+    probs = np.full(evolver.indexer.count, 1.0 / evolver.indexer.count)
+    evolver.step(probs, 1)  # fills the target cache
+    tracemalloc.start()
+    try:
+        evolver.step(probs, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 1_483_048
 
 
 def test_curves_record_the_largest_mass_drift(monkeypatch):
