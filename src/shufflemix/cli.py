@@ -416,7 +416,8 @@ class _SubcommandParser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         flag = args[0] if self.modes and args else ""
-        if flag.startswith("-") and flag not in ("-h", "--help"):
+        asks_help = flag == "-h" or (len(flag) > 2 and "--help".startswith(flag))
+        if flag.startswith("-") and not asks_help:
             self.error(f"missing couple mode: put one of {', '.join(self.modes)} before {flag}")
         return super().parse_known_args(args, namespace)
 

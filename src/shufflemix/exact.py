@@ -137,15 +137,20 @@ class LumpedEvolver:
                 for r in range(0, m, _CHUNK_ROWS)
             ]
         for q_run, row_run in runs:
-            part, q = rows[row_run], qs[q_run, None]
-            block = np.empty((self.k, q.shape[0], part.shape[0]), dtype=rows.dtype)
-            for j, moved in enumerate(block):
-                if j == i:
-                    moved[:] = q
-                else:
-                    moved[:] = part[:, j]
-                    np.copyto(moved, part[:, i], where=moved == q)
-            yield q_run, row_run, self.indexer.encode_many(block.reshape(self.k, -1).T)
+            yield q_run, row_run, self._encode_moved(rows[row_run], i, qs[q_run, None])
+
+    def _encode_moved(self, rows: np.ndarray, i: int, qs: np.ndarray) -> np.ndarray:
+        """One piece: the (k, q, rows) block for the column ``qs`` of
+        positions, encoded. The block is freed on return, before its codes
+        are used."""
+        block = np.empty((self.k, qs.shape[0], rows.shape[0]), dtype=rows.dtype)
+        for j, moved in enumerate(block):
+            if j == i:
+                moved[:] = qs
+            else:
+                moved[:] = rows[:, j]
+                np.copyto(moved, rows[:, i], where=moved == qs)
+        return self.indexer.encode_many(block.reshape(self.k, -1).T)
 
     def _target(self, i: int, q: int) -> np.ndarray:
         """State index after transposing (p_i, q), vectorized over states."""

@@ -144,6 +144,9 @@ def test_couple_flag_before_the_mode_names_the_missing_mode(tmp_path, capsys):
     assert "invalid choice" not in errors[0] and "before --n" in errors[0]
     assert all(mode in errors[0] for mode in COUPLE_MODES)
     assert not list(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "couple", "--he")  # argparse's abbreviated --help still helps
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("argv", [
