@@ -1,19 +1,20 @@
 """Command line front end: parse the flags, run the experiment, emit files.
 
 Every subcommand writes one data file (CSV or JSON) plus a ``.meta.json``
-sidecar echoing the full configuration, the library version, and the wall
-time. Data files contain no timestamps, so identical invocations produce
-byte-identical data files; only the sidecar varies. Every flag a subcommand
-offers can change what it writes. Only the six Monte Carlo subcommands draw
-random numbers, so only they take --seed (default ``DEFAULT_SEED``) and
---threads (default: every CPU this process may use); their sidecars also
-record the worker processes the trial blocks ran in (``workers``). Only
-``exact-tv`` and the five Monte Carlo subcommands that take --rule take
---phase: a worst-case scan over every start is the same at every phase. The
-other subcommands still echo ``seed`` (as ``DEFAULT_SEED``) and, where they
-take --rule, ``phase`` (as 0). Only ``p0`` writes two formats, so only it
-takes --format. --times and --t-max are either-or, as are --fit and --c. A
-library ``UserWarning`` reaches stderr as one ``note:`` line.
+sidecar echoing the full configuration, the library version, the wall
+time and the peak resident set (``peak_rss_mb``, plus ``workers_peak_rss_mb``
+when a pool of worker processes ran). Data files contain no timestamps, so
+identical invocations produce byte-identical data files; only the sidecar
+varies. Every flag a subcommand offers can change what it writes. Only the
+six Monte Carlo subcommands draw random numbers, so only they take --seed
+(default ``DEFAULT_SEED``) and --threads (default: every CPU this process may
+use); their sidecars also record the worker processes the trial blocks ran
+in (``workers``). Only ``exact-tv`` and the five Monte Carlo subcommands that
+take --rule take --phase: a worst-case scan over every start is the same at
+every phase. The other subcommands still echo ``seed`` (as ``DEFAULT_SEED``)
+and, where they take --rule, ``phase`` (as 0). Only ``p0`` writes two
+formats, so only it takes --format. --times and --t-max are either-or, as are
+--fit and --c. A library ``UserWarning`` reaches stderr as one ``note:`` line.
 
 Each subcommand is one entry of ``COMMAND_TABLE`` (couple modes as
 ``couple-<mode>``), a ``Command`` of four fields: its help line, its runner,
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import resource
 import sys
 import time
 import warnings
@@ -488,6 +490,12 @@ def _data_params(config: dict) -> dict:
     }
 
 
+def _peak_rss_mb(who) -> float:
+    """The high-water resident set of this process (or its largest reaped
+    child) so far, in MB: Linux reports ``ru_maxrss`` in KiB."""
+    return resource.getrusage(who).ru_maxrss / 1024
+
+
 def dispatch(config: dict) -> int:
     """Run the configured experiment and write its data file and sidecar."""
     started = time.perf_counter()
@@ -499,6 +507,9 @@ def dispatch(config: dict) -> int:
         write_csv(out, *data)
     meta = {"config": config, **extras}
     meta["wall_time_s"] = time.perf_counter() - started
+    meta["peak_rss_mb"] = _peak_rss_mb(resource.RUSAGE_SELF)
+    if extras.get("workers", 1) > 1:  # a forked pool ran the trial blocks
+        meta["workers_peak_rss_mb"] = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     meta["data_file"] = str(out)
     write_sidecar(out, meta)
     print(f"{summary} -> {out}")

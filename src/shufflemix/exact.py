@@ -202,16 +202,36 @@ class LumpedEvolver:
         return self._step_general(probs, lvec)
 
     def _step_point_mass(self, probs: np.ndarray, left0: int) -> np.ndarray:
+        """The step when the left hand always draws ``left0``.
+
+        A missed card's moves are scattered with ``np.add.at`` straight into
+        the output, in pieces of at most ``_CHUNK_ROWS`` states: slices of the
+        cached targets, or pieces encoded as they come past the cache budget.
+        Each piece's weights serve all k cards, so the step holds nothing the
+        length of the state space but the output and the ``miss`` mask. The
+        sums are those of one ``bincount`` per card added to the self-loops,
+        bit for bit: each target of card j has card j at ``left0``, so its
+        self-loop term is exactly 0.0 and no other card's move lands there;
+        ``np.add.at`` adds in state order, as ``bincount`` does; and the held
+        cards' moves are still added after these.
+        """
         n, k, count = self.n, self.k, self.indexer.count
         pos = self._pos0
         miss = self._untracked(left0)
         new = miss * ((n - k) / n)
         new *= probs
-        w_miss = probs * miss
-        w_miss /= n
-        for j in range(k):
-            # right hand lands on tracked card j, which moves to the left slot
-            new += np.bincount(self._target(j, left0), weights=w_miss, minlength=count)
+        left = np.array([[left0]])
+        for start in range(0, count, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            w_miss = probs[rows] * miss[rows]
+            w_miss /= n
+            for j in range(k):
+                # right hand lands on tracked card j, which moves to the left slot
+                if self._cache_targets:
+                    moved = self._target(j, left0)[rows]
+                else:
+                    moved = self._encode_moved(pos[rows], j, left)
+                np.add.at(new, moved, w_miss)
         qs = np.arange(n)
         for i in range(k):
             # left hand holds card i: it moves to the uniform right position

@@ -10,9 +10,10 @@ The table of all tuples is stored coordinate-major: a (k, count) int32
 block whose transpose is handed out, so each coordinate is one contiguous
 column and the per-coordinate loops of ``encode_many`` and the exact step
 stream through memory. ``encode_many`` forms each digit times its place
-value in int32, which cannot overflow: that product is at most count - 1,
-and count never exceeds ``DEFAULT_STATE_CAP`` < 2**31. The codes are
-summed and returned in int64.
+value and sums them in int32, widening the codes to int64 once at the end.
+That cannot overflow: each partial sum of digits times place values is the
+code of a prefix with the later digits 0, so it is at most count - 1, and
+count never exceeds ``DEFAULT_STATE_CAP`` < 2**31.
 """
 
 from __future__ import annotations
@@ -96,22 +97,26 @@ class KTupleIndexer:
 
         Digit j is the rank of pos0[:, j] among the slots not taken by the
         earlier coordinates, i.e. pos0[:, j] minus the earlier entries below it.
-        Any layout works; F-ordered rows read contiguous columns.
+        Any layout works; F-ordered rows read contiguous columns. The digits
+        times their place values are summed in int32 and the codes widened to
+        int64 once: every partial sum is below count <= ``DEFAULT_STATE_CAP``
+        < 2**31, and adding int32 digits into int64 codes would be the
+        slowest pass of the loop.
         """
         m = pos0.shape[0]
         cols = [pos0[:, j] for j in range(self.k)]
+        codes = np.empty(m, dtype=np.int32)
         digit = np.empty(m, dtype=np.int32)
         below = np.empty(m, dtype=bool)
         for j, col in enumerate(cols):
-            np.copyto(digit, col, casting="unsafe")
+            part = codes if j == 0 else digit
+            np.copyto(part, col, casting="unsafe")
             for earlier in cols[:j]:
-                digit -= np.less(earlier, col, out=below)
-            digit *= int(self._bases[j])
-            if j == 0:
-                codes = digit.astype(np.int64)
-            else:
+                part -= np.less(earlier, col, out=below)
+            part *= int(self._bases[j])
+            if j:
                 codes += digit
-        return codes
+        return codes.astype(np.int64)
 
     def all_positions0(self) -> np.ndarray:
         """(count, k) int32 array of 0-based tuples, row i decoding index i.

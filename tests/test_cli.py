@@ -696,6 +696,28 @@ def test_every_format_choice_writes_that_format(tmp_path, capsys):
         _assert_format(name, tmp_path / f"{name}.{fmt}", fmt)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(COMMAND_TABLE))
+def test_every_sidecar_records_peak_rss(tmp_path, name):
+    """Every subcommand's sidecar holds the process's peak resident set so
+    far, and the worker pool's only when one ran."""
+    out = tmp_path / "run.out"
+    assert run(tmp_path, *words(name), *TOY[name].split(), "--out", out) == 0
+    meta = json.loads((tmp_path / "run.out.meta.json").read_text())
+    assert type(meta["peak_rss_mb"]) is float and meta["peak_rss_mb"] > 0, name
+    assert ("workers_peak_rss_mb" in meta) == (meta.get("workers", 1) > 1), name
+
+
+def test_sidecar_records_the_worker_pool_peak_rss(tmp_path):
+    assert run(tmp_path, "hits", "--n", "8", "--k", "2", "--t", "10",
+               "--trials", "20000", "--threads", "2", "--out", "h.json") == 0
+    meta = json.loads((tmp_path / "h.json.meta.json").read_text())
+    if meta["workers"] == 1:
+        pytest.skip("one usable CPU: the trial blocks ran in this process")
+    assert type(meta["workers_peak_rss_mb"]) is float
+    assert meta["workers_peak_rss_mb"] > 0
+
+
 _SCIPY_PROBE = """
 import json, sys
 

@@ -263,23 +263,45 @@ def test_transposed_batch_stacks_the_scalar_calls(data):
             assert np.array_equal(got, _reference_transposed(evolver.indexer, rows, i, q))
 
 
-def test_point_mass_step_holds_pieces_not_whole_batches(monkeypatch):
-    """One warm top step at n = 40, k = 3 (59,280 states), in pieces of 4,096
-    rows, peaks at 1,483,048 traced bytes: about three state vectors (the
-    output, the missed card's weights and one bincount) plus a piece. This
-    bounds it 10% above that. Building each held card's 59,280 moves as one
-    block, with their codes and tiled mass, peaked at 3,063,376 bytes."""
+def _warm_step_peak(monkeypatch, rule, cache_targets=True):
+    """The traced peak of one point-mass step at k = 3 in pieces of 4,096
+    rows, after a first step has filled the target cache (when on)."""
     monkeypatch.setattr("shufflemix.exact._CHUNK_ROWS", 4096)
-    evolver = LumpedEvolver(make_rule("top", 40), 3)
+    with monkeypatch.context() as patch:
+        if not cache_targets:
+            patch.setattr("shufflemix.exact._TARGET_CACHE_BUDGET", 0)
+        evolver = LumpedEvolver(rule, 3)
+    assert evolver._cache_targets == cache_targets
     probs = np.full(evolver.indexer.count, 1.0 / evolver.indexer.count)
-    evolver.step(probs, 1)  # fills the target cache
+    evolver.step(probs, 1)
     tracemalloc.start()
     try:
         evolver.step(probs, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 1_483_048
+
+
+def test_point_mass_step_holds_pieces_not_whole_batches(monkeypatch):
+    """One warm top step at n = 40, k = 3 (59,280 states), in pieces of 4,096
+    rows, peaks at 710,044 traced bytes: the output, the missed card's mask
+    and a piece. This bounds it 10% above that. Building each held card's
+    59,280 moves as one block, with their codes and tiled mass, peaked at
+    3,063,376 bytes."""
+    assert _warm_step_peak(monkeypatch, make_rule("top", 40)) <= 1.1 * 710_044
+
+
+@pytest.mark.parametrize("cache_targets", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("kind", ["top", "cyclic"])
+def test_point_mass_step_scatters_missed_cards_in_pieces(monkeypatch, kind, cache_targets):
+    """The missed cards' moves go straight into the output a piece at a time,
+    from the target cache or encoded past its budget: one warm step at n = 40,
+    k = 3 peaks at 710,044 traced bytes cached and 720,416 uncached, bounded
+    here 10% above. A full-length bincount per card, with full-length weights
+    and, uncached, full-length targets, peaked at 1,483,048 and 1,957,568."""
+    rule = make_rule(kind, 40, phase=17 if kind == "cyclic" else 0)
+    peak = _warm_step_peak(monkeypatch, rule, cache_targets)
+    assert peak <= 1.1 * (710_044 if cache_targets else 720_416)
 
 
 def test_curves_record_the_largest_mass_drift(monkeypatch):
