@@ -74,9 +74,10 @@ class LumpedEvolver:
     rule's mass on the tracked positions.
 
     One step depends only on the left hand's law at step t. When that law
-    is a point mass, a held card's n moves are encoded as one q-major batch
-    and scattered piece by piece with ``np.add.at``. That adds in index
-    order, so every sum is the one a loop over q gives, bit for bit.
+    is a point mass, every move is scattered piece by piece with
+    ``np.add.at``: a held card's n moves as one q-major batch, and each
+    missed card's jump to the left slot. That adds in index order, so every
+    sum is the one a loop over q, or a ``bincount``, gives, bit for bit.
 
     Transposed tuples are built coordinate-major, as the indexer's table is:
     a (k, q, rows) block filled one coordinate at a time, whose (q * rows, k)
