@@ -30,7 +30,7 @@ import numpy as np
 from .deck import ShuffleKind, ShuffleRule
 from .errors import CapExceededError, DomainError, HorizonError, ParameterError
 from .errors import check_array_length, check_int64
-from .exact import _resolve_starts, worst_case_curve
+from .exact import _start_strategy, worst_case_curve
 from .indexing import DEFAULT_STATE_CAP
 
 
@@ -421,7 +421,7 @@ def fit_cyclic_bound_constant(n: int = 60, t_max: int | None = None) -> float:
     if t_max is None:
         t_max = 10 * n
     rule = ShuffleRule(kind=ShuffleKind.CYCLIC_TO_RANDOM, n=n)
-    if _resolve_starts(rule, 1, n)[1] == "sampled-lower-bound":
+    if _start_strategy(rule, n) == "sampled-lower-bound":
         raise ParameterError(f"no exact worst-case curve to fit c to at n={n}")
     times = np.arange(1, t_max + 1)
     curve = worst_case_curve(rule, 1, times)

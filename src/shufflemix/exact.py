@@ -31,7 +31,7 @@ _EXHAUSTIVE_BUDGET = 9_000_000
 # Starts in the lower-bound scan of rules over that budget.
 _SAMPLED_STARTS = 64
 _TARGET_CACHE_BUDGET = 40_000_000
-# Most transposed tuples built and encoded at once; see LumpedEvolver._transposed.
+# Most transposed tuples built and encoded at once; see LumpedEvolver._pieces.
 _CHUNK_ROWS = 1 << 16
 
 
@@ -73,20 +73,15 @@ class LumpedEvolver:
     self-loop of total weight (1 - l(T)) (n-k)/n where l(T) is the left
     rule's mass on the tracked positions.
 
-    One step depends only on the left hand's law at step t. When that law
-    is a point mass, every move is scattered piece by piece with
-    ``np.add.at``: a held card's n moves as one q-major batch, and each
-    missed card's jump to the left slot. That adds in index order, so every
-    sum is the one a loop over q, or a ``bincount``, gives, bit for bit.
-
-    Transposed tuples are built coordinate-major, as the indexer's table is:
-    a (k, q, rows) block filled one coordinate at a time, whose (q * rows, k)
-    transpose ``encode_many`` reads column by column, rows q-major. The
-    block is built and encoded in pieces of at most ``_CHUNK_ROWS`` = 2^16
-    rows, runs of whole q blocks or row ranges within one q, sized so that a
-    piece stays in a 2 MiB L2 cache (``_transposed`` gives the rule). No
+    One step depends only on the left hand's law at step t. Every step
+    reads where card i lands at q through ``_target``; only the point-mass
+    step's held cards, n moves as one q-major batch, read ``_pieces``
+    directly. Both build the moved tuples coordinate-major, as the
+    indexer's table is, in pieces of at most ``_CHUNK_ROWS`` rows, so no
     step holds a block or code array the length of a whole batch unless it
-    returns one.
+    returns one. The point-mass step scatters every move with ``np.add.at``,
+    which adds in index order: each sum is the one a loop over q, or a
+    ``bincount``, gives, bit for bit.
     """
 
     def __init__(self, rule: ShuffleRule, k: int):
@@ -101,42 +96,18 @@ class LumpedEvolver:
 
     # -- transposition targets ------------------------------------------------
 
-    def _transposed(self, rows: np.ndarray, i: int, qs) -> np.ndarray:
-        """State indices of the 0-based tuples ``rows`` after transposing
-        (p_i, q) for each q of ``qs`` (one position or an array), q-major:
-        card i moves to q, and a tracked card at q takes p_i.
-
-        The output is built and encoded in consecutive pieces of at most
-        ``_CHUNK_ROWS`` = 2^16 rows: a run of whole q blocks, or a row range
-        within one q when the rows alone are more. At k = 3 a piece's int32
-        block and int64 codes take 1.25 MiB, inside a 2 MiB L2 cache, so
-        ``encode_many`` reads what was just written; pieces of 2^15 to 2^17
-        rows measured alike. The pieces are copied into one int64 array,
-        except that a single piece covering the whole call is returned as is."""
-        qs = np.atleast_1d(qs)
-        pieces = self._pieces(rows, i, qs)
-        m = rows.shape[0]
-        if qs.size * m <= _CHUNK_ROWS:
-            return next(pieces)[2]
-        codes = np.empty(qs.size * m, dtype=np.int64)
-        for q_run, row_run, piece in pieces:
-            start = q_run.start * m + row_run.start
-            codes[start:start + piece.size] = piece
-        return codes
-
     def _pieces(self, rows: np.ndarray, i: int, qs: np.ndarray):
-        """Yield ``_transposed``'s pieces in output order, each as (q slice,
-        row slice, codes): the codes of ``qs[q slice]`` over ``rows[row slice]``."""
+        """Yield the codes of the 0-based tuples ``rows`` with card i moved to
+        each q of ``qs``, q-major, as (q slice, row slice, codes) pieces: runs
+        of whole q blocks, or row ranges within one q, of at most
+        ``_CHUNK_ROWS`` = 2^16 rows. At k = 3 a piece's int32 block and int64
+        codes take 1.25 MiB, inside a 2 MiB L2 cache, so ``encode_many``
+        reads what was just written; pieces of 2^15 to 2^17 rows measured
+        alike."""
         m, nq = rows.shape[0], qs.size
-        if m <= _CHUNK_ROWS:
-            per = _CHUNK_ROWS // max(m, 1)
-            runs = [(slice(q, min(q + per, nq)), slice(0, m)) for q in range(0, nq, per)]
-        else:
-            runs = [
-                (slice(q, q + 1), slice(r, min(r + _CHUNK_ROWS, m)))
-                for q in range(nq)
-                for r in range(0, m, _CHUNK_ROWS)
-            ]
+        per = max(_CHUNK_ROWS // max(m, 1), 1)
+        runs = [(slice(q, min(q + per, nq)), slice(r, min(r + _CHUNK_ROWS, m)))
+                for q in range(0, nq, per) for r in range(0, m, _CHUNK_ROWS)]
         for q_run, row_run in runs:
             yield q_run, row_run, self._encode_moved(rows[row_run], i, qs[q_run, None])
 
@@ -153,16 +124,27 @@ class LumpedEvolver:
                 np.copyto(moved, rows[:, i], where=moved == qs)
         return self.indexer.encode_many(block.reshape(self.k, -1).T)
 
-    def _target(self, i: int, q: int) -> np.ndarray:
-        """State index after transposing (p_i, q), vectorized over states."""
-        key = (i, q)
-        cached = self._targets.get(key)
-        if cached is not None:
-            return cached
-        tgt = self._transposed(self._pos0, i, q)
-        if self._cache_targets:
-            self._targets[key] = tgt
-        return tgt
+    def _target(self, i: int, q: int, rows: slice = slice(None)) -> np.ndarray:
+        """State indices of the states ``rows`` after transposing (p_i, q):
+        card i moves to q, and a tracked card at q takes p_i.
+
+        Under the cache budget the whole map is encoded once, kept and
+        sliced; past it only ``rows`` is. ``_pieces`` encodes it: a lone
+        piece is returned as it is, more are copied into one int64 array."""
+        if (i, q) in self._targets:
+            return self._targets[i, q][rows]
+        pos = self._pos0 if self._cache_targets else self._pos0[rows]
+        pieces = self._pieces(pos, i, np.array([q]))
+        if pos.shape[0] <= _CHUNK_ROWS:
+            tgt = next(pieces)[2]
+        else:
+            tgt = np.empty(pos.shape[0], dtype=np.int64)
+            for _, row_run, codes in pieces:
+                tgt[row_run] = codes
+        if not self._cache_targets:
+            return tgt
+        self._targets[i, q] = tgt
+        return tgt[rows]
 
     def _untracked(self, q: int) -> np.ndarray:
         """Per state: True when no tracked card sits at position q."""
@@ -206,32 +188,28 @@ class LumpedEvolver:
         """The step when the left hand always draws ``left0``.
 
         A missed card's moves are scattered with ``np.add.at`` straight into
-        the output, in pieces of at most ``_CHUNK_ROWS`` states: slices of the
-        cached targets, or pieces encoded as they come past the cache budget.
-        Each piece's weights serve all k cards, so the step holds nothing the
-        length of the state space but the output and the ``miss`` mask. The
-        sums are those of one ``bincount`` per card added to the self-loops,
-        bit for bit: each target of card j has card j at ``left0``, so its
-        self-loop term is exactly 0.0 and no other card's move lands there;
-        ``np.add.at`` adds in state order, as ``bincount`` does; and the held
-        cards' moves are still added after these.
-        """
+        the output, ``_CHUNK_ROWS`` states of ``_target`` at a time, with each
+        piece's weights serving all k cards: the step holds nothing the length
+        of the state space but the output and the ``miss`` mask. The sums are
+        those of one ``bincount`` per card added to the self-loops, bit for
+        bit: each target of card j has card j at ``left0``, so its self-loop
+        term is exactly 0.0 and no other card's move lands there; ``np.add.at``
+        adds in state order, as ``bincount`` does; and the held cards' moves
+        are still added after these."""
         n, k, count = self.n, self.k, self.indexer.count
         pos = self._pos0
         miss = self._untracked(left0)
         new = miss * ((n - k) / n)
         new *= probs
-        left = np.array([[left0]])
         for start in range(0, count, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
             w_miss = probs[rows] * miss[rows]
             w_miss /= n
             for j in range(k):
-                # right hand lands on tracked card j, which moves to the left slot
-                if self._cache_targets:
-                    moved = self._target(j, left0)[rows]
-                else:
-                    moved = self._encode_moved(pos[rows], j, left)
+                # right hand lands on tracked card j, which moves to the left slot.
+                # Keeping its codes until the next piece is built holds peak RSS
+                # at n = 100, k = 3 0.15 MB lower than freeing them at once.
+                moved = self._target(j, left0, rows)
                 np.add.at(new, moved, w_miss)
         qs = np.arange(n)
         for i in range(k):
@@ -490,36 +468,35 @@ def _sampled_starts(rule: ShuffleRule, k: int) -> list[tuple]:
     return starts
 
 
-def _resolve_starts(
-    rule: ShuffleRule, k: int, count: int
-) -> tuple[list[tuple] | None, str]:
-    """Start tuples for a worst-case scan over ``count`` states, and their label.
+def _start_strategy(rule: ShuffleRule, count: int) -> str:
+    """How a worst-case scan over ``count`` states picks its starts:
 
-    - top and random rules: one representative per symmetry class, labelled
-      ``exact-canonical``;
-    - other rules with ``count``^2 within the exhaustive budget: every tuple,
-      returned as ``None`` and labelled ``exhaustive``;
-    - past the budget: structured plus seeded random starts, labelled
-      ``sampled-lower-bound`` because the max over them only bounds the
-      worst case from below; a ``UserWarning`` says so.
+    - ``exact-canonical`` for the top and random rules: one representative
+      per symmetry class;
+    - ``exhaustive`` for other rules with ``count``^2 within the exhaustive
+      budget: every tuple;
+    - ``sampled-lower-bound`` past the budget: structured plus seeded random
+      starts, whose max only bounds the worst case from below.
     """
     if rule.kind in (ShuffleKind.TOP_TO_RANDOM, ShuffleKind.RANDOM_TO_RANDOM):
-        return _canonical_starts(rule, k), "exact-canonical"
-    if count * count <= _EXHAUSTIVE_BUDGET:
-        return None, "exhaustive"
-    warnings.warn("sampled starts: this worst case is only a lower bound", stacklevel=3)
-    return _sampled_starts(rule, k), "sampled-lower-bound"
+        return "exact-canonical"
+    return "exhaustive" if count * count <= _EXHAUSTIVE_BUDGET else "sampled-lower-bound"
+
+
+def _resolve_starts(rule: ShuffleRule, k: int, count: int) -> tuple[list[tuple] | None, str]:
+    """The starts ``_start_strategy`` picks, ``None`` for every tuple, and its
+    label. Sampled starts warn with a ``UserWarning`` that they only bound."""
+    strategy = _start_strategy(rule, count)
+    if strategy == "sampled-lower-bound":
+        warnings.warn("sampled starts: this worst case is only a lower bound", stacklevel=3)
+        return _sampled_starts(rule, k), strategy
+    return (_canonical_starts(rule, k) if strategy == "exact-canonical" else None), strategy
 
 
 def worst_case_curve(rule: ShuffleRule, k: int, times) -> TVCurve:
-    """Max-over-starts exact TV curve.
-
-    For rules with an exchangeability argument the max runs over canonical
-    class representatives and is the true worst case. Otherwise every start
-    tuple is scanned when the state space is small enough, else a structured
-    plus seeded random start set is used and the curve is only a lower bound
-    on the true worst case (flagged in metadata). See ``_resolve_starts``.
-    """
+    """Max-over-starts exact TV curve over the starts ``_start_strategy``
+    names: the true worst case, except that over sampled starts it is only a
+    lower bound on it (flagged in metadata)."""
     tuple_count(rule.n, k)  # k and the state cap, before the grid
     times = _check_times(times)
     evolver = LumpedEvolver(rule, k)

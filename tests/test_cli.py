@@ -388,8 +388,22 @@ def test_cyclic_bound_fit_refuses_a_lower_bound(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 63)
     assert run(tmp_path, "cyclic-bound", "--n", "8", "--t-max", "10", "--fit") == 2
     err = capsys.readouterr().err
-    assert err.startswith(LOWER_BOUND_NOTE + "\nerror:")
+    assert err.startswith("error:") and LOWER_BOUND_NOTE not in err
     assert not (tmp_path / "cyclic-bound.csv").exists()
+
+
+def test_cyclic_bound_fit_past_the_start_budget_prints_only_the_error(tmp_path, capsys):
+    """At n = 3001 the 3001^2 one-card start pairs pass the budget. The fit
+    asks for the start label alone, so it builds and announces no sampled
+    starts before it refuses; worst-tv past the budget still notes them."""
+    assert run(tmp_path, "cyclic-bound", "--fit", "--n", "3001", "--t-max", "2") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: no exact worst-case curve to fit c to at n=3001"]
+    assert list(tmp_path.iterdir()) == []
+    assert run(tmp_path, "worst-tv", "--rule", "cyclic", "--n", "16", "--k", "3",
+               "--t-max", "1", "--out", "w.csv") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("note:")] == [LOWER_BOUND_NOTE]
 
 
 def test_cyclic_bound_fit_refuses_a_zero_curve(tmp_path, capsys):

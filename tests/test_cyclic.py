@@ -1,6 +1,7 @@
 """Sweep-based rule analysis: waiting times, phase chain, window optimum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,11 +288,13 @@ def test_fit_of_a_zero_curve_names_the_cause():
         fit_cyclic_bound_constant(n=2, t_max=3)
 
 
-def test_fit_past_the_start_budget_warns_then_refuses(monkeypatch):
-    """Past the budget only a lower bound on the curve exists: the start
-    choice warns that it is one, and the fit refuses it."""
+def test_fit_past_the_start_budget_refuses_without_a_warning(monkeypatch):
+    """Past the budget only a lower bound on the curve exists, and the fit
+    refuses it. It asks for the start label alone, so no sampled starts are
+    built and nothing warns of them."""
     monkeypatch.setattr("shufflemix.exact._EXHAUSTIVE_BUDGET", 63)
-    with pytest.warns(UserWarning, match="only a lower bound"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="no exact worst-case curve"):
             fit_cyclic_bound_constant(n=8, t_max=10)
 

@@ -241,26 +241,62 @@ def test_step_matrix_cached_once_per_left_hand_law(kind, kernels):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_transposed_batch_stacks_the_scalar_calls(data):
-    """One call over an array of q is the per-q calls stacked in q order, and
-    each per-q call matches the reference transposition, whole or encoded in
-    pieces of 1, 5 or 64 rows; no rows at all is drawn too."""
+def test_pieces_and_targets_match_the_reference_transpositions(data):
+    """The pieces of a q batch, joined, are the per-q reference transpositions
+    stacked q-major, and ``_target`` over a range of states is the same with
+    the target cache and past its budget, whole or encoded in pieces of 1, 5
+    or 64 rows."""
     n = data.draw(st.integers(2, 12))
     k = data.draw(st.integers(1, min(4, n)))
     evolver = LumpedEvolver(make_rule("top", n), k)
+    with mock.patch.object(exact, "_TARGET_CACHE_BUDGET", 0):
+        uncached = LumpedEvolver(make_rule("top", n), k)
     pos = evolver.indexer.all_positions0()
-    picks = data.draw(st.lists(st.integers(0, len(pos) - 1), max_size=20))
+    picks = data.draw(st.lists(st.integers(0, len(pos) - 1), min_size=1, max_size=20))
     rows = pos[np.array(picks, dtype=np.intp)]
     i = data.draw(st.integers(0, k - 1))
     qs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    a = data.draw(st.integers(0, len(pos) - 1))
+    b = data.draw(st.integers(a + 1, len(pos)))
+    want = [_reference_transposed(evolver.indexer, rows, i, q) for q in qs]
     for chunk in (exact._CHUNK_ROWS, 1, 5, 64):  # whole calls, q runs, row ranges
         with mock.patch.object(exact, "_CHUNK_ROWS", chunk):
-            single = [evolver._transposed(rows, i, q) for q in qs]
-            batch = evolver._transposed(rows, i, np.array(qs))
-        assert batch.dtype == np.int64
-        assert np.array_equal(batch, np.concatenate(single)), chunk
-        for q, got in zip(qs, single):
-            assert np.array_equal(got, _reference_transposed(evolver.indexer, rows, i, q))
+            pieces = [codes for *_, codes in evolver._pieces(rows, i, np.array(qs))]
+            evolver._targets.clear()
+            got = [evolver._target(i, q, slice(a, b)) for q in qs]
+            got_uncached = [uncached._target(i, q, slice(a, b)) for q in qs]
+        joined = np.concatenate(pieces)
+        assert joined.dtype == np.int64
+        assert np.array_equal(joined, np.concatenate(want)), chunk
+        for q, cached, past_budget in zip(qs, got, got_uncached):
+            ref = _reference_transposed(evolver.indexer, pos[a:b], i, q)
+            assert np.array_equal(cached, ref) and np.array_equal(past_budget, ref), chunk
+    assert evolver._targets and not uncached._targets
+
+
+@pytest.mark.parametrize("cache_targets", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_no_step_encodes_more_than_a_piece_at_once(monkeypatch, kind, cache_targets):
+    """Every ``encode_many`` call made in a step, the first one filling the
+    target cache too, holds at most ``_CHUNK_ROWS`` rows: at n = 8, k = 3 the
+    336 states are six pieces of 64 rows."""
+    monkeypatch.setattr("shufflemix.exact._CHUNK_ROWS", 64)
+    if not cache_targets:
+        monkeypatch.setattr("shufflemix.exact._TARGET_CACHE_BUDGET", 0)
+    evolver = LumpedEvolver(make_rule(kind, 8, phase=3 if kind == "cyclic" else 0), 3)
+    assert evolver._cache_targets == cache_targets
+    sizes = []
+    encode_many = KTupleIndexer.encode_many
+
+    def spy(indexer, rows):
+        sizes.append(len(rows))
+        return encode_many(indexer, rows)
+
+    monkeypatch.setattr(KTupleIndexer, "encode_many", spy)
+    probs = np.full(evolver.indexer.count, 1.0 / evolver.indexer.count)
+    for t in (1, 2):
+        evolver.step(probs, t)
+    assert sizes and max(sizes) <= 64, kind
 
 
 def _warm_step_peak(monkeypatch, rule, cache_targets=True):
