@@ -31,7 +31,7 @@ from .deck import ShuffleKind, ShuffleRule
 from .errors import CapExceededError, DomainError, HorizonError, ParameterError
 from .errors import check_array_length, check_int64
 from .exact import _start_strategy, worst_case_curve
-from .indexing import DEFAULT_STATE_CAP
+from .indexing import DEFAULT_STATE_CAP, check_k
 
 
 def _check_n(n: int):
@@ -471,8 +471,7 @@ def cyclic_mixing_upper(n: int, k: int, c: float) -> CyclicMixingResult:
         raise ParameterError(f"need k >= 2 tracked cards, got {k}")
     if n < 2:
         raise ParameterError(f"deck size must be at least 2, got {n}")
-    if k > n:
-        raise ParameterError(f"k exceeds n (k={k}, n={n})")
+    check_k(n, k)
     target = math.exp(-1.5) / k
     horizon = int(math.ceil(10.0 * n * math.log(n)))
     last_value = cyclic_one_card_bound(horizon, n, c)

@@ -327,7 +327,11 @@ def write_sidecar(path, metadata: dict):
         fh.write("\n")
 
 
-def _check_times(times) -> np.ndarray:
+def _time_grid(n: int, k: int, times) -> np.ndarray:
+    """``times`` as int64, non-negative and strictly increasing. ``tuple_count``
+    checks k and the state cap first, so no grid is built for a run that
+    cannot start."""
+    tuple_count(n, k)
     if isinstance(times, range):  # np.asarray would list every time as an int first
         times = np.arange(times.start, times.stop, times.step, dtype=np.int64)
     arr = np.asarray(times, dtype=np.int64)
@@ -340,45 +344,52 @@ def _check_times(times) -> np.ndarray:
     return arr
 
 
-def exact_tv_curve(
-    rule: ShuffleRule,
-    k: int,
-    start,
-    times,
-) -> TVCurve:
+def exact_tv_curve(rule: ShuffleRule, k: int, start, times) -> TVCurve:
     """Exact TV-to-uniform of the k tracked cards from one start tuple.
 
     ``start`` is the tracked cards' 1-based initial positions, any sequence
     of k; ``times`` the (strictly increasing) step counts to record.
     """
-    tuple_count(rule.n, k)  # k and the state cap, before the grid
-    times = _check_times(times)
+    times = _time_grid(rule.n, k, times)
+    return _curve_on(times, *_scan(rule, k, start))
+
+
+def _scan(rule: ShuffleRule, k: int, start=None):
+    """The ``_worst_tv_steps`` stream of one exact scan, and its curve metadata.
+
+    The scan evolves the one ``start`` given, or else the starts
+    ``_start_strategy`` names for the rule's worst case: sampled starts warn
+    with a ``UserWarning``, attributed to the caller of the public driver,
+    that they only bound it from below.
+    """
     evolver = LumpedEvolver(rule, k)
-    values, drift = _values_at(_worst_tv_steps(evolver, [start]), times)
-    meta = _curve_metadata(rule, k, evolver, "single-start")
-    meta["start"] = list(map(int, start))
-    return TVCurve(times, values, meta, drift)
-
-
-def _curve_metadata(rule, k, evolver, strategy) -> dict:
-    return {
-        "rule": rule.kind.value,
-        "n": rule.n,
-        "k": k,
-        "states": evolver.indexer.count,
-        "cap": DEFAULT_STATE_CAP,
-        "start_strategy": strategy,
-    }
+    count = evolver.indexer.count
+    meta = {"rule": rule.kind.value, "n": rule.n, "k": k, "states": count,
+            "cap": DEFAULT_STATE_CAP}
+    if start is not None:
+        meta.update(start_strategy="single-start", start=list(map(int, start)))
+        return _worst_tv_steps(evolver, [start]), meta
+    strategy = meta["start_strategy"] = _start_strategy(rule, count)
+    meta["lower_bound_only"] = strategy == "sampled-lower-bound"
+    if strategy == "exhaustive":
+        return _worst_tv_steps(evolver, None), meta
+    if strategy == "exact-canonical":
+        starts = _canonical_starts(rule, k)
+    else:
+        warnings.warn("sampled starts: this worst case is only a lower bound", stacklevel=3)
+        starts = _sampled_starts(rule, k)
+    meta["starts"] = len(starts)
+    return _worst_tv_steps(evolver, starts), meta
 
 
 def _worst_tv_steps(evolver: LumpedEvolver, starts):
     """Evolve point masses at ``starts`` together; ``None`` means every tuple.
 
-    Yields (t, largest TV to uniform, largest mass drift) over the starts for
-    t = 0, 1, 2, ... and raises MassDriftError as soon as a drift passes
-    MASS_TOL. Listed starts are rows of a (starts x states) block, stepped one
-    at a time; the exhaustive scan evolves the identity's columns through the
-    cached kernel and reads its transpose as the block.
+    Yields (t, largest TV to uniform, largest mass drift so far) over the
+    starts for t = 0, 1, 2, ... and raises MassDriftError as soon as a drift
+    passes MASS_TOL. Listed starts are rows of a (starts x states) block,
+    stepped one at a time; the exhaustive scan evolves the identity's columns
+    through the cached kernel and reads its transpose as the block.
     """
     count = evolver.indexer.count
     uniform = 1.0 / count
@@ -390,7 +401,7 @@ def _worst_tv_steps(evolver: LumpedEvolver, starts):
         for row, s in zip(block, starts):
             row[evolver.indexer.encode(s)] = 1.0
     yield 0, 1.0 - uniform, 0.0  # every start is a point mass
-    t = 0
+    t, max_drift = 0, 0.0
     while True:
         t += 1
         if starts is None:
@@ -402,7 +413,8 @@ def _worst_tv_steps(evolver: LumpedEvolver, starts):
         drift = float(np.abs(block.sum(axis=1) - 1.0).max())
         if not drift <= MASS_TOL:  # NaN mass fails too
             raise MassDriftError(f"probability mass drifted by {drift:.3e} at t={t}")
-        yield t, _max_tv(block, uniform), drift
+        max_drift = max(max_drift, drift)
+        yield t, _max_tv(block, uniform), max_drift
 
 
 def _max_tv(block: np.ndarray, uniform: float) -> float:
@@ -413,18 +425,16 @@ def _max_tv(block: np.ndarray, uniform: float) -> float:
     return float(0.5 * np.abs(gap, out=gap).sum(axis=1).max())
 
 
-def _values_at(steps, times: np.ndarray) -> tuple[np.ndarray, float]:
-    """The TV values ``steps`` yields at the grid ``times``, stepping no
-    further, and the largest mass drift seen up to the last of them."""
+def _curve_on(times: np.ndarray, steps, meta: dict) -> TVCurve:
+    """The curve ``steps`` gives on the grid ``times``, stepping no further."""
     values = np.empty(times.size)
-    cursor, max_drift = 0, 0.0
+    cursor = 0
     for t, tv, drift in steps:
-        max_drift = max(max_drift, drift)
         if t == times[cursor]:
             values[cursor] = tv
             cursor += 1
             if cursor == times.size:
-                return values, max_drift
+                return TVCurve(times, values, meta, drift)
 
 
 def _canonical_starts(rule: ShuffleRule, k: int) -> list[tuple]:
@@ -483,30 +493,12 @@ def _start_strategy(rule: ShuffleRule, count: int) -> str:
     return "exhaustive" if count * count <= _EXHAUSTIVE_BUDGET else "sampled-lower-bound"
 
 
-def _resolve_starts(rule: ShuffleRule, k: int, count: int) -> tuple[list[tuple] | None, str]:
-    """The starts ``_start_strategy`` picks, ``None`` for every tuple, and its
-    label. Sampled starts warn with a ``UserWarning`` that they only bound."""
-    strategy = _start_strategy(rule, count)
-    if strategy == "sampled-lower-bound":
-        warnings.warn("sampled starts: this worst case is only a lower bound", stacklevel=3)
-        return _sampled_starts(rule, k), strategy
-    return (_canonical_starts(rule, k) if strategy == "exact-canonical" else None), strategy
-
-
 def worst_case_curve(rule: ShuffleRule, k: int, times) -> TVCurve:
     """Max-over-starts exact TV curve over the starts ``_start_strategy``
     names: the true worst case, except that over sampled starts it is only a
     lower bound on it (flagged in metadata)."""
-    tuple_count(rule.n, k)  # k and the state cap, before the grid
-    times = _check_times(times)
-    evolver = LumpedEvolver(rule, k)
-    starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
-    values, drift = _values_at(_worst_tv_steps(evolver, starts), times)
-    meta = _curve_metadata(rule, k, evolver, strategy)
-    meta["lower_bound_only"] = strategy == "sampled-lower-bound"
-    if starts is not None:
-        meta["starts"] = len(starts)
-    return TVCurve(times, values, meta, drift)
+    times = _time_grid(rule.n, k, times)
+    return _curve_on(times, *_scan(rule, k))
 
 
 @dataclass
@@ -538,19 +530,15 @@ def partial_mixing_time(
         horizon = int(math.ceil(n * (math.log(max(k, 2)) + 4.0 * max(1.0, -math.log(epsilon)))))
     if horizon < 0:
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
-    evolver = LumpedEvolver(rule, k)
-    starts, strategy = _resolve_starts(rule, k, evolver.indexer.count)
-    max_drift = 0.0
-    for t, tv, drift in _worst_tv_steps(evolver, starts):
-        max_drift = max(max_drift, drift)
+    steps, meta = _scan(rule, k)
+    for t, tv, drift in steps:
         if tv < epsilon:
-            return MixingTime(t, tv, epsilon, horizon, strategy, max_drift)
+            return MixingTime(t, tv, epsilon, horizon, meta["start_strategy"], drift)
         if t >= horizon:
-            break
-    raise HorizonError(
-        f"worst-case TV still {tv:.6g} >= {epsilon} at the horizon {horizon}",
-        last_value=tv,
-    )
+            raise HorizonError(
+                f"worst-case TV still {tv:.6g} >= {epsilon} at the horizon {horizon}",
+                last_value=tv,
+            )
 
 
 @dataclass
@@ -602,10 +590,9 @@ def cutoff_profile(
     times = np.array(times, dtype=np.int64)
     if (times < 0).any():
         raise ParameterError("center + alpha*n must be non-negative after rounding")
-    grid = np.unique(times)
+    grid, where = np.unique(times, return_inverse=True)
     curve = worst_case_curve(rule, k, grid)
-    tv_by_t = dict(zip(curve.times.tolist(), curve.values.tolist()))
-    values = np.array([tv_by_t[int(t)] for t in times])
+    values = curve.values[where]
     bounds = np.array([bound_fn(a, t) for a, t in zip(alphas, times)])
     meta = dict(curve.metadata)
     meta.update({"center": center, "profile": "cutoff"})

@@ -28,13 +28,19 @@ from .errors import CapExceededError, ParameterError
 DEFAULT_STATE_CAP = 10_000_000
 
 
-def tuple_count(n: int, k: int) -> int:
-    """The n (n - 1) ... (n - k + 1) ordered k-tuples, after checking 1 <= k <= n.
-    Past the state cap it raises at once: at huge n and k the product is slow to form."""
+def check_k(n: int, k: int):
+    """ParameterError unless 1 <= k <= n: the one rule for how many of n
+    cards can be tracked, shared by every driver that tracks k cards."""
     if k > n:
         raise ParameterError(f"k exceeds n (k={k}, n={n})")
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
+
+
+def tuple_count(n: int, k: int) -> int:
+    """The n (n - 1) ... (n - k + 1) ordered k-tuples, after ``check_k``. Past
+    the state cap it raises at once: at huge n and k the product is slow to form."""
+    check_k(n, k)
     count = 1
     for j in range(k):
         count *= n - j

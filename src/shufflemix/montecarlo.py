@@ -41,7 +41,7 @@ import numpy as np
 
 from .deck import ShuffleKind, ShuffleRule
 from .errors import CapExceededError, ParameterError, check_array_length, check_int64
-from .indexing import KTupleIndexer
+from .indexing import KTupleIndexer, check_k
 from .rng import DEFAULT_SEED, RandomStream
 
 _TRIAL_BLOCK = 16384
@@ -97,8 +97,7 @@ class KDeckCouplingParams:
     horizon: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"need k >= 1 tracked cards, got {self.k}")
+        check_k(self.n, self.k)
         if self.n <= self.k:
             raise ParameterError(
                 f"need n > k (a non-special card must exist), got n={self.n}, k={self.k}"
@@ -282,6 +281,7 @@ def mc_tv_plugin(
         raise ParameterError(f"t must be non-negative, got {t}")
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples}")
+    block_workers(workers, samples)  # before the warning
     try:
         indexer = KTupleIndexer(n, k)
     except CapExceededError as exc:
@@ -324,8 +324,7 @@ def mc_tv_plugin(
 def uniform_fixed_point_tail(n: int, k: int, threshold: int) -> float:
     """P(more than ``threshold`` of k given cards are fixed) under a
     uniform permutation of n cards, by inclusion-exclusion."""
-    if not 0 < k <= n:
-        raise ParameterError(f"need 0 < k <= n, got k={k}, n={n}")
+    check_k(n, k)
     total = 0.0
     for j in range(threshold + 1, k + 1):
         acc = 0.0
@@ -364,8 +363,8 @@ def tv_lower_bound_fixed_cards(
         raise ParameterError(f"threshold must be at least 1, got {c_threshold}")
     if samples < 1:
         raise ParameterError(f"samples must be positive, got {samples}")
-    if not 0 < k <= n:
-        raise ParameterError(f"need 0 < k <= n, got k={k}")
+    check_k(n, k)
+    block_workers(workers, samples)  # before the warning
     if c_threshold >= k:
         warnings.warn(
             f"threshold={c_threshold} is at least k={k}: X_t > threshold never "
@@ -633,6 +632,7 @@ def couple_k_decks(
     horizon = params.horizon
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
+    block_workers(workers, trials)  # before the warning
     weight = k * k * math.log(max(horizon, 2))
     if weight >= n:
         warnings.warn(
@@ -752,8 +752,7 @@ def left_hand_hit_count(
         raise ParameterError(f"t must be at least 1, got {t}")
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    if not 0 < k <= n:
-        raise ParameterError(f"need 0 < k <= n, got k={k}")
+    check_k(n, k)
 
     def block(gen, size):
         pos = np.tile(np.arange(1, k + 1, dtype=np.int64)[:, None], size)

@@ -98,6 +98,14 @@ def test_k_larger_than_n_is_parameter_error(tmp_path, capsys):
     assert "k exceeds n (k=3, n=2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "mc-tv --t 1", "cyclic-mix", "lower-bound --t 1", "hits --t 1", "couple k-deck",
+])
+def test_k_above_n_reads_one_line_in_every_subcommand(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv.split(), "--n", "6", "--k", "7") == 2
+    assert capsys.readouterr().err == "error: k exceeds n (k=7, n=6)\n"
+
+
 def exits_2_listing(tmp_path, capsys, argv, choices):
     """argparse rejects argv: exit 2, its usage and the valid choices on
     stderr, and no file."""

@@ -716,6 +716,34 @@ def test_sampled_scan_warns_once_from_the_library(monkeypatch, scan, budget, sam
         assert notes[0].filename == __file__
 
 
+def test_single_start_past_the_exhaustive_budget_does_not_warn():
+    """One start is exact at any size: the cyclic rule at n = 16, k = 3 has
+    3,360 states, past the exhaustive budget, and its curve raises no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = exact_tv_curve(make_rule("cyclic", 16), 3, (1, 2, 3), [1])
+    assert caught == []
+    assert curve.metadata["start_strategy"] == "single-start"
+
+
+_DRIVERS = {"exact_tv_curve": lambda rule: exact_tv_curve(rule, 2, (1, 2), [1, 5]), **_SCANS}
+
+
+@pytest.mark.parametrize("driver", sorted(_DRIVERS))
+def test_each_exact_driver_builds_one_index(monkeypatch, driver):
+    """Every exact driver reads one scan, so it builds one k-tuple index."""
+    built = []
+    post_init = KTupleIndexer.__post_init__
+
+    def spy(self):
+        built.append((self.n, self.k))
+        post_init(self)
+
+    monkeypatch.setattr(KTupleIndexer, "__post_init__", spy)
+    _DRIVERS[driver](make_rule("cyclic", 6))
+    assert built == [(6, 2)]
+
+
 @pytest.fixture(params=["step", "evolve_columns"])
 def leaky_kernel(request, monkeypatch):
     """Make one evolution kernel lose 1e-6 of the mass at every step."""

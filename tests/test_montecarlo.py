@@ -754,6 +754,24 @@ def test_block_workers_clamp():
         block_workers(0, 100)
 
 
+_RANDOM6 = make_rule("random", 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc_tv_plugin(_RANDOM6, 2, 5, 10, workers=0),
+    lambda: couple_k_decks(_RANDOM6, 3, trials=10, horizon=50, workers=0),
+    lambda: tv_lower_bound_fixed_cards(_RANDOM6, 2, 5, 3, 10, workers=0),
+], ids=["mc-tv", "k-deck", "lower-bound"])
+def test_bad_workers_raise_before_any_warning(call):
+    """Each call would warn (too few samples, a weak regime, a threshold of
+    at least k), but a worker count below 1 is refused first."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match="workers must be at least 1, got 0"):
+            call()
+    assert caught == []
+
+
 def _block_tally(gen, size):
     return size, gen.integers(0, 2**62)
 
@@ -817,8 +835,8 @@ def test_hits_at_step_one_follow_the_left_hand():
 
 
 def test_hits_k_outside_one_to_n_is_parameter_error():
-    for k in (0, 21):
-        with pytest.raises(ParameterError, match="0 < k <= n"):
+    for k, match in ((0, "k must be at least 1, got 0"), (21, "k exceeds n")):
+        with pytest.raises(ParameterError, match=match):
             left_hand_hit_count(make_rule("top", 20), k, t=1, trials=10, seed=0)
 
 
@@ -838,11 +856,11 @@ _RULE6 = make_rule("top", 6)
 @pytest.mark.parametrize("call, match", [
     (lambda: mc_tv_plugin(_RULE6, 2, -1, 100), "t must be non-negative"),
     (lambda: mc_tv_plugin(_RULE6, 2, 5, 0), "samples must be positive"),
-    (lambda: uniform_fixed_point_tail(6, 0, 1), "0 < k <= n"),
-    (lambda: uniform_fixed_point_tail(6, 7, 1), "0 < k <= n"),
+    (lambda: uniform_fixed_point_tail(6, 0, 1), "k must be at least 1"),
+    (lambda: uniform_fixed_point_tail(6, 7, 1), "k exceeds n"),
     (lambda: tv_lower_bound_fixed_cards(_RULE6, 2, 5, 1, 0), "samples must be positive"),
-    (lambda: tv_lower_bound_fixed_cards(_RULE6, 0, 5, 1, 100), "0 < k <= n"),
-    (lambda: tv_lower_bound_fixed_cards(_RULE6, 7, 5, 1, 100), "0 < k <= n"),
+    (lambda: tv_lower_bound_fixed_cards(_RULE6, 0, 5, 1, 100), "k must be at least 1"),
+    (lambda: tv_lower_bound_fixed_cards(_RULE6, 7, 5, 1, 100), "k exceeds n"),
     (lambda: couple_k_decks(_RULE6, 2, trials=0), "trials must be positive"),
     (lambda: left_hand_hit_count(_RULE6, 2, 0, 100), "t must be at least 1"),
     (lambda: left_hand_hit_count(_RULE6, 2, 5, 0), "trials must be positive"),
