@@ -62,7 +62,7 @@ from .cyclic import (
 )
 from .deck import ShuffleKind, ShuffleRule
 from .errors import CapExceededError, ParameterError, ShuffleMixError
-from .errors import check_array_length, check_int64
+from .errors import check_array_length, check_count, check_int64
 from .exact import (
     cutoff_profile,
     exact_tv_curve,
@@ -114,9 +114,7 @@ def _t_max_from(config: dict) -> int:
     t_max = config["t_max"]
     if t_max is None:
         return 10 * config["n"]
-    if t_max < 1:
-        raise ParameterError(f"--t-max must be at least 1, got {t_max}")
-    return check_array_length("--t-max", check_int64("--t-max", t_max))
+    return check_array_length("--t-max", check_count("--t-max", t_max, 1))
 
 
 def _times_from(config: dict):
@@ -457,8 +455,8 @@ def config_from_args(args: argparse.Namespace) -> dict:
     A subcommand that does not offer --seed or --phase echoes
     ``DEFAULT_SEED`` and, where it takes --rule, phase 0."""
     threads = getattr(args, "threads", None)
-    if threads is not None and threads < 1:
-        raise ParameterError(f"--threads must be at least 1, got {threads}")
+    if threads is not None:
+        check_count("--threads", threads, 1)
     config = dict(vars(args))
     if args.command == "couple":
         config["command"] = f"{_COUPLE}{args.mode}"

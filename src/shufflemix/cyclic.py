@@ -29,14 +29,13 @@ import numpy as np
 
 from .deck import ShuffleKind, ShuffleRule
 from .errors import CapExceededError, DomainError, HorizonError, ParameterError
-from .errors import check_array_length, check_int64
+from .errors import check_array_length, check_count
 from .exact import _start_strategy, worst_case_curve
 from .indexing import DEFAULT_STATE_CAP, check_k
 
 
 def _check_n(n: int):
-    if n < 4:
-        raise ParameterError(f"the cyclic analysis needs n >= 4, got {n}")
+    check_count("n", n, 4)
     if n > DEFAULT_STATE_CAP:
         raise CapExceededError(f"n={n} exceeds the state cap {DEFAULT_STATE_CAP}")
 
@@ -314,9 +313,7 @@ def scan_epsilon(
     xi: float = 0.0, lo: float = 0.01, hi: float = 0.49, num: int = 500
 ):
     """Grid of (epsilon, second eigenvalue) pairs for the limit chain."""
-    if num < 1:
-        raise ParameterError(f"need at least one grid point, got num={num}")
-    eps = np.linspace(lo, hi, check_array_length("num", check_int64("num", num)))
+    eps = np.linspace(lo, hi, check_array_length("num", check_count("num", num, 1)))
     lams = np.array([lambda2_of_epsilon(float(e), xi) for e in eps])
     return eps, lams
 
@@ -401,8 +398,7 @@ def cyclic_one_card_bound(t, n: int, c: float):
     ts = np.asarray(t, dtype=np.float64)
     if not (ts >= 0).all():  # NaN fails too
         raise ParameterError(f"time must be non-negative, got {t!r}")
-    if n < 2:
-        raise ParameterError(f"deck size must be at least 2, got {n}")
+    check_count("n", n, 2)
     rounds = np.floor(CYCLIC_BOUND_RATE * ts / n)
     values = c * np.exp(-ts / n) * (CYCLIC_BOUND_LAM**rounds + 1.0 / n)
     return float(values) if values.ndim == 0 else values
@@ -467,10 +463,8 @@ def cyclic_mixing_upper(n: int, k: int, c: float) -> CyclicMixingResult:
     front of the tolerance comes from trading accuracy 1/4 at k cards for
     accuracy e^{-3/2}/k at one card.
     """
-    if k < 2:
-        raise ParameterError(f"need k >= 2 tracked cards, got {k}")
-    if n < 2:
-        raise ParameterError(f"deck size must be at least 2, got {n}")
+    check_count("k", k, 2)
+    check_count("n", n, 2)
     check_k(n, k)
     target = math.exp(-1.5) / k
     horizon = int(math.ceil(10.0 * n * math.log(n)))

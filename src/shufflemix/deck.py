@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int64
+from .errors import ParameterError, check_count
 
 
 class ShuffleKind(str, enum.Enum):
@@ -44,9 +44,7 @@ class ShuffleRule:
     phase: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError("deck size n must be at least 2")
-        check_int64("deck size n", self.n)
+        check_count("n", self.n, 2)
         try:
             kind = ShuffleKind(self.kind)
         except ValueError:
@@ -85,8 +83,7 @@ class ShuffleRule:
         A scalar for the deterministic top and cyclic rules; otherwise
         ``size`` independent draws from ``gen``, one per trial.
         """
-        if t < 1:
-            raise ParameterError("step index t starts at 1")
+        check_count("t", t, 1)
         if self.kind is ShuffleKind.TOP_TO_RANDOM:
             return 1
         if self.kind is ShuffleKind.CYCLIC_TO_RANDOM:
@@ -101,8 +98,7 @@ class ShuffleRule:
 
         Entry j-1 is the probability of position j.
         """
-        if t < 1:
-            raise ParameterError("step index t starts at 1")
+        check_count("t", t, 1)
         if self.kind is ShuffleKind.RANDOM_TO_RANDOM:
             return np.full(self.n, 1.0 / self.n)
         if self.kind is ShuffleKind.CUSTOM_SEQUENCE:

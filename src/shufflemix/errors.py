@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks that raise
-them for numbers numpy cannot hold.
+them for counts out of range and numbers numpy cannot hold.
 
 Each error carries the process exit code the command line layer maps it to.
 """
@@ -51,6 +51,14 @@ def check_int64(name: str, value: int) -> int:
     if not -(2**63) <= value < 2**63:
         raise ParameterError(f"{name} must fit in 64 bits, got {value}")
     return value
+
+
+def check_count(name: str, value: int, least: int) -> int:
+    """``value``, or ParameterError unless ``least <= value`` and it fits in
+    int64: the one rule for every count, size and time a run reads."""
+    if value < least:
+        raise ParameterError(f"{name} must be at least {least}, got {value}")
+    return check_int64(name, value)
 
 
 def check_array_length(name: str, length: int, bytes_each: int = 8) -> int:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .deck import ShuffleKind, ShuffleRule
-from .errors import HorizonError, MassDriftError, ParameterError, check_int64
-from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, tuple_count
+from .errors import HorizonError, MassDriftError, ParameterError, check_count, check_int64
+from .indexing import DEFAULT_STATE_CAP, KTupleIndexer, check_tuple, tuple_count
 from .rng import DEFAULT_SEED, RandomStream
 
 MASS_TOL = 1e-10
@@ -360,14 +360,17 @@ def _scan(rule: ShuffleRule, k: int, start=None):
     The scan evolves the one ``start`` given, or else the starts
     ``_start_strategy`` names for the rule's worst case: sampled starts warn
     with a ``UserWarning``, attributed to the caller of the public driver,
-    that they only bound it from below.
+    that they only bound it from below. A given start is checked before
+    the evolver builds its table of every tuple.
     """
+    if start is not None:
+        start = check_tuple(rule.n, k, start)
     evolver = LumpedEvolver(rule, k)
     count = evolver.indexer.count
     meta = {"rule": rule.kind.value, "n": rule.n, "k": k, "states": count,
             "cap": DEFAULT_STATE_CAP}
     if start is not None:
-        meta.update(start_strategy="single-start", start=list(map(int, start)))
+        meta.update(start_strategy="single-start", start=start.tolist())
         return _worst_tv_steps(evolver, [start]), meta
     strategy = meta["start_strategy"] = _start_strategy(rule, count)
     meta["lower_bound_only"] = strategy == "sampled-lower-bound"
@@ -528,8 +531,7 @@ def partial_mixing_time(
     n = rule.n
     if horizon is None:
         horizon = int(math.ceil(n * (math.log(max(k, 2)) + 4.0 * max(1.0, -math.log(epsilon)))))
-    if horizon < 0:
-        raise ParameterError(f"horizon must be non-negative, got {horizon}")
+    check_count("horizon", horizon, 0)
     steps, meta = _scan(rule, k)
     for t, tv, drift in steps:
         if tv < epsilon:

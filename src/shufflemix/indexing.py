@@ -37,6 +37,19 @@ def check_k(n: int, k: int):
         raise ParameterError(f"k must be at least 1, got {k}")
 
 
+def check_tuple(n: int, k: int, positions) -> np.ndarray:
+    """``positions`` as an int64 array, or ParameterError unless they are k
+    distinct positions in 1..n: the one rule for a start tuple."""
+    pos = np.asarray(positions, dtype=np.int64)
+    if pos.shape != (k,):
+        raise ParameterError(f"expected a {k}-tuple")
+    if (pos < 1).any() or (pos > n).any():
+        raise ParameterError("positions must lie in 1..n")
+    if np.unique(pos).size != k:
+        raise ParameterError("positions must be distinct")
+    return pos
+
+
 def tuple_count(n: int, k: int) -> int:
     """The n (n - 1) ... (n - k + 1) ordered k-tuples, after ``check_k``. Past
     the state cap it raises at once: at huge n and k the product is slow to form."""
@@ -70,13 +83,7 @@ class KTupleIndexer:
 
     def encode(self, positions) -> int:
         """Index of a 1-based tuple of distinct positions."""
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.shape != (self.k,):
-            raise ParameterError(f"expected a {self.k}-tuple")
-        if (pos < 1).any() or (pos > self.n).any():
-            raise ParameterError("positions must lie in 1..n")
-        if np.unique(pos).size != self.k:
-            raise ParameterError("positions must be distinct")
+        pos = check_tuple(self.n, self.k, positions)
         return int(self.encode_many((pos - 1)[None, :])[0])
 
     def decode(self, index: int) -> tuple:

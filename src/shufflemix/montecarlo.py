@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deck import ShuffleKind, ShuffleRule
-from .errors import CapExceededError, ParameterError, check_array_length, check_int64
+from .errors import CapExceededError, ParameterError, check_array_length, check_count
 from .indexing import KTupleIndexer, check_k
 from .rng import DEFAULT_SEED, RandomStream
 
@@ -60,8 +60,7 @@ class MCEstimate:
     def __post_init__(self):
         if self.std_error < 0.0:
             raise ParameterError("std_error must be non-negative")
-        if self.samples < 1:
-            raise ParameterError("samples must be at least 1")
+        check_count("samples", self.samples, 1)
 
 
 @dataclass(frozen=True)
@@ -82,9 +81,7 @@ def _horizon(n: int, horizon: int | None) -> int:
     """A coupling's horizon: 20 n by default, positive, and tallyable by survival_counts."""
     if horizon is None:
         horizon = 20 * n
-    if horizon < 1:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
-    check_array_length("horizon + 1", check_int64("horizon", horizon) + 1)
+    check_array_length("horizon + 1", check_count("horizon", horizon, 1) + 1)
     return horizon
 
 
@@ -158,10 +155,8 @@ def block_workers(workers: int | None, trials: int) -> int:
     """The worker processes ``trials`` trials run in when ``workers`` are
     asked for (None: every CPU): at most the block count and the CPUs this
     process may use (taken as 1 on a platform without CPU affinity)."""
-    if workers is not None and workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    wanted = cpus if workers is None else workers
+    wanted = cpus if workers is None else check_count("workers", workers, 1)
     return max(1, min(wanted, cpus, -(-trials // _TRIAL_BLOCK)))
 
 
@@ -277,10 +272,8 @@ def mc_tv_plugin(
     sqrt(N/(2 pi M)); the bias is reported, not corrected.
     """
     n = rule.n
-    if t < 0:
-        raise ParameterError(f"t must be non-negative, got {t}")
-    if samples < 1:
-        raise ParameterError(f"samples must be positive, got {samples}")
+    check_count("t", t, 0)
+    check_count("samples", samples, 1)
     block_workers(workers, samples)  # before the warning
     try:
         indexer = KTupleIndexer(n, k)
@@ -357,12 +350,9 @@ def tv_lower_bound_fixed_cards(
     0, with a warning.
     """
     n = rule.n
-    if t < 0:
-        raise ParameterError(f"t must be non-negative, got {t}")
-    if c_threshold < 1:
-        raise ParameterError(f"threshold must be at least 1, got {c_threshold}")
-    if samples < 1:
-        raise ParameterError(f"samples must be positive, got {samples}")
+    check_count("t", t, 0)
+    check_count("threshold", c_threshold, 1)
+    check_count("samples", samples, 1)
     check_k(n, k)
     block_workers(workers, samples)  # before the warning
     if c_threshold >= k:
@@ -425,8 +415,7 @@ def _couple_two_decks(rule, horizon, trials, seed, workers, mirror):
     details both constructions share, and the (2, n) tally of those hands.
     """
     n = rule.n
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    check_count("trials", trials, 1)
     check_array_length("n", n, bytes_each=16)  # the (2, n) hand tally
     horizon = _horizon(n, horizon)
 
@@ -630,8 +619,7 @@ def couple_k_decks(
     check_array_length("n", n)  # the tally of deck 0's right hand
     params = KDeckCouplingParams(n, k, horizon)
     horizon = params.horizon
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    check_count("trials", trials, 1)
     block_workers(workers, trials)  # before the warning
     weight = k * k * math.log(max(horizon, 2))
     if weight >= n:
@@ -748,10 +736,8 @@ def left_hand_hit_count(
     started at positions 1..k, by t, with the implied constant against the
     envelope k (t/n + log t)."""
     n = rule.n
-    if t < 1:
-        raise ParameterError(f"t must be at least 1, got {t}")
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    check_count("t", t, 1)
+    check_count("trials", trials, 1)
     check_k(n, k)
 
     def block(gen, size):

@@ -4,10 +4,13 @@ a time-bounded child interpreter.
 The oracle evolves the distribution over all n! arrangements directly and
 projects it onto the tracked k-tuple, so the lumped chain can be checked
 entrywise. Only usable for small n. ``untouched_law`` is a closed-form
-envelope for the top and random worst-case curves at any n.
+envelope for the top and random worst-case curves at any n, and
+``full_deck_chi2`` the exact chi-square distance of the random rule on the
+whole deck, from its characters.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +104,35 @@ def untouched_law(n, k, r, times):
     lies in [D - k/n, D] (a touched card sits nearly uniformly)."""
     untouched = (1.0 - 1.0 / n) ** (r * np.asarray(times, dtype=float))
     return 1.0 - (1.0 - untouched) ** k
+
+
+def _partitions(n, largest):
+    """The partitions of n into parts of at most ``largest``, parts descending."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def full_deck_chi2(n, t):
+    """n! sum (p_t - 1/n!)^2 for the random rule on all n cards after t steps,
+    from any start (Diaconis & Shahshahani 1981): the sum over partitions
+    lambda != (n) of (f^lambda)^2 (1/n + 2 c(lambda)/n^2)^(2t). Here f^lambda
+    is the hook-length count of standard tableaux, an exact int, and
+    c(lambda) the sum of the contents, column minus row, of its cells. The
+    eigenvalue is 1/n, the chance the hands meet, plus (n - 1)/n times a
+    transposition's character ratio 2 c(lambda) / (n (n - 1))."""
+    total = 0.0
+    for shape in _partitions(n, n):
+        if shape == (n,):
+            continue
+        cells = [(row, col) for row, part in enumerate(shape) for col in range(part)]
+        below = [sum(part > col for part in shape) for col in range(shape[0])]
+        hooks = math.prod(shape[row] - col + below[col] - row - 1 for row, col in cells)
+        content = sum(col - row for row, col in cells)
+        total += (math.factorial(n) // hooks) ** 2 * (1 / n + 2 * content / n**2) ** (2 * t)
+    return total
 
 
 def run_bounded(code: str) -> str:

@@ -196,6 +196,17 @@ _ABOVE_INT64, _INT64_MAX = "99999999999999999999", "9223372036854775807"
     *((2, f"couple {mode} --n {_ABOVE_INT64} --threads 1") for mode in COUPLE_MODES),
     *((3, f"couple {mode} --n {_INT64_MAX} --threads 1") for mode in COUPLE_MODES),
     (2, f"couple k-deck --n 6 --k 2 --trials 100 --horizon {_ABOVE_INT64} --threads 1"),
+    # counts that would step or draw blocks until killed, not stop at once
+    (2, f"hits --n 6 --k 2 --t {_ABOVE_INT64} --trials 10 --threads 1"),
+    (2, f"hits --n 6 --k 2 --t 5 --trials {_ABOVE_INT64} --threads 1"),
+    (2, f"mc-tv --n 6 --k 2 --t {_ABOVE_INT64} --samples 10 --threads 1"),
+    (2, f"mc-tv --n 6 --k 2 --t 5 --samples {_ABOVE_INT64} --threads 1"),
+    (2, f"lower-bound --n 10 --k 3 --t {_ABOVE_INT64} --samples 10 --threads 1"),
+    (2, f"lower-bound --n 10 --k 3 --t 5 --samples {_ABOVE_INT64} --threads 1"),
+    (2, f"lower-bound --n 10 --k 3 --t 5 --threshold {_ABOVE_INT64} --threads 1"),
+    *((2, f"couple {mode} --n 10 --trials {_ABOVE_INT64} --threads 1") for mode in COUPLE_MODES),
+    (2, f"mix-time --n 6 --k 2 --horizon {_ABOVE_INT64}"),
+    (2, f"mc-tv --n 6 --k 2 --t 5 --threads {_ABOVE_INT64}"),
     # state counts with thousands of digits pass the cap at once
     (3, "worst-tv --rule random --n 20000 --k 10000 --t-max 1"),
     (3, "mc-tv --rule random --n 20000 --k 10000 --t 1 --samples 10 --threads 1"),
@@ -206,6 +217,35 @@ def test_numbers_numpy_cannot_hold_exit_2_or_3(tmp_path, capsys, code, argv):
     numpy can address is a resource limit (3), as running out of memory is."""
     assert run(tmp_path, *argv.split()) == code
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("mc-tv --n 6 --k 2 --t -1", "t must be at least 0, got -1"),
+    ("lower-bound --n 10 --k 3 --t -1", "t must be at least 0, got -1"),
+    ("hits --n 6 --k 2 --t 0", "t must be at least 1, got 0"),
+    ("mc-tv --n 6 --k 2 --t 5 --samples 0", "samples must be at least 1, got 0"),
+    ("lower-bound --n 10 --k 3 --t 5 --samples 0", "samples must be at least 1, got 0"),
+    ("hits --n 6 --k 2 --t 5 --trials 0", "trials must be at least 1, got 0"),
+    *((f"couple {mode} --n 10 --trials 0", "trials must be at least 1, got 0")
+      for mode in COUPLE_MODES),
+    ("couple one-card --n 10 --horizon 0", "horizon must be at least 1, got 0"),
+    ("couple k-deck --n 10 --horizon 0", "horizon must be at least 1, got 0"),
+    ("mix-time --n 6 --k 2 --horizon -1", "horizon must be at least 0, got -1"),
+    ("lower-bound --n 10 --k 3 --t 5 --threshold 0", "threshold must be at least 1, got 0"),
+    ("eig-scan --num 0", "num must be at least 1, got 0"),
+    ("worst-tv --n 1 --k 1", "n must be at least 2, got 1"),
+    ("hits --n 1 --k 1 --t 5", "n must be at least 2, got 1"),
+    ("tau-hat --n 3", "n must be at least 4, got 3"),
+    ("cyclic-mix --n 50 --k 1", "k must be at least 2, got 1"),
+    ("exact-tv --n 5 --t-max 0", "--t-max must be at least 1, got 0"),
+    ("mc-tv --n 6 --k 2 --t 5 --threads 0", "--threads must be at least 1, got 0"),
+])
+def test_count_below_its_floor_reads_one_line(tmp_path, capsys, argv, line):
+    """Every count flag one below its floor exits 2 with the one wording of
+    ``errors.check_count`` and writes no file."""
+    assert run(tmp_path, *argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -84,7 +84,7 @@ def test_tau_hat_validation():
 def test_every_finite_n_function_checks_n_the_same_way(build):
     """n below 4 is a parameter error and n above the state cap a resource
     error, for the touch time, the recursion and the exact phase matrix."""
-    with pytest.raises(ParameterError, match="needs n >= 4, got 3"):
+    with pytest.raises(ParameterError, match="n must be at least 4, got 3"):
         build(3)
     with pytest.raises(CapExceededError, match="exceeds the state cap"):
         build(DEFAULT_STATE_CAP + 1)

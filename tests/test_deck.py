@@ -83,7 +83,7 @@ def test_custom_rows_must_be_finite(bad):
 @pytest.mark.parametrize("call, match", [
     (lambda: ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, 4, custom=((1 / 3,) * 3,)),
      "wrong width"),
-    (lambda: make_rule("top", 4).left_distribution(0), "starts at 1"),
+    (lambda: make_rule("top", 4).left_distribution(0), "t must be at least 1, got 0"),
 ], ids=["custom-row-width", "left-distribution-at-0"])
 def test_rule_arguments_out_of_domain_are_parameter_errors(call, match):
     with pytest.raises(ParameterError, match=match):

@@ -34,6 +34,7 @@ from shufflemix.indexing import KTupleIndexer
 from conftest import (
     ALL_KINDS,
     brute_force_marginals,
+    full_deck_chi2,
     make_rule,
     run_bounded,
     untouched_law,
@@ -429,6 +430,10 @@ def test_exact_arguments_out_of_domain_raise(call, error, match):
         call()
 
 
+def _unbuilt(self):
+    raise AssertionError("the tuple table was built")
+
+
 @pytest.mark.parametrize("curve", [
     lambda rule, times: exact_tv_curve(rule, 3, (1, 2, 3), times),
     lambda rule, times: worst_case_curve(rule, 3, times),
@@ -440,12 +445,23 @@ def test_exact_arguments_out_of_domain_raise(call, error, match):
 def test_bad_grid_is_rejected_before_the_tuple_table(monkeypatch, curve, times, match):
     """At n = 215, k = 3 (9,800,130 states, just below the cap) a bad grid
     ends before the (count, k) table of tuples is built."""
-    def unbuilt(self):
-        raise AssertionError("the tuple table was built")
-
-    monkeypatch.setattr(KTupleIndexer, "all_positions0", unbuilt)
+    monkeypatch.setattr(KTupleIndexer, "all_positions0", _unbuilt)
     with pytest.raises(ParameterError, match=match):
         curve(make_rule("random", 215), times)
+
+
+@pytest.mark.parametrize("start, match", [
+    ((1, 2), "expected a 3-tuple"),
+    ((1, 2, 216), "must lie in 1..n"),
+    ((0, 2, 3), "must lie in 1..n"),
+    ((1, 2, 2), "must be distinct"),
+], ids=["short", "above-n", "zero", "repeated"])
+def test_bad_start_is_rejected_before_the_tuple_table(monkeypatch, start, match):
+    """At n = 215, k = 3 a start that is not 3 distinct positions in 1..215
+    ends before the (count, k) table of tuples is built."""
+    monkeypatch.setattr(KTupleIndexer, "all_positions0", _unbuilt)
+    with pytest.raises(ParameterError, match=match):
+        exact_tv_curve(make_rule("top", 215), 3, start, [1])
 
 
 def test_times_grid_validation():
@@ -530,6 +546,24 @@ def test_worst_case_within_k_over_n_below_untouched_law(kind, n, k):
     law = untouched_law(n, k, r, times)
     assert np.all(d <= law + 1e-12)
     assert np.all(law - k / n <= d + 1e-12)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_full_deck_meets_the_diaconis_shahshahani_sum(n):
+    """At k = n the random rule's chain is the whole deck, so its exact
+    chi-square distance n! sum (p - u)^2 is the character sum of
+    ``full_deck_chi2`` at every t <= 6n, and TV <= sqrt(chi-square) / 2."""
+    evolver = LumpedEvolver(make_rule("random", n), n)
+    count = evolver.indexer.count
+    probs = np.zeros(count)
+    probs[evolver.indexer.encode(range(1, n + 1))] = 1.0
+    for t in range(6 * n + 1):
+        if t:
+            probs = evolver.step(probs, t)
+        chi2 = full_deck_chi2(n, t)
+        gap = probs - 1.0 / count
+        assert abs(count * np.dot(gap, gap) - chi2) <= 1e-12 * chi2 + 1e-18, t
+        assert 0.5 * np.abs(gap).sum() <= 0.5 * math.sqrt(chi2), t
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

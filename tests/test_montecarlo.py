@@ -269,7 +269,7 @@ def test_lower_bound_start_positions_at_bottom():
     assert est.details["start_positions"] == [10, 11, 12]
     with pytest.raises(ParameterError):
         tv_lower_bound_fixed_cards(rule, 3, t=1, c_threshold=0, samples=500, seed=5)
-    with pytest.raises(ParameterError, match="non-negative"):
+    with pytest.raises(ParameterError, match="t must be at least 0, got -1"):
         tv_lower_bound_fixed_cards(rule, 3, t=-1, c_threshold=1, samples=500, seed=5)
 
 
@@ -854,16 +854,16 @@ _RULE6 = make_rule("top", 6)
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: mc_tv_plugin(_RULE6, 2, -1, 100), "t must be non-negative"),
-    (lambda: mc_tv_plugin(_RULE6, 2, 5, 0), "samples must be positive"),
+    (lambda: mc_tv_plugin(_RULE6, 2, -1, 100), "t must be at least 0, got -1"),
+    (lambda: mc_tv_plugin(_RULE6, 2, 5, 0), "samples must be at least 1, got 0"),
     (lambda: uniform_fixed_point_tail(6, 0, 1), "k must be at least 1"),
     (lambda: uniform_fixed_point_tail(6, 7, 1), "k exceeds n"),
-    (lambda: tv_lower_bound_fixed_cards(_RULE6, 2, 5, 1, 0), "samples must be positive"),
+    (lambda: tv_lower_bound_fixed_cards(_RULE6, 2, 5, 1, 0), "samples must be at least 1, got 0"),
     (lambda: tv_lower_bound_fixed_cards(_RULE6, 0, 5, 1, 100), "k must be at least 1"),
     (lambda: tv_lower_bound_fixed_cards(_RULE6, 7, 5, 1, 100), "k exceeds n"),
-    (lambda: couple_k_decks(_RULE6, 2, trials=0), "trials must be positive"),
+    (lambda: couple_k_decks(_RULE6, 2, trials=0), "trials must be at least 1, got 0"),
     (lambda: left_hand_hit_count(_RULE6, 2, 0, 100), "t must be at least 1"),
-    (lambda: left_hand_hit_count(_RULE6, 2, 5, 0), "trials must be positive"),
+    (lambda: left_hand_hit_count(_RULE6, 2, 5, 0), "trials must be at least 1, got 0"),
 ], ids=[
     "mc-tv-t", "mc-tv-samples", "tail-k-0", "tail-k-above-n", "lower-bound-samples",
     "lower-bound-k-0", "lower-bound-k-above-n", "k-deck-trials", "hits-t", "hits-trials",
