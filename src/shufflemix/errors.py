@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the checks that raise
-them for counts out of range and numbers numpy cannot hold.
+them for counts that are not integers or out of range, and numbers numpy
+cannot hold.
 
 Each error carries the process exit code the command line layer maps it to.
 """
 
+import operator
 import sys
 
 
@@ -53,9 +55,23 @@ def check_int64(name: str, value: int) -> int:
     return value
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int, or ParameterError unless it is one: a Python or
+    numpy integer, read through ``operator.index``. Floats are refused, not
+    truncated, and so are bools, as the seed check refuses them."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def check_count(name: str, value: int, least: int) -> int:
-    """``value``, or ParameterError unless ``least <= value`` and it fits in
-    int64: the one rule for every count, size and time a run reads."""
+    """``value`` as an int, or ParameterError unless it is an integer with
+    ``least <= value`` that fits in int64: the one rule for every count,
+    size and time a run reads."""
+    value = check_integer(name, value)
     if value < least:
         raise ParameterError(f"{name} must be at least {least}, got {value}")
     return check_int64(name, value)

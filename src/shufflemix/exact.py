@@ -100,10 +100,12 @@ class LumpedEvolver:
         """Yield the codes of the 0-based tuples ``rows`` with card i moved to
         each q of ``qs``, q-major, as (q slice, row slice, codes) pieces: runs
         of whole q blocks, or row ranges within one q, of at most
-        ``_CHUNK_ROWS`` = 2^16 rows. At k = 3 a piece's int32 block and int64
-        codes take 1.25 MiB, inside a 2 MiB L2 cache, so ``encode_many``
+        ``_CHUNK_ROWS`` = 2^16 rows. At k = 3 a piece's block, in the table's
+        int16, and its int64 codes take 0.875 MiB (1.25 MiB with an int32
+        table past n = 32767), inside a 2 MiB L2 cache, so ``encode_many``
         reads what was just written; pieces of 2^15 to 2^17 rows measured
-        alike."""
+        alike. ``qs`` must be in the table's dtype, so ``_encode_moved``
+        compares positions in it rather than in int64."""
         m, nq = rows.shape[0], qs.size
         per = max(_CHUNK_ROWS // max(m, 1), 1)
         runs = [(slice(q, min(q + per, nq)), slice(r, min(r + _CHUNK_ROWS, m)))
@@ -128,19 +130,21 @@ class LumpedEvolver:
         """State indices of the states ``rows`` after transposing (p_i, q):
         card i moves to q, and a tracked card at q takes p_i.
 
-        Under the cache budget the whole map is encoded once, kept and
-        sliced; past it only ``rows`` is. ``_pieces`` encodes it: a lone
-        piece is returned as it is, more are copied into one int64 array."""
+        Under the cache budget the whole map is encoded once, kept as int32
+        (every code is below the state cap < 2**31) and sliced; past it only
+        ``rows`` is, and stays int64, since ``np.add.at`` scatters through
+        int32 indices about 30% slower. ``_pieces`` encodes it: an uncached
+        lone piece is returned as it is, else the pieces are copied into one
+        array."""
         if (i, q) in self._targets:
             return self._targets[i, q][rows]
         pos = self._pos0 if self._cache_targets else self._pos0[rows]
-        pieces = self._pieces(pos, i, np.array([q]))
-        if pos.shape[0] <= _CHUNK_ROWS:
-            tgt = next(pieces)[2]
-        else:
-            tgt = np.empty(pos.shape[0], dtype=np.int64)
-            for _, row_run, codes in pieces:
-                tgt[row_run] = codes
+        pieces = self._pieces(pos, i, np.array([q], dtype=pos.dtype))
+        if not self._cache_targets and pos.shape[0] <= _CHUNK_ROWS:
+            return next(pieces)[2]
+        tgt = np.empty(pos.shape[0], dtype=np.int32 if self._cache_targets else np.int64)
+        for _, row_run, codes in pieces:
+            tgt[row_run] = codes
         if not self._cache_targets:
             return tgt
         self._targets[i, q] = tgt
@@ -164,16 +168,32 @@ class LumpedEvolver:
         """
         return np.ascontiguousarray(lvec[self._pos0]).sum(axis=1)
 
-    def _moves(self, lvec: np.ndarray):
+    def _moves(self, lvec: np.ndarray, probs: np.ndarray | None = None):
         """Yield (weight per state, i, q) for every move of tracked card i to
         position q: its own position drawn by the left hand, or q drawn by the
-        left hand while untracked, each with the uniform right hand's 1/n."""
-        pos = self._pos0
-        left_at = [lvec[pos[:, i]] for i in range(self.k)]
-        for q in range(self.n):
-            lq = lvec[q] * self._untracked(q)
+        left hand while untracked, each with the uniform right hand's 1/n,
+        and times ``probs`` when it is given.
+
+        The weights are formed in place, with the bits of
+        ``probs * ((left_at[i] + lq) / n)``, in one reused buffer: a yielded
+        array holds only until the next move is drawn. Under a uniform left
+        hand every card's weights are equal, so they are formed once per q."""
+        n = self.n
+        lq = np.empty(self.indexer.count)
+        weight = np.empty_like(lq)
+        if (lvec == lvec[0]).all():
+            left_at = [lvec[0]]
+        else:
+            left_at = [lvec[self._pos0[:, i]] for i in range(self.k)]
+        for q in range(n):
+            np.multiply(lvec[q], self._untracked(q), out=lq)
             for i in range(self.k):
-                yield (left_at[i] + lq) / self.n, i, q
+                if i < len(left_at):  # under a uniform hand, once per q
+                    np.add(left_at[i], lq, out=weight)
+                    weight /= n
+                    if probs is not None:
+                        weight *= probs
+                yield weight, i, q
 
     # -- single step ----------------------------------------------------------
 
@@ -211,7 +231,7 @@ class LumpedEvolver:
                 # at n = 100, k = 3 0.15 MB lower than freeing them at once.
                 moved = self._target(j, left0, rows)
                 np.add.at(new, moved, w_miss)
-        qs = np.arange(n)
+        qs = np.arange(n, dtype=pos.dtype)
         for i in range(k):
             # left hand holds card i: it moves to the uniform right position
             idx = np.flatnonzero(pos[:, i] == left0)
@@ -222,10 +242,11 @@ class LumpedEvolver:
         return new
 
     def _step_general(self, probs: np.ndarray, lvec: np.ndarray) -> np.ndarray:
+        """The step of the random and custom rules: the self-loops, then each
+        move's weights scattered by ``bincount``, in ``_moves`` order."""
         n, k, count = self.n, self.k, self.indexer.count
         new = probs * (1.0 - self._left_on_tracked(lvec)) * ((n - k) / n)
-        for weight, i, q in self._moves(lvec):
-            w = probs * weight
+        for w, i, q in self._moves(lvec, probs):
             new += np.bincount(self._target(i, q), weights=w, minlength=count)
         return new
 

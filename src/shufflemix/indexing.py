@@ -6,14 +6,18 @@ indexer maps tuples to 0..count-1 and back via a falling-factorial
 mixed-radix code, so exact distributions can live in flat numpy arrays.
 The code order coincides with lexicographic order of the raw tuples.
 
-The table of all tuples is stored coordinate-major: a (k, count) int32
-block whose transpose is handed out, so each coordinate is one contiguous
-column and the per-coordinate loops of ``encode_many`` and the exact step
-stream through memory. ``encode_many`` forms each digit times its place
-value and sums them in int32, widening the codes to int64 once at the end.
-That cannot overflow: each partial sum of digits times place values is the
-code of a prefix with the later digits 0, so it is at most count - 1, and
-count never exceeds ``DEFAULT_STATE_CAP`` < 2**31.
+The table of all tuples is stored coordinate-major: a (k, count) block
+whose transpose is handed out, so each coordinate is one contiguous column
+and the per-coordinate loops of ``encode_many`` and the exact step stream
+through memory. Its dtype is ``position_dtype(n)``: int16 while n fits in
+int16, which covers every deck the state cap allows at k >= 2, else int32.
+At n = 200, k = 3 the table takes 47.3 MB, where int32 would take 94.6 MB.
+
+``encode_many`` forms each digit times its place value and sums them in
+int32, widening the codes to int64 once at the end. That cannot overflow:
+each partial sum of digits times place values is the code of a prefix with
+the later digits 0, so it is at most count - 1, and count never exceeds
+``DEFAULT_STATE_CAP`` < 2**31.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError, ParameterError
+from .errors import CapExceededError, ParameterError, check_integer
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -39,15 +43,23 @@ def check_k(n: int, k: int):
 
 def check_tuple(n: int, k: int, positions) -> np.ndarray:
     """``positions`` as an int64 array, or ParameterError unless they are k
-    distinct positions in 1..n: the one rule for a start tuple."""
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.shape != (k,):
+    distinct positions in 1..n: the one rule for a start tuple. Each entry
+    must be an integer, as ``check_integer`` rules, so a float or a bool is
+    refused rather than truncated, and an int past int64 falls outside 1..n."""
+    if np.ndim(positions) != 1 or len(positions) != k:
         raise ParameterError(f"expected a {k}-tuple")
-    if (pos < 1).any() or (pos > n).any():
+    pos = [check_integer("positions", p) for p in positions]
+    if not all(1 <= p <= n for p in pos):
         raise ParameterError("positions must lie in 1..n")
-    if np.unique(pos).size != k:
+    if len(set(pos)) != k:
         raise ParameterError("positions must be distinct")
-    return pos
+    return np.array(pos, dtype=np.int64)
+
+
+def position_dtype(n: int) -> np.dtype:
+    """The dtype of the tuple table on n positions, and of every block of
+    moved tuples built from it: int16 while n fits in it, else int32."""
+    return np.dtype(np.int16 if n <= np.iinfo(np.int16).max else np.int32)
 
 
 def tuple_count(n: int, k: int) -> int:
@@ -132,7 +144,8 @@ class KTupleIndexer:
         return codes.astype(np.int64)
 
     def all_positions0(self) -> np.ndarray:
-        """(count, k) int32 array of 0-based tuples, row i decoding index i.
+        """(count, k) array of 0-based tuples, row i decoding index i, in
+        ``position_dtype(n)``: int16 at n <= 32767, int32 past it.
 
         Built one coordinate at a time from the sorted free slots of every
         prefix: coordinate j of the tuples is the free slots of the length-j
@@ -142,8 +155,9 @@ class KTupleIndexer:
         """
         if self._all_pos0 is None:
             n, k = self.n, self.k
-            block = np.empty((k, self.count), dtype=np.int32)
-            free = np.arange(n, dtype=np.int32)[None, :]  # the empty prefix
+            dtype = position_dtype(n)
+            block = np.empty((k, self.count), dtype=dtype)
+            free = np.arange(n, dtype=dtype)[None, :]  # the empty prefix
             for j in range(k):
                 block[j] = np.repeat(free.ravel(), int(self._bases[j]))
                 if j + 1 < k:

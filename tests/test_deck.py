@@ -84,7 +84,18 @@ def test_custom_rows_must_be_finite(bad):
     (lambda: ShuffleRule(ShuffleKind.CUSTOM_SEQUENCE, 4, custom=((1 / 3,) * 3,)),
      "wrong width"),
     (lambda: make_rule("top", 4).left_distribution(0), "t must be at least 1, got 0"),
-], ids=["custom-row-width", "left-distribution-at-0"])
+    (lambda: ShuffleRule(ShuffleKind.TOP_TO_RANDOM, 6.5), "n must be an integer, got 6.5"),
+    (lambda: ShuffleRule(ShuffleKind.TOP_TO_RANDOM, True), "n must be an integer, got True"),
+    (lambda: make_rule("top", 4).left_distribution(np.float64(1.0)),
+     "t must be an integer, got np.float64"),
+], ids=["custom-row-width", "left-distribution-at-0", "float-n", "bool-n", "float-t"])
 def test_rule_arguments_out_of_domain_are_parameter_errors(call, match):
     with pytest.raises(ParameterError, match=match):
         call()
+
+
+def test_numpy_integer_counts_are_read_as_ints():
+    """``check_count`` reads counts through ``operator.index``, so numpy
+    integers pass as the Python ints they equal."""
+    rule = ShuffleRule(ShuffleKind.TOP_TO_RANDOM, np.int64(6))
+    assert rule.left_distribution(np.uint8(1)).tolist() == [1.0, 0, 0, 0, 0, 0]

@@ -184,6 +184,50 @@ def test_uncached_targets_step_like_cached_ones(monkeypatch, n, k):
         assert not uncached._targets
 
 
+@pytest.mark.parametrize("cache_targets", [True, False], ids=["cached", "uncached"])
+def test_int32_table_steps_like_the_int16_table(monkeypatch, cache_targets):
+    """Past n = 32767 the tuple table is int32. Forced to int32 at n = 8,
+    k = 3, it steps bit for bit like the int16 table over 2n steps from a
+    dense start, for all four rules, and builds the same kernels."""
+    if not cache_targets:
+        monkeypatch.setattr("shufflemix.exact._TARGET_CACHE_BUDGET", 0)
+    for kind in ALL_KINDS:
+        rule = make_rule(kind, 8)
+        narrow = LumpedEvolver(rule, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr("shufflemix.indexing.position_dtype", lambda n: np.dtype(np.int32))
+            wide = LumpedEvolver(rule, 3)
+        assert narrow._pos0.dtype == np.int16 and wide._pos0.dtype == np.int32
+        probs = np.random.default_rng(83).random(narrow.indexer.count)
+        got = want = probs / probs.sum()
+        for t in range(1, 17):
+            got, want = wide.step(got, t), narrow.step(want, t)
+            assert np.array_equal(got, want), (kind, t)
+            differ = wide.step_matrix_T(t) != narrow.step_matrix_T(t)
+            assert differ.nnz == 0, (kind, t)
+
+
+def test_cached_targets_are_int32_and_uncached_pieces_int64(monkeypatch):
+    """Under the budget each (i, q) map is kept as int32, half the bytes of
+    its codes; past it the encoded pieces, lone or copied into one array,
+    stay int64 for ``np.add.at``. Both hold the same codes."""
+    rule = make_rule("random", 8)
+    cached = LumpedEvolver(rule, 3)
+    monkeypatch.setattr("shufflemix.exact._TARGET_CACHE_BUDGET", 0)
+    uncached = LumpedEvolver(rule, 3)
+    monkeypatch.setattr("shufflemix.exact._CHUNK_ROWS", 100)  # 336 states in four pieces
+    rows = slice(150, 250)
+    for i, q in itertools.product(range(3), range(8)):
+        whole = cached._target(i, q)
+        assert whole.dtype == cached._targets[i, q].dtype == np.int32
+        assert cached._target(i, q, rows).dtype == np.int32
+        for got in (uncached._target(i, q), uncached._target(i, q, rows)):
+            assert got.dtype == np.int64
+        assert np.array_equal(uncached._target(i, q), whole)
+        assert np.array_equal(uncached._target(i, q, rows), whole[rows])
+    assert len(cached._targets) == 24 and not uncached._targets
+
+
 @pytest.mark.parametrize("kind,n,steps", [
     ("top", 8, 3), ("random", 8, 3), ("cyclic", 8, 3), ("random", 9, 1),
 ])
@@ -455,10 +499,15 @@ def test_bad_grid_is_rejected_before_the_tuple_table(monkeypatch, curve, times, 
     ((1, 2, 216), "must lie in 1..n"),
     ((0, 2, 3), "must lie in 1..n"),
     ((1, 2, 2), "must be distinct"),
-], ids=["short", "above-n", "zero", "repeated"])
+    ((1.7, 2.2, 3), "must be an integer, got 1.7"),
+    ((True, 2, 3), "must be an integer, got True"),
+    ((1, 2, 2**64), "must lie in 1..n"),
+], ids=["short", "above-n", "zero", "repeated", "float", "bool", "past-int64"])
 def test_bad_start_is_rejected_before_the_tuple_table(monkeypatch, start, match):
-    """At n = 215, k = 3 a start that is not 3 distinct positions in 1..215
-    ends before the (count, k) table of tuples is built."""
+    """At n = 215, k = 3 a start that is not 3 distinct integer positions in
+    1..215 ends before the (count, k) table of tuples is built. A float start
+    once evolved the tuple it truncates to, and a position past int64 raised
+    OverflowError."""
     monkeypatch.setattr(KTupleIndexer, "all_positions0", _unbuilt)
     with pytest.raises(ParameterError, match=match):
         exact_tv_curve(make_rule("top", 215), 3, start, [1])

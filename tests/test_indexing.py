@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflemix.errors import CapExceededError, ParameterError
-from shufflemix.indexing import DEFAULT_STATE_CAP, KTupleIndexer
+from shufflemix.indexing import DEFAULT_STATE_CAP, KTupleIndexer, check_tuple, position_dtype
 
 
 def test_roundtrip_exhaustive():
@@ -62,7 +62,7 @@ def test_all_positions0_shape_and_dtype():
     idx = KTupleIndexer(6, 2)
     rows = idx.all_positions0()
     assert rows.shape == (30, 2)
-    assert rows.dtype == np.int32
+    assert rows.dtype == np.int16
     assert not rows.flags.writeable
     assert rows is idx.all_positions0()  # cached
 
@@ -74,19 +74,32 @@ _TABLE_SIZES += [(n, n) for n in range(5, 8)]
 @pytest.mark.parametrize("n,k", _TABLE_SIZES)
 def test_all_positions0_is_permutations_order(n, k):
     idx = KTupleIndexer(n, k)
-    want = np.array(list(itertools.permutations(range(n), k)), dtype=np.int32)
+    want = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
     rows = idx.all_positions0()
-    assert rows.dtype == np.int32 and not rows.flags.writeable
+    assert rows.dtype == np.int16 and not rows.flags.writeable
     assert np.array_equal(rows, want.reshape(idx.count, k))
     assert rows is idx.all_positions0()
     assert all(rows[:, j].flags.c_contiguous for j in range(k))
+
+
+@pytest.mark.parametrize("n,dtype", [(32767, np.int16), (32768, np.int32)])
+def test_table_dtype_changes_where_n_leaves_int16(n, dtype):
+    """int16 while n fits in it, int32 from n = 32768: at k = 1 the table is
+    every position, and its last row is position n - 1 either way."""
+    assert position_dtype(n) == dtype
+    idx = KTupleIndexer(n, 1)
+    rows = idx.all_positions0()
+    assert rows.dtype == dtype and not rows.flags.writeable
+    assert np.array_equal(rows[:, 0], np.arange(n))
+    assert idx.encode_many(rows[-1:]).tolist() == [n - 1]
+    assert idx.decode(n - 1) == (n,)
 
 
 def test_encode_many_ignores_layout_and_dtype():
     idx = KTupleIndexer(7, 4)
     want = np.arange(idx.count)
     rows = idx.all_positions0()
-    for dtype in (np.int32, np.int64):
+    for dtype in (np.int16, np.int32, np.int64):
         for order in ("C", "F"):
             codes = idx.encode_many(np.asarray(rows, dtype=dtype, order=order))
             assert codes.dtype == np.int64
@@ -123,6 +136,31 @@ def test_validation():
         idx.encode((1, 2, 3))
     with pytest.raises(ParameterError):
         idx.decode(idx.count)
+
+
+@pytest.mark.parametrize("start, match", [
+    ((1.7, 2.2), "positions must be an integer, got 1.7"),
+    ((1, 2.0), "positions must be an integer, got 2.0"),
+    ((True, 2), "positions must be an integer, got True"),
+    (np.array([True, False]), "positions must be an integer"),
+    ((2**64, 1), "must lie in 1..n"),
+    ((1, -(2**64)), "must lie in 1..n"),
+    (((1, 2), (3, 4)), "expected a 2-tuple"),
+    (3, "expected a 2-tuple"),
+], ids=["floats", "one-float", "bool", "numpy-bools", "past-uint64", "below-int64",
+        "nested", "scalar"])
+def test_check_tuple_refuses_what_is_not_k_integer_positions(start, match):
+    """A float or bool entry is refused, not truncated to a position, and
+    an int past int64 is out of range, not an OverflowError."""
+    with pytest.raises(ParameterError, match=match):
+        check_tuple(5, 2, start)
+
+
+def test_check_tuple_reads_any_integer_sequence():
+    for start in ((2, 5), [2, 5], range(2, 7, 3), np.array([2, 5], dtype=np.int16),
+                  (np.int64(2), np.uint8(5))):
+        pos = check_tuple(5, 2, start)
+        assert pos.dtype == np.int64 and pos.tolist() == [2, 5], start
 
 
 def test_state_cap():

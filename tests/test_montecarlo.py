@@ -864,9 +864,12 @@ _RULE6 = make_rule("top", 6)
     (lambda: couple_k_decks(_RULE6, 2, trials=0), "trials must be at least 1, got 0"),
     (lambda: left_hand_hit_count(_RULE6, 2, 0, 100), "t must be at least 1"),
     (lambda: left_hand_hit_count(_RULE6, 2, 5, 0), "trials must be at least 1, got 0"),
+    (lambda: left_hand_hit_count(_RULE6, 2, 2.5, 10), "t must be an integer, got 2.5"),
+    (lambda: mc_tv_plugin(_RULE6, 2, 5, True), "samples must be an integer, got True"),
 ], ids=[
     "mc-tv-t", "mc-tv-samples", "tail-k-0", "tail-k-above-n", "lower-bound-samples",
     "lower-bound-k-0", "lower-bound-k-above-n", "k-deck-trials", "hits-t", "hits-trials",
+    "hits-float-t", "mc-tv-bool-samples",
 ])
 def test_driver_arguments_out_of_domain_are_parameter_errors(call, match):
     with pytest.raises(ParameterError, match=match):
