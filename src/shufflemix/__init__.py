@@ -24,7 +24,6 @@ from .deck import ShuffleKind, ShuffleRule
 from .indexing import DEFAULT_STATE_CAP, KTupleIndexer
 from .exact import (
     CutoffProfile,
-    KTupleDistribution,
     LumpedEvolver,
     MixingTime,
     TVCurve,

@@ -35,33 +35,6 @@ _TARGET_CACHE_BUDGET = 40_000_000
 _CHUNK_ROWS = 1 << 16
 
 
-@dataclass
-class KTupleDistribution:
-    """Probability vector over the indexer's ordered k-tuples."""
-
-    indexer: KTupleIndexer
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.shape != (self.indexer.count,):
-            raise ParameterError("probability vector has wrong length")
-        self.validate()
-
-    @classmethod
-    def point_mass(cls, indexer: KTupleIndexer, positions) -> "KTupleDistribution":
-        probs = np.zeros(indexer.count)
-        probs[indexer.encode(positions)] = 1.0
-        return cls(indexer, probs)
-
-    def validate(self):
-        if (self.probs < -MASS_TOL).any():
-            raise MassDriftError("negative probability mass")
-        drift = abs(float(self.probs.sum()) - 1.0)
-        if not drift <= MASS_TOL:  # NaN mass fails too
-            raise MassDriftError(f"probability mass drifted by {drift:.3e}")
-
-
 class LumpedEvolver:
     """One-step pushforward for the k-tuple location chain.
 
@@ -101,7 +74,7 @@ class LumpedEvolver:
         each q of ``qs``, q-major, as (q slice, row slice, codes) pieces: runs
         of whole q blocks, or row ranges within one q, of at most
         ``_CHUNK_ROWS`` = 2^16 rows. At k = 3 a piece's block, in the table's
-        int16, and its int64 codes take 0.875 MiB (1.25 MiB with an int32
+        int16, and its int32 codes take 0.625 MiB (1 MiB with an int32
         table past n = 32767), inside a 2 MiB L2 cache, so ``encode_many``
         reads what was just written; pieces of 2^15 to 2^17 rows measured
         alike. ``qs`` must be in the table's dtype, so ``_encode_moved``
@@ -130,19 +103,18 @@ class LumpedEvolver:
         """State indices of the states ``rows`` after transposing (p_i, q):
         card i moves to q, and a tracked card at q takes p_i.
 
-        Under the cache budget the whole map is encoded once, kept as int32
-        (every code is below the state cap < 2**31) and sliced; past it only
-        ``rows`` is, and stays int64, since ``np.add.at`` scatters through
-        int32 indices about 30% slower. ``_pieces`` encodes it: an uncached
+        Under the cache budget the whole map is encoded once, kept and
+        sliced; past it only ``rows`` is. ``_pieces`` encodes it: an uncached
         lone piece is returned as it is, else the pieces are copied into one
-        array."""
+        array. Either way the codes are int32, as ``encode_many`` returns
+        them."""
         if (i, q) in self._targets:
             return self._targets[i, q][rows]
         pos = self._pos0 if self._cache_targets else self._pos0[rows]
         pieces = self._pieces(pos, i, np.array([q], dtype=pos.dtype))
         if not self._cache_targets and pos.shape[0] <= _CHUNK_ROWS:
             return next(pieces)[2]
-        tgt = np.empty(pos.shape[0], dtype=np.int32 if self._cache_targets else np.int64)
+        tgt = np.empty(pos.shape[0], dtype=np.int32)
         for _, row_run, codes in pieces:
             tgt[row_run] = codes
         if not self._cache_targets:
@@ -264,12 +236,12 @@ class LumpedEvolver:
             return mat
         n, k, count = self.n, self.k, self.indexer.count
         lvec = self.rule.left_distribution(t)
-        src = [np.arange(count, dtype=np.int64)]
-        dst = [np.arange(count, dtype=np.int64)]
+        src = [np.arange(count, dtype=np.int32)]
+        dst = [np.arange(count, dtype=np.int32)]
         val = [(1.0 - self._left_on_tracked(lvec)) * ((n - k) / n)]
         for w, i, q in self._moves(lvec):
             keep = np.flatnonzero(w)
-            src.append(keep)
+            src.append(keep.astype(np.int32))
             dst.append(self._target(i, q)[keep])
             val.append(w[keep])
         import scipy.sparse as sp

@@ -13,11 +13,10 @@ through memory. Its dtype is ``position_dtype(n)``: int16 while n fits in
 int16, which covers every deck the state cap allows at k >= 2, else int32.
 At n = 200, k = 3 the table takes 47.3 MB, where int32 would take 94.6 MB.
 
-``encode_many`` forms each digit times its place value and sums them in
-int32, widening the codes to int64 once at the end. That cannot overflow:
-each partial sum of digits times place values is the code of a prefix with
-the later digits 0, so it is at most count - 1, and count never exceeds
-``DEFAULT_STATE_CAP`` < 2**31.
+Every code is int32, from ``encode_many`` to each scatter that reads it:
+count never exceeds ``DEFAULT_STATE_CAP`` < 2**31. Summing digits times
+place values in int32 cannot overflow either, since each partial sum is the
+code of a prefix with the later digits 0, so it is at most count - 1.
 """
 
 from __future__ import annotations
@@ -118,15 +117,11 @@ class KTupleIndexer:
         return tuple(p + 1 for p in pos)
 
     def encode_many(self, pos0: np.ndarray) -> np.ndarray:
-        """Vectorized index of 0-based position rows, shape (m, k) -> (m,) int64.
+        """Vectorized index of 0-based position rows, shape (m, k) -> (m,) int32.
 
         Digit j is the rank of pos0[:, j] among the slots not taken by the
         earlier coordinates, i.e. pos0[:, j] minus the earlier entries below it.
-        Any layout works; F-ordered rows read contiguous columns. The digits
-        times their place values are summed in int32 and the codes widened to
-        int64 once: every partial sum is below count <= ``DEFAULT_STATE_CAP``
-        < 2**31, and adding int32 digits into int64 codes would be the
-        slowest pass of the loop.
+        Any layout works; F-ordered rows read contiguous columns.
         """
         m = pos0.shape[0]
         cols = [pos0[:, j] for j in range(self.k)]
@@ -141,7 +136,7 @@ class KTupleIndexer:
             part *= int(self._bases[j])
             if j:
                 codes += digit
-        return codes.astype(np.int64)
+        return codes
 
     def all_positions0(self) -> np.ndarray:
         """(count, k) array of 0-based tuples, row i decoding index i, in

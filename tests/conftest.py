@@ -5,8 +5,8 @@ The oracle evolves the distribution over all n! arrangements directly and
 projects it onto the tracked k-tuple, so the lumped chain can be checked
 entrywise. Only usable for small n. ``untouched_law`` is a closed-form
 envelope for the top and random worst-case curves at any n, and
-``full_deck_chi2`` the exact chi-square distance of the random rule on the
-whole deck, from its characters.
+``random_chi2`` the exact chi-square distance of the random rule's k-tuple
+chain at any n and k, from the characters of S_n.
 """
 
 import itertools
@@ -106,33 +106,46 @@ def untouched_law(n, k, r, times):
     return 1.0 - (1.0 - untouched) ** k
 
 
-def _partitions(n, largest):
-    """The partitions of n into parts of at most ``largest``, parts descending."""
-    if n == 0:
-        yield ()
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first, *rest)
+def _young_paths(base, cells):
+    """{shape: ways} over the partitions grown from ``base`` by adding
+    ``cells`` cells one at a time, each step a partition: the ways to reach
+    a shape are its standard fillings of the skew shape shape/base."""
+    level = {base: 1}
+    for _ in range(cells):
+        grown = {}
+        for shape, ways in level.items():
+            for row in range(len(shape) + 1):
+                part = shape[row] if row < len(shape) else 0
+                if row == 0 or shape[row - 1] > part:
+                    bigger = shape[:row] + (part + 1,) + shape[row + 1:]
+                    grown[bigger] = grown.get(bigger, 0) + ways
+        level = grown
+    return level
 
 
-def full_deck_chi2(n, t):
-    """n! sum (p_t - 1/n!)^2 for the random rule on all n cards after t steps,
-    from any start (Diaconis & Shahshahani 1981): the sum over partitions
-    lambda != (n) of (f^lambda)^2 (1/n + 2 c(lambda)/n^2)^(2t). Here f^lambda
-    is the hook-length count of standard tableaux, an exact int, and
-    c(lambda) the sum of the contents, column minus row, of its cells. The
-    eigenvalue is 1/n, the chance the hands meet, plus (n - 1)/n times a
-    transposition's character ratio 2 c(lambda) / (n (n - 1))."""
-    total = 0.0
-    for shape in _partitions(n, n):
+def random_chi2(n, k, times):
+    """count sum (p_t - 1/count)^2 for the random rule on k tracked cards
+    after each t of ``times``, from any start (Diaconis & Shahshahani 1981).
+
+    The k-tuple chain is S_n acting on M^(n-k, 1^k), so this is the sum over
+    partitions lambda != (n) with lambda_1 >= n - k of
+    K_lambda f^lambda beta_lambda^(2t). K_lambda = K_{lambda,(n-k,1^k)} is
+    the number of standard fillings of lambda/(n - k), an exact int that
+    equals f^lambda at k = n, where the sum is the whole deck's; f^lambda is
+    the hook-length count of standard tableaux. The eigenvalue beta_lambda =
+    1/n + 2 c(lambda)/n^2 is 1/n, the chance the hands meet, plus (n - 1)/n
+    times a transposition's character ratio 2 c(lambda) / (n (n - 1)), with
+    c(lambda) the sum of the contents, column minus row, of its cells."""
+    terms = []
+    for shape, kostka in _young_paths((n - k,) if k < n else (), k).items():
         if shape == (n,):
             continue
         cells = [(row, col) for row, part in enumerate(shape) for col in range(part)]
         below = [sum(part > col for part in shape) for col in range(shape[0])]
         hooks = math.prod(shape[row] - col + below[col] - row - 1 for row, col in cells)
         content = sum(col - row for row, col in cells)
-        total += (math.factorial(n) // hooks) ** 2 * (1 / n + 2 * content / n**2) ** (2 * t)
-    return total
+        terms.append((kostka * (math.factorial(n) // hooks), 1 / n + 2 * content / n**2))
+    return np.array([sum(weight * beta ** (2 * t) for weight, beta in terms) for t in times])
 
 
 def run_bounded(code: str) -> str:

@@ -18,7 +18,6 @@ from shufflemix.errors import HorizonError, MassDriftError, ParameterError
 from shufflemix.exact import (
     MASS_TOL,
     _sampled_starts,
-    KTupleDistribution,
     LumpedEvolver,
     TVCurve,
     cutoff_profile,
@@ -34,8 +33,8 @@ from shufflemix.indexing import KTupleIndexer
 from conftest import (
     ALL_KINDS,
     brute_force_marginals,
-    full_deck_chi2,
     make_rule,
+    random_chi2,
     run_bounded,
     untouched_law,
 )
@@ -61,7 +60,8 @@ def test_lumped_matches_brute_force_spot():
     for rule, k, start in cases:
         want = brute_force_marginals(rule, k, start, 6)
         evolver = LumpedEvolver(rule, k)
-        probs = KTupleDistribution.point_mass(evolver.indexer, start).probs
+        probs = np.zeros(evolver.indexer.count)
+        probs[evolver.indexer.encode(start)] = 1.0
         assert np.abs(probs - want[0]).max() < 1e-12
         for t in range(1, 7):
             probs = evolver.step(probs, t)
@@ -71,7 +71,8 @@ def test_lumped_matches_brute_force_spot():
 def test_mass_conserved_many_steps():
     rule = make_rule("cyclic", 8)
     evolver = LumpedEvolver(rule, 2)
-    probs = KTupleDistribution.point_mass(evolver.indexer, (4, 7)).probs
+    probs = np.zeros(evolver.indexer.count)
+    probs[evolver.indexer.encode((4, 7))] = 1.0
     for t in range(1, 51):
         probs = evolver.step(probs, t)
         assert probs.min() >= -1e-15
@@ -207,10 +208,10 @@ def test_int32_table_steps_like_the_int16_table(monkeypatch, cache_targets):
             assert differ.nnz == 0, (kind, t)
 
 
-def test_cached_targets_are_int32_and_uncached_pieces_int64(monkeypatch):
-    """Under the budget each (i, q) map is kept as int32, half the bytes of
-    its codes; past it the encoded pieces, lone or copied into one array,
-    stay int64 for ``np.add.at``. Both hold the same codes."""
+def test_targets_are_int32_cached_or_not(monkeypatch):
+    """Each (i, q) map is int32, the dtype ``encode_many`` returns, whether
+    it is kept whole under the budget or encoded past it, in one lone piece
+    or copied from several. Both hold the same codes."""
     rule = make_rule("random", 8)
     cached = LumpedEvolver(rule, 3)
     monkeypatch.setattr("shufflemix.exact._TARGET_CACHE_BUDGET", 0)
@@ -222,7 +223,7 @@ def test_cached_targets_are_int32_and_uncached_pieces_int64(monkeypatch):
         assert whole.dtype == cached._targets[i, q].dtype == np.int32
         assert cached._target(i, q, rows).dtype == np.int32
         for got in (uncached._target(i, q), uncached._target(i, q, rows)):
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
         assert np.array_equal(uncached._target(i, q), whole)
         assert np.array_equal(uncached._target(i, q, rows), whole[rows])
     assert len(cached._targets) == 24 and not uncached._targets
@@ -311,7 +312,7 @@ def test_pieces_and_targets_match_the_reference_transpositions(data):
             got = [evolver._target(i, q, slice(a, b)) for q in qs]
             got_uncached = [uncached._target(i, q, slice(a, b)) for q in qs]
         joined = np.concatenate(pieces)
-        assert joined.dtype == np.int64
+        assert joined.dtype == np.int32
         assert np.array_equal(joined, np.concatenate(want)), chunk
         for q, cached, past_budget in zip(qs, got, got_uncached):
             ref = _reference_transposed(evolver.indexer, pos[a:b], i, q)
@@ -460,15 +461,10 @@ def test_exact_tv_curve_start_and_zero():
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: KTupleDistribution(KTupleIndexer(4, 2), np.full(11, 1 / 11)),
-     ParameterError, "wrong length"),
-    (lambda: KTupleDistribution(KTupleIndexer(4, 2), [-0.5, 1.5] + [0.0] * 10),
-     MassDriftError, "negative probability mass"),
     (lambda: TVCurve([1, 2, 3], [0.5, 0.4]), ParameterError, "must align"),
     (lambda: cutoff_profile(make_rule("top", 6), 2, []), ParameterError,
      "at least one alpha"),
-], ids=["distribution-length", "distribution-negative", "curve-misaligned",
-        "cutoff-no-alphas"])
+], ids=["curve-misaligned", "cutoff-no-alphas"])
 def test_exact_arguments_out_of_domain_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -597,19 +593,26 @@ def test_worst_case_within_k_over_n_below_untouched_law(kind, n, k):
     assert np.all(law - k / n <= d + 1e-12)
 
 
-@pytest.mark.parametrize("n", (4, 5, 6, 7))
-def test_full_deck_meets_the_diaconis_shahshahani_sum(n):
-    """At k = n the random rule's chain is the whole deck, so its exact
-    chi-square distance n! sum (p - u)^2 is the character sum of
-    ``full_deck_chi2`` at every t <= 6n, and TV <= sqrt(chi-square) / 2."""
-    evolver = LumpedEvolver(make_rule("random", n), n)
+_CHI2_CASES = [(n, n, 6 * n) for n in (4, 5, 6, 7)] + [
+    (n, k, 3 * n) for n, k in ((5, 1), (8, 3), (9, 4), (12, 4), (30, 3))
+]
+
+
+@pytest.mark.parametrize("n,k,t_max", _CHI2_CASES,
+                         ids=[str(n) if k == n else f"{n}-{k}" for n, k, _ in _CHI2_CASES])
+def test_full_deck_meets_the_diaconis_shahshahani_sum(n, k, t_max):
+    """The random rule's k-tuple chain is the whole deck's walk seen through
+    k cards, so its exact chi-square distance count sum (p - u)^2 is the
+    character sum of ``random_chi2`` at every t <= t_max, and TV <=
+    sqrt(chi-square) / 2. The full deck, k = n (ids by n alone), runs to 6n
+    steps; k < n to 3n."""
+    evolver = LumpedEvolver(make_rule("random", n), k)
     count = evolver.indexer.count
     probs = np.zeros(count)
-    probs[evolver.indexer.encode(range(1, n + 1))] = 1.0
-    for t in range(6 * n + 1):
+    probs[evolver.indexer.encode(range(1, k + 1))] = 1.0
+    for t, chi2 in enumerate(random_chi2(n, k, range(t_max + 1))):
         if t:
             probs = evolver.step(probs, t)
-        chi2 = full_deck_chi2(n, t)
         gap = probs - 1.0 / count
         assert abs(count * np.dot(gap, gap) - chi2) <= 1e-12 * chi2 + 1e-18, t
         assert 0.5 * np.abs(gap).sum() <= 0.5 * math.sqrt(chi2), t
@@ -859,5 +862,3 @@ def test_nan_mass_is_drift(kernel, monkeypatch):
         worst_case_curve(rule, 2, [3])
     with pytest.raises(MassDriftError):
         partial_mixing_time(rule, 2, 0.25)
-    with pytest.raises(MassDriftError):
-        KTupleDistribution(KTupleIndexer(6, 2), np.full(30, np.nan))
